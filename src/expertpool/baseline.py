@@ -20,6 +20,7 @@ __all__ = [
     "BaselineParams",
     "IntervalAccumulator",
     "PoolEntry",
+    "Pool",
     "BaselineLearner",
     "best_of_sample",
     "evict_pass",
@@ -147,12 +148,74 @@ def pool_potential(entries: list[PoolEntry]) -> list[float]:
     return [2.0 * math.log(e.own.count) + e.own.average for e in reversed(entries)]
 
 
+class Pool:
+    """Persistent entries (oldest first) and their ``pool`` words: the one pool
+    procedure of the baseline and of every hierarchy level."""
+
+    def __init__(self, meter: WordMeter):
+        self.meter = meter
+        self.entries: list[PoolEntry] = []
+
+    @property
+    def words(self) -> int:
+        return sum(e.words for e in self.entries)
+
+    def draw(self, rng: np.random.Generator, n: int, size: int,
+             full: bool) -> tuple[list[int], list[int]]:
+        """An epoch's members and fresh ids, sampled for full epochs or an empty
+        pool; the pool copy wins on collisions."""
+        pool_ids = [e.id for e in self.entries]
+        r_ids = []
+        if full or not pool_ids:
+            drawn = rng.choice(n, size=size, replace=False) + 1
+            in_pool = set(pool_ids)
+            r_ids = [int(i) for i in drawn if int(i) not in in_pool]
+        return pool_ids + r_ids, r_ids
+
+    def admit(self, by_id: dict[int, float], r_ids: list[int], alpha: int) -> None:
+        """Add the best of the sample as the youngest entry."""
+        survivor = best_of_sample({i: by_id[i] for i in r_ids})
+        fresh = PoolEntry(survivor, alpha=alpha)
+        fresh.own.add(by_id[survivor])
+        for older in self.entries:
+            older.cross[survivor] = IntervalAccumulator(by_id[older.id], 1)
+        self.meter.charge("pool", 4 + 2 * len(self.entries))
+        self.entries.append(fresh)
+
+    def settle(self, evict, threshold: float) -> list[PoolEntry]:
+        """Run ``evict(entries, threshold)`` and release the words it frees."""
+        before = self.words
+        self.entries, evicted = evict(self.entries, threshold)
+        freed = before - self.words
+        if freed:
+            self.meter.release("pool", freed)
+        return evicted
+
+    def close_epoch(self, members: list[int], avgs: np.ndarray, r_ids: list[int],
+                    alpha: int, evict, threshold: float) -> None:
+        """Fold one full epoch's averages, admit, then ``evict`` (the caller's
+        ``evict_pass``, so each module's passes go through its own name)."""
+        by_id = dict(zip(members, avgs.tolist()))
+        for entry in self.entries:
+            entry.own.add(by_id[entry.id])
+            for acc in entry.cross.values():
+                acc.add(by_id[entry.id])
+        if r_ids:
+            self.admit(by_id, r_ids, alpha)
+        self.settle(evict, threshold)
+
+    def clear(self) -> None:
+        """Drop every entry at episode end."""
+        self.meter.release("pool", self.words)
+        self.entries = []
+
+
 class BaselineLearner:
     """Sequential driver for the epoch learner.
 
-    Supports day-at-a-time stepping (needed against adaptive streams) and a
-    vectorized whole-epoch path for oblivious streams; both share the same
-    epoch-boundary bookkeeping.
+    ``next_block`` plays the rest of the open epoch (or a shorter block) and
+    is the one stepping API; ``step_day`` is its one-day form, needed against
+    adaptive streams.
     """
 
     def __init__(self, params: BaselineParams, meter: WordMeter | None = None,
@@ -161,7 +224,7 @@ class BaselineLearner:
         self.rng = np.random.default_rng(params.seed) if rng is None else rng
         self.meter = WordMeter() if meter is None else meter
         self.meter.charge("overhead", 8)
-        self.entries: list[PoolEntry] = []  # oldest first
+        self.pool = Pool(self.meter)
         self.day = 0  # days completed
         self.epoch = 0  # current epoch index once begun
         self.cumulative_loss = 0.0
@@ -175,6 +238,14 @@ class BaselineLearner:
         self._epoch_len = 0
         self.on_epoch_close = None  # optional callback(learner)
 
+    @property
+    def entries(self) -> list[PoolEntry]:
+        return self.pool.entries
+
+    @property
+    def pool_size(self) -> int:
+        return len(self.pool.entries)
+
     # -- epoch lifecycle ----------------------------------------------------
 
     @property
@@ -185,60 +256,62 @@ class BaselineLearner:
     def members(self) -> list[int]:
         return list(self._members)
 
-    def _begin_epoch(self) -> None:
-        p = self.params
-        self.epoch += 1
-        self._epoch_len = min(p.B, p.T - self.day)
-        pool_ids = [e.id for e in self.entries]
-        self._r_ids = []
-        if self._epoch_len == p.B or not pool_ids:
-            drawn = self.rng.choice(p.n, size=p.sample_size, replace=False) + 1
-            in_pool = set(pool_ids)
-            # the pool copy is authoritative on collisions
-            self._r_ids = [int(i) for i in drawn if int(i) not in in_pool]
-        self._members = pool_ids + self._r_ids
-        self._mwu = MwuState(self._members, horizon=p.B)
-        self._epoch_sums = np.zeros(len(self._members))
-        self._epoch_days = 0
-        self.meter.charge("mwu", len(self._members) + 4)
-        self.meter.charge("epoch", len(self._members) + len(self._r_ids))
+    def epoch_rest(self) -> tuple[list[int], int]:
+        """Members and days left of the open epoch, beginning one if none is open."""
+        if not self.in_epoch:
+            p = self.params
+            self.epoch += 1
+            self._epoch_len = min(p.B, p.T - self.day)
+            self._members, self._r_ids = self.pool.draw(
+                self.rng, p.n, p.sample_size, full=self._epoch_len == p.B)
+            self._mwu = MwuState(self._members, horizon=p.B)
+            self._epoch_sums = np.zeros(len(self._members))
+            self._epoch_days = 0
+            self.meter.charge("mwu", len(self._members) + 4)
+            self.meter.charge("epoch", len(self._members) + len(self._r_ids))
+        return self.members, self._epoch_len - self._epoch_days
 
-    def advance(self, losses: np.ndarray) -> np.ndarray:
+    def advance(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Play the next ``len(losses)`` days of the current epoch.
 
         losses has one row per day and one column per current member, in the
-        order of ``members``. Returns the realized per-day losses.
+        order of ``members``. Returns the realized per-day losses and the
+        expert ids played.
         """
-        if not self.in_epoch:
-            self._begin_epoch()
         days = losses.shape[0]
         if self._epoch_days + days > self._epoch_len:
             raise ValueError("block crosses an epoch boundary")
         picks = self._mwu.run_block(losses, self.rng)
         realized = losses[np.arange(days), picks]
+        played = np.asarray(self._members, dtype=np.int64)[picks]
         self._epoch_sums += losses.sum(axis=0)
         self._epoch_days += days
         self.day += days
         self.cumulative_loss += float(realized.sum())
         self.queries += days * len(self._members)
-        self._last_picks = [self._members[k] for k in picks]
         if self._epoch_days == self._epoch_len:
             self._close_epoch()
-        return realized
+        return realized, played
+
+    def next_block(self, oracle: LossOracle, days: int | None = None
+                   ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Play the rest of the open epoch, or at most ``days`` days of it.
+
+        Returns (first day, realized losses, played ids).
+        """
+        members, left = self.epoch_rest()
+        t0 = self.day + 1
+        t1 = self.day + (left if days is None else min(days, left))
+        realized, played = self.advance(oracle.loss_block(t0, t1, np.asarray(members)))
+        return t0, realized, played
 
     def step_day(self, oracle: LossOracle) -> int:
         """Advance exactly one day, querying the oracle for current members."""
-        if not self.in_epoch:
-            self._begin_epoch()
-        t = self.day + 1
-        block = oracle.loss_block(t, t, np.asarray(self._members))
-        self.advance(block)
-        return self._last_picks[0]
+        return int(self.next_block(oracle, 1)[2][0])
 
     def commit_distribution(self) -> np.ndarray:
         """Exact current mixed strategy mapped onto [n] (zero off-pool mass)."""
-        if not self.in_epoch:
-            self._begin_epoch()
+        self.epoch_rest()
         p = np.zeros(self.params.n)
         dist = self._mwu.distribution()
         for i, prob in zip(self._members, dist):
@@ -247,32 +320,10 @@ class BaselineLearner:
 
     def _close_epoch(self) -> None:
         p = self.params
-        if self._epoch_days == p.B:
-            avgs = self._epoch_sums / p.B
-            by_id = {i: float(avgs[k]) for k, i in enumerate(self._members)}
-            for entry in self.entries:
-                entry.own.add(by_id[entry.id])
-                for acc in entry.cross.values():
-                    acc.add(by_id[entry.id])
-            if self._r_ids:
-                survivor = best_of_sample({i: by_id[i] for i in self._r_ids})
-                fresh = PoolEntry(survivor, alpha=self.epoch)
-                fresh.own.add(by_id[survivor])
-                self.meter.charge("pool", 4)
-                for older in self.entries:
-                    older.cross[survivor] = IntervalAccumulator(by_id[older.id], 1)
-                    self.meter.charge("pool", 2)
-                self.entries.append(fresh)
-            pre_words = {id(e): e.words for e in self.entries}
-            self.entries, evicted = evict_pass(self.entries, p.eps)
-            for dead in evicted:
-                self.meter.release("pool", pre_words[id(dead)])
-            for entry in self.entries:
-                # cross rows referencing evicted ids were dropped by the pass
-                delta = pre_words[id(entry)] - entry.words
-                if delta:
-                    self.meter.release("pool", delta)
         # tail epochs (shorter than B) skip retention, eviction and bookkeeping
+        if self._epoch_days == p.B:
+            self.pool.close_epoch(self._members, self._epoch_sums / p.B,
+                                  self._r_ids, self.epoch, evict_pass, p.eps)
         self.meter.release("mwu", len(self._members) + 4)
         self.meter.release("epoch", len(self._members) + len(self._r_ids))
         self._mwu = None
@@ -286,29 +337,21 @@ class BaselineLearner:
 
     def run(self, oracle: LossOracle) -> None:
         """Run the full horizon against an oblivious oracle, epoch at a time."""
-        p = self.params
-        while self.day < p.T:
-            self._begin_epoch()
-            t0 = self.day + 1
-            t1 = self.day + self._epoch_len
-            block = oracle.loss_block(t0, t1, np.asarray(self._members))
-            self.advance(block)
+        while self.day < self.params.T:
+            self.next_block(oracle)
 
     def reset_episode(self) -> None:
         """Clear the pool and epoch phase (hierarchy episode restarts)."""
         if self.in_epoch:
             raise RuntimeError("cannot reset mid-epoch")
-        for entry in self.entries:
-            self.meter.release("pool", entry.words)
-        self.entries = []
+        self.pool.clear()
         self.epoch = 0
 
     # -- accounting ---------------------------------------------------------
 
     def audit_words(self) -> int:
         """Recompute the metered word count from live state."""
-        words = 8
-        words += sum(e.words for e in self.entries)
+        words = 8 + self.pool.words
         if self.in_epoch:
             words += len(self._members) + 4  # MWU cumulative losses + constants
             words += len(self._members) + len(self._r_ids)  # epoch sums + R ids

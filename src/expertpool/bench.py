@@ -193,6 +193,9 @@ class ExperimentConfig:
             raise ValueError("trials must be nonempty")
         if self.checks not in {"off", "epoch", "paranoid"}:
             raise ValueError(f"unknown check level {self.checks!r}")
+        if self.stream.get("generator") == "adaptive-game":
+            raise ValueError("adaptive-game streams are for demo-lb only; "
+                             "experiments need an oblivious stream")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -219,82 +222,79 @@ class TrialResult:
     trace_path: str | None = None
 
 
-def _run_baseline_trial(config: ExperimentConfig, seed: int,
-                        oracle: LossOracle, trace: TraceWriter | None
-                        ) -> tuple[float, int, list[str]]:
+class _FullMemoryLearner:
+    """Exponential weights over all n experts, played as one block."""
+
+    def __init__(self, n: int, T: int, seed: int):
+        self.state = MwuState(list(range(1, n + 1)), horizon=T)
+        self.meter = WordMeter()
+        self.meter.charge("mwu", n + 4)
+        self.rng = np.random.default_rng(seed)
+        self.pool_size = n
+        self.day = 0
+        self.cumulative_loss = 0.0
+
+    def next_block(self, oracle: LossOracle) -> tuple[int, np.ndarray, np.ndarray]:
+        matrix = oracle.full_matrix()
+        picks = self.state.run_block(matrix, self.rng)
+        realized = matrix[np.arange(oracle.T), picks]
+        self.day = oracle.T
+        self.cumulative_loss = float(realized.sum())
+        return 1, realized, picks + 1
+
+    def audit_words(self) -> int:
+        return len(self.state) + 4
+
+
+def _make_learner(config: ExperimentConfig, seed: int, violations: list[str]):
+    """The configured learner, with its epoch-close invariant checks attached."""
     lp = config.learner_params
-    params = BaselineParams(
-        config.n, config.T,
-        eps=lp.get("eps", 0.1),
-        B=lp.get("B"),
-        seed=seed,
-    )
-    learner = BaselineLearner(params)
-    violations: list[str] = []
-    if config.checks != "off":
-        def on_close(l: BaselineLearner) -> None:
-            violations.extend(
-                check_pool(l.entries, params.eps, params.pool_cap,
-                           dichotomy_eps=params.eps)
-            )
+    checks = config.checks != "off"
+
+    def on_close(l: BaselineLearner) -> None:
+        p = l.params
+        violations.extend(check_pool(l.entries, p.eps, p.pool_cap, dichotomy_eps=p.eps))
+        # the hierarchy's level 1 shares its meter, so the audit is hierarchy-wide
+        if config.learner == "baseline":
             violations.extend(check_memory(l))
-        learner.on_epoch_close = on_close
-    if config.checks == "paranoid":
-        prev_cum = 0.0
-        while learner.day < params.T:
-            learner.step_day(oracle)
-            audit = learner.audit_words()
-            if audit != learner.meter.current:
-                violations.append(
-                    f"day {learner.day}: meter {learner.meter.current} != "
-                    f"audited {audit} words"
+
+    if config.learner == "baseline":
+        learner = BaselineLearner(BaselineParams(
+            config.n, config.T, eps=lp.get("eps", 0.1), B=lp.get("B"), seed=seed))
+        if checks:
+            learner.on_epoch_close = on_close
+        return learner
+    if config.learner == "full-hierarchy":
+        learner = HierarchyLearner(config.n, config.T,
+                                   delta=lp.get("delta", 1.0), seed=seed)
+        if checks:
+            cap = math.ceil(8.0 / learner.eps * math.log(config.T))
+
+            def on_level(lvl: LevelState) -> None:
+                violations.extend(
+                    check_pool(lvl.entries, lvl.lp.theta, cap, potential=False)
                 )
-            if trace is not None:
-                realized = np.array([learner.cumulative_loss - prev_cum])
-                prev_cum = learner.cumulative_loss
-                trace.record(learner.day, realized, learner.meter,
-                             len(learner.entries))
-    else:
-        while learner.day < params.T:
-            learner._begin_epoch()
-            t0 = learner.day + 1
-            block = oracle.loss_block(t0, t0 + learner._epoch_len - 1,
-                                      np.asarray(learner.members))
-            realized = learner.advance(block)
-            if trace is not None:
-                trace.record(t0, realized, learner.meter, len(learner.entries))
-    return learner.cumulative_loss, learner.meter.peak, violations
+
+            learner.on_level1_epoch_close = on_close
+            for lvl in learner.levels:
+                lvl.on_epoch_close = on_level
+        return learner
+    return _FullMemoryLearner(config.n, config.T, seed)
 
 
-def _run_hierarchy_trial(config: ExperimentConfig, seed: int,
-                         oracle: LossOracle, trace: TraceWriter | None
-                         ) -> tuple[float, int, list[str]]:
-    lp = config.learner_params
-    learner = HierarchyLearner(config.n, config.T, delta=lp.get("delta", 1.0),
-                               seed=seed)
+def _run_trial(config: ExperimentConfig, seed: int, oracle: LossOracle,
+               trace: TraceWriter | None) -> tuple[float, int, list[str]]:
+    """Play blocks to the horizon, auditing the meter after each block; paranoid
+    checks play the baseline in one-day blocks."""
     violations: list[str] = []
-    if config.checks != "off":
-        cap = math.ceil(8.0 / learner.eps * math.log(config.T))
-
-        def on_lvl1(l: BaselineLearner) -> None:
-            # the level-1 learner shares the hierarchy meter, so only pool
-            # structure is checked here (the memory audit is hierarchy-wide)
-            violations.extend(
-                check_pool(l.entries, learner.eps, l.params.pool_cap,
-                           dichotomy_eps=learner.eps)
-            )
-
-        def on_level(lvl: LevelState) -> None:
-            violations.extend(
-                check_pool(lvl.entries, lvl.lp.theta, cap, potential=False)
-            )
-
-        learner.on_level1_epoch_close = on_lvl1
-        for lvl in learner.levels:
-            lvl.on_epoch_close = on_level
-    while learner.day < learner.T:
-        played, realized = learner._advance_block(oracle)
-        if config.checks != "off":
+    learner = _make_learner(config, seed, violations)
+    one_day = config.checks == "paranoid" and config.learner == "baseline"
+    # the baseline's epoch checks already audit its meter at every epoch close
+    audit = one_day or (config.checks != "off" and config.learner != "baseline")
+    while learner.day < config.T:
+        t0, realized, _ = (learner.next_block(oracle, 1) if one_day
+                           else learner.next_block(oracle))
+        if audit:
             audit = learner.audit_words()
             if audit != learner.meter.current:
                 violations.append(
@@ -302,29 +302,15 @@ def _run_hierarchy_trial(config: ExperimentConfig, seed: int,
                     f"audited {audit} words"
                 )
         if trace is not None:
-            top_pool = (len(learner.levels[-1].entries) if learner.levels
-                        else len(learner._lvl1.entries))
-            trace.record(learner.day - len(realized) + 1, realized,
-                         learner.meter, top_pool)
+            trace.record(t0, realized, learner.meter, learner.pool_size)
     return learner.cumulative_loss, learner.meter.peak, violations
 
 
-def _run_mwu_trial(config: ExperimentConfig, seed: int, oracle: LossOracle,
-                   trace: TraceWriter | None) -> tuple[float, int, list[str]]:
-    state = MwuState(list(range(1, config.n + 1)), horizon=config.T)
-    meter = WordMeter()
-    meter.charge("mwu", config.n + 4)
-    rng = np.random.default_rng(seed)
-    matrix = oracle.full_matrix()
-    picks = state.run_block(matrix, rng)
-    realized = matrix[np.arange(config.T), picks]
-    if trace is not None:
-        trace.record(1, realized, meter, config.n)
-    return float(realized.sum()), meter.peak, []
-
-
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
-    """One deterministic run per seed; optional CSV traces and invariants."""
+    """One deterministic run per seed; optional CSV traces and invariants.
+
+    An input error aborts only its own trial; any other error propagates.
+    """
     results: list[TrialResult] = []
     for seed in config.trials:
         trace = None
@@ -335,16 +321,12 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
             if config.output is not None:
                 trace_path = Path(config.output) / f"trace_seed{seed}.csv"
                 trace = TraceWriter(trace_path, oracle)
-            if config.learner == "baseline":
-                loss, peak, violations = _run_baseline_trial(config, seed, oracle, trace)
-            elif config.learner == "full-hierarchy":
-                loss, peak, violations = _run_hierarchy_trial(config, seed, oracle, trace)
-            else:
-                loss, peak, violations = _run_mwu_trial(config, seed, oracle, trace)
+            loss, peak, violations = _run_trial(config, seed, oracle, trace)
             _, best_total = oracle_best_expert(oracle)
-        except Exception as exc:  # one bad trial must not sink the rest
-            results.append(TrialResult(seed, math.nan, math.nan, math.nan, 0,
-                                       [f"trial aborted: {exc}"]))
+        except (ValueError, KeyError, OSError) as exc:  # one bad trial must not sink the rest
+            results.append(TrialResult(
+                seed, math.nan, math.nan, math.nan, 0,
+                [f"trial aborted: {type(exc).__name__}: {exc}"]))
             continue
         if trace is not None:
             trace.flush()

@@ -12,26 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import (
-    BaselineLearner,
-    BaselineParams,
-    IntervalAccumulator,
-    PoolEntry,
-    best_of_sample,
-    evict_pass,
-)
+from .baseline import BaselineLearner, BaselineParams, Pool, PoolEntry, evict_pass
 from .meter import WordMeter
 from .streams import LossOracle
 
-__all__ = ["LevelParams", "LevelState", "HierarchyLearner", "build_levels",
-           "truncated_loss"]
-
-EVICT_GUARD = 1e-12
-
-
-def truncated_loss(width: float, avg_expert: float, avg_below: float) -> float:
-    """Decision-round loss difference floored at -width."""
-    return max(avg_expert - avg_below, -width)
+__all__ = ["LevelParams", "LevelState", "HierarchyLearner", "build_levels"]
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,7 @@ class LevelState:
         self.meter.charge("level", 8)
         self.merge_eta = math.sqrt(math.log(2.0) / lp.day_span)
         self.mwu_eta = math.sqrt(math.log(lp.pool_cap) / lp.B)
-        self.entries: list[PoolEntry] = []
+        self.pool = Pool(meter)
         self.epoch_in_episode = 0
         self.epoch_count = 0
         self.in_epoch = False
@@ -139,18 +124,16 @@ class LevelState:
         self._dd_sum_e: np.ndarray | None = None
         self._dd_sum_base = 0.0
 
+    @property
+    def entries(self) -> list[PoolEntry]:
+        return self.pool.entries
+
     # -- lifecycle ----------------------------------------------------------
 
     def _begin_epoch(self, remaining_days: int, rng: np.random.Generator) -> None:
         lp = self.lp
-        pool_ids = [e.id for e in self.entries]
-        self._r_ids = []
         full = remaining_days >= lp.B * lp.day_span
-        if full or not pool_ids:
-            drawn = rng.choice(self.n, size=lp.sample_size, replace=False) + 1
-            in_pool = set(pool_ids)
-            self._r_ids = [int(i) for i in drawn if int(i) not in in_pool]
-        self._members = pool_ids + self._r_ids
+        self._members, self._r_ids = self.pool.draw(rng, self.n, lp.sample_size, full)
         self._ids_arr = np.asarray(self._members, dtype=np.int64)
         m = len(self._members)
         self._level_cum = np.zeros(m)
@@ -224,7 +207,7 @@ class LevelState:
         lp = self.lp
         avg_e = self._dd_sum_e / lp.day_span
         avg_base = self._dd_sum_base / lp.day_span
-        truncated = np.maximum(avg_e - avg_base, -lp.width)  # truncated_loss, vectorized
+        truncated = np.maximum(avg_e - avg_base, -lp.width)  # floored at -width
         self.min_truncated = min(self.min_truncated, float(truncated.min()))
         normalized = (truncated + lp.width) / (2.0 * lp.width)
         self.width_exceedances += int((normalized > 1.0 + 1e-12).sum())
@@ -242,29 +225,9 @@ class LevelState:
     def _close_epoch(self, global_day: int) -> None:
         lp = self.lp
         if self._full_epoch:
-            avgs = self._epoch_trunc_sums / lp.B
-            by_id = {i: float(avgs[k]) for k, i in enumerate(self._members)}
-            for entry in self.entries:
-                entry.own.add(by_id[entry.id])
-                for acc in entry.cross.values():
-                    acc.add(by_id[entry.id])
-            if self._r_ids:
-                survivor = best_of_sample({i: by_id[i] for i in self._r_ids})
-                fresh = PoolEntry(survivor, alpha=self.epoch_count + 1)
-                fresh.own.add(by_id[survivor])
-                self.meter.charge("pool", 4)
-                for older in self.entries:
-                    older.cross[survivor] = IntervalAccumulator(by_id[older.id], 1)
-                    self.meter.charge("pool", 2)
-                self.entries.append(fresh)
-            pre_words = {id(e): e.words for e in self.entries}
-            self.entries, evicted = evict_pass(self.entries, lp.theta)
-            for dead in evicted:
-                self.meter.release("pool", pre_words[id(dead)])
-            for entry in self.entries:
-                delta = pre_words[id(entry)] - entry.words
-                if delta:
-                    self.meter.release("pool", delta)
+            self.pool.close_epoch(self._members, self._epoch_trunc_sums / lp.B,
+                                  self._r_ids, self.epoch_count + 1, evict_pass,
+                                  lp.theta)
         m = len(self._members)
         self.meter.release("mwu", m + 4)
         self.meter.release("epoch", m + len(self._r_ids) + 1)
@@ -275,14 +238,12 @@ class LevelState:
         if self.on_epoch_close is not None:
             self.on_epoch_close(self)
         if self.epoch_in_episode == lp.epochs_per_episode:
-            for entry in self.entries:
-                self.meter.release("pool", entry.words)
-            self.entries = []
+            self.pool.clear()
             self.epoch_in_episode = 0
             self.episode_close_days.append(global_day)
 
     def audit_words(self) -> int:
-        words = 8 + sum(e.words for e in self.entries)
+        words = 8 + self.pool.words
         if self.in_epoch:
             m = len(self._members)
             words += (m + 4) + (m + len(self._r_ids) + 1) + 4 * m
@@ -307,67 +268,71 @@ class HierarchyLearner:
             LevelState(lp, n, T, self.meter) for lp in self.level_params[1:]
         ]
         self._lvl1: BaselineLearner | None = None
-        self._ep1_start = 0
-        self._ep1_len = 0
-        self._buffer: list[tuple[int, float]] = []  # (played id, realized loss)
+        self._buffer: list[int] = []  # played ids of days not yet stepped
         self.on_level1_epoch_close = None
 
     def _ensure_level1(self) -> None:
-        if self._lvl1 is not None and self.day < self._ep1_start + self._ep1_len:
+        """Start a level-1 episode once the previous one has played out."""
+        lvl1 = self._lvl1
+        if lvl1 is not None and lvl1.day < lvl1.params.T:
             return
-        if self._lvl1 is not None:
-            self._lvl1_dispose()
-        self._ep1_start = self.day
-        self._ep1_len = min(self.level_params[0].episode_days, self.T - self.day)
+        if lvl1 is not None:
+            lvl1.pool.clear()
+            self.meter.release("overhead", 8)
+        ep_len = min(self.level_params[0].episode_days, self.T - self.day)
         params = BaselineParams(
             self.n,
-            self._ep1_len,
+            ep_len,
             self.eps,
-            B=min(self.B, self._ep1_len),
+            B=min(self.B, ep_len),
             seed=self.seed,
         )
         self._lvl1 = BaselineLearner(params, meter=self.meter, rng=self.rng)
         if self.on_level1_epoch_close is not None:
             self._lvl1.on_epoch_close = self.on_level1_epoch_close
 
-    def _lvl1_dispose(self) -> None:
-        lvl = self._lvl1
-        for entry in lvl.entries:
-            self.meter.release("pool", entry.words)
-        self.meter.release("overhead", 8)
-        self._lvl1 = None
+    @property
+    def pool_size(self) -> int:
+        """Size of the top level's pool."""
+        top = self.levels[-1] if self.levels else self._lvl1
+        return 0 if top is None else len(top.entries)
 
-    def _advance_block(self, oracle: LossOracle) -> tuple[np.ndarray, np.ndarray]:
-        """Advance by one bottom-level epoch (or the final shorter tail)."""
+    def next_block(self, oracle: LossOracle) -> tuple[int, np.ndarray, np.ndarray]:
+        """Play one bottom-level epoch (or the final shorter tail).
+
+        Oblivious streams only. Returns (first day, realized losses, played ids).
+        """
+        if oracle.mode == "adaptive-game":
+            raise ValueError("the hierarchy reads a whole bottom epoch ahead; "
+                             "oblivious streams only")
         self._ensure_level1()
-        lvl1 = self._lvl1
-        if not lvl1.in_epoch:
-            lvl1._begin_epoch()
-        L = lvl1._epoch_len - lvl1._epoch_days
+        # level 1 counts days within its own episode; the oracle is global
+        members, L = self._lvl1.epoch_rest()
         t0 = self.day + 1
-        block = oracle.loss_block(t0, t0 + L - 1, np.asarray(lvl1._members))
-        realized = lvl1.advance(block)
-        played = np.asarray(lvl1._last_picks, dtype=np.int64)
+        realized, played = self._lvl1.advance(
+            oracle.loss_block(t0, t0 + L - 1, np.asarray(members)))
         for lvl in self.levels:
             realized, played = lvl.process_block(
                 oracle, t0, L, realized, played, self.rng
             )
         self.day += L
         self.cumulative_loss += float(realized.sum())
-        return played, realized
+        return t0, realized, played
 
     def step_day(self, oracle: LossOracle) -> int:
-        """Advance one calendar day; returns the expert id actually played."""
+        """Advance one calendar day; returns the expert id actually played.
+
+        Oblivious streams only: days are served from a bottom epoch played ahead.
+        """
         if self.day >= self.T and not self._buffer:
             raise RuntimeError("horizon exhausted")
         if not self._buffer:
-            played, realized = self._advance_block(oracle)
-            self._buffer = list(zip(played.tolist(), realized.tolist()))
-        return self._buffer.pop(0)[0]
+            self._buffer = self.next_block(oracle)[2].tolist()
+        return self._buffer.pop(0)
 
     def run(self, oracle: LossOracle) -> None:
         while self.day < self.T:
-            self._advance_block(oracle)
+            self.next_block(oracle)
 
     def audit_words(self) -> int:
         words = sum(lvl.audit_words() for lvl in self.levels)

@@ -1,4 +1,4 @@
-"""Exponential-weights learner over a dynamic finite expert set.
+"""Exponential-weights learner over a fixed finite expert set.
 
 The loss range is configurable so the same core serves plain losses in [0, 1]
 and shifted/scaled losses elsewhere. Weights are never stored: the state keeps
@@ -32,7 +32,6 @@ class MwuState:
         if not hi > lo:
             raise ValueError(f"degenerate loss range [{lo}, {hi}]")
         self.ids = ids
-        self._index = {i: k for k, i in enumerate(ids)}
         self.lo, self.hi = float(lo), float(hi)
         self.horizon = horizon
         if eta is None:
@@ -56,7 +55,7 @@ class MwuState:
         return w / w.sum()
 
     def probability(self, i: Hashable) -> float:
-        return float(self.distribution()[self._index[i]])
+        return float(self.distribution()[self.ids.index(i)])
 
     # -- updates ------------------------------------------------------------
 
@@ -106,26 +105,6 @@ class MwuState:
         self.cum += losses.sum(axis=0)
         self.cum -= self.cum.min()
         return picks
-
-    # -- membership ---------------------------------------------------------
-
-    def add(self, i: Hashable) -> None:
-        """Track a new id, joining at the current cumulative minimum."""
-        if i in self._index:
-            raise ValueError(f"id {i!r} already tracked")
-        self.ids.append(i)
-        self._index[i] = len(self.ids) - 1
-        self.cum = np.append(self.cum, self.cum.min())
-
-    def remove(self, i: Hashable) -> None:
-        if i not in self._index:
-            raise ValueError(f"id {i!r} not tracked")
-        if len(self.ids) == 1:
-            raise ValueError("cannot remove the only tracked id")
-        k = self._index.pop(i)
-        self.ids.pop(k)
-        self.cum = np.delete(self.cum, k)
-        self._index = {j: m for m, j in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -9,12 +9,14 @@ from expertpool.baseline import (
     BaselineLearner,
     BaselineParams,
     IntervalAccumulator,
+    Pool,
     PoolEntry,
     best_of_sample,
     default_epoch_length,
     evict_pass,
     pool_potential,
 )
+from expertpool.meter import WordMeter
 from expertpool.streams import ConstantOracle, StreamParams, make_oracle
 
 
@@ -111,6 +113,52 @@ class TestEvictPass:
         assert set(survivors[0].cross) == {3}
 
 
+class TestPool:
+    def test_meter_balance_through_admit_settle_clear(self):
+        meter = WordMeter()
+        pool = Pool(meter)
+
+        def balanced():
+            return meter.by_category["pool"] == pool.words
+
+        pool.admit({1: 0.9}, [1], alpha=1)
+        assert balanced()
+        pool.admit({1: 0.2, 2: 0.3}, [2], alpha=2)
+        assert balanced()
+        pool.admit({1: 0.95, 2: 0.95, 3: 0.5}, [3], alpha=3)
+        assert balanced() and pool.words == 18
+        # 2 is dominated by 1; 1's cross row for 2 is pruned with it
+        evicted = pool.settle(evict_pass, 0.1)
+        assert [e.id for e in evicted] == [2]
+        assert [e.id for e in pool.entries] == [1, 3]
+        assert set(pool.entries[0].cross) == {3}
+        assert balanced() and pool.words == 10
+        pool.clear()
+        assert balanced()
+        assert pool.entries == [] and meter.by_category["pool"] == 0
+        assert meter.current == 0
+
+    def test_close_epoch_folds_before_admitting(self):
+        pool = Pool(WordMeter())
+        pool.admit({1: 0.4}, [1], alpha=1)
+        pool.close_epoch([1, 2, 3], np.array([0.6, 0.3, 0.1]), [2, 3], 2,
+                         evict_pass, 0.05)
+        old, young = pool.entries
+        assert (old.own.count, old.own.average) == (2, pytest.approx(0.5))
+        assert young.id == 3 and young.own.average == 0.1
+        assert old.cross[3].average == 0.6
+
+    def test_draw_skips_pooled_ids(self):
+        pool = Pool(WordMeter())
+        pool.admit({1: 0.1}, [1], alpha=1)
+        pool.admit({1: 0.9, 3: 0.1}, [3], alpha=2)
+        members, drawn = pool.draw(np.random.default_rng(0), 4, 4, full=True)
+        assert sorted(drawn) == [2, 4]
+        assert members == [1, 3] + drawn
+        # a tail epoch plays the pool alone
+        assert pool.draw(np.random.default_rng(0), 4, 4, full=False) == ([1, 3], [])
+
+
 class TestPoolPotential:
     def test_formula(self):
         e = entry(1, 1, 0.3, own_count=5)
@@ -137,8 +185,9 @@ class TestLearner:
     def test_first_epoch_covers_all_when_n_small(self):
         params = BaselineParams(4, 16, eps=0.5, B=4, seed=0)
         learner = BaselineLearner(params)
-        learner._begin_epoch()
-        assert sorted(learner.members) == [1, 2, 3, 4]
+        members, days = learner.epoch_rest()
+        assert sorted(members) == [1, 2, 3, 4]
+        assert days == 4
 
     def test_negative_control_dominated_survivor_evicted(self):
         # expert 1 dominates; each later epoch's fresh survivor is evicted
@@ -175,6 +224,18 @@ class TestLearner:
             by_day.step_day(oracle)
         assert by_day.cumulative_loss == by_block.cumulative_loss
         assert [e.id for e in by_day.entries] == [e.id for e in by_block.entries]
+
+    def test_next_block_plays_rest_of_epoch(self):
+        spec = {"generator": "iid-bernoulli", "mean-range": [0.1, 0.9]}
+        oracle = make_oracle(StreamParams(6, 60, seed=2), spec)
+        learner = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
+        t0, realized, played = learner.next_block(oracle, 2)
+        assert (t0, len(realized), learner.day) == (1, 2, 2)
+        members = learner.members
+        t0, realized, played = learner.next_block(oracle)
+        assert (t0, len(realized), learner.day) == (3, 3, 5)
+        assert set(played.tolist()) <= set(members)
+        assert not learner.in_epoch
 
     def test_tail_epoch_skips_retention_and_eviction(self):
         oracle = ConstantOracle(StreamParams(4, 10, seed=0),

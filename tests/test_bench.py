@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expertpool import cli
+from expertpool import bench, cli
 from expertpool.bench import (
     TRACE_COLUMNS,
     ExperimentConfig,
@@ -136,6 +136,25 @@ class TestRunExperiment:
         assert len(results) == 2
         assert all("trial aborted" in r.violations[0] for r in results)
 
+    def test_aborted_trial_names_exception_type(self):
+        cfg = ExperimentConfig("baseline", 4, 20,
+                               {"generator": "csv-file", "path": "/missing.csv"})
+        (r,) = run_experiment(cfg)
+        assert r.violations[0].startswith("trial aborted: FileNotFoundError: ")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(params, spec):
+            raise TypeError("not an input error")
+        monkeypatch.setattr(bench, "make_oracle", broken)
+        cfg = ExperimentConfig("baseline", 4, 20, self.STREAM, trials=[0, 1])
+        with pytest.raises(TypeError, match="not an input error"):
+            run_experiment(cfg)
+
+    def test_adaptive_stream_rejected(self):
+        with pytest.raises(ValueError, match="demo-lb"):
+            ExperimentConfig("baseline", 4, 20,
+                             {"generator": "adaptive-game", "k": 2})
+
     def test_summary_stats(self):
         cfg = ExperimentConfig("baseline", 6, 120, self.STREAM,
                                trials=[0, 1, 2], learner_params={"eps": 0.3})
@@ -225,6 +244,16 @@ class TestCli:
         })
         # the oracle error aborts the trial, which counts as a failure
         assert cli.main(["check", cfg]) != 0
+
+    def test_adaptive_config_clean_exit(self, tmp_path, capsys):
+        cfg = self._write_json(tmp_path / "a.json", {
+            "learner": "baseline", "n": 4, "T": 10,
+            "stream": {"generator": "adaptive-game", "k": 2}, "trials": [0],
+        })
+        assert cli.main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "VIOLATION" not in captured.out
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from expertpool.baseline import BaselineLearner, BaselineParams
-from expertpool.hierarchy import (
-    HierarchyLearner,
-    build_levels,
-    truncated_loss,
-)
-from expertpool.streams import ConstantOracle, StreamParams, make_oracle
+from expertpool.hierarchy import HierarchyLearner, build_levels
+from expertpool.streams import ConstantOracle, GameOracle, StreamParams, make_oracle
 
 
 class TestBuildLevels:
@@ -65,18 +61,6 @@ class TestBuildLevels:
             build_levels(16, 65536, 1.5)
         with pytest.raises(ValueError):
             build_levels(16, 8, 1.0)  # T < n
-
-
-class TestTruncatedLoss:
-    def test_clamp_inactive(self):
-        assert truncated_loss(0.1, 0.45, 0.40) == pytest.approx(0.05)
-
-    def test_clamp_active(self):
-        assert truncated_loss(0.1, 0.2, 0.5) == -0.1
-
-    def test_clamp_boundary(self):
-        assert truncated_loss(0.1, 0.4, 0.5) == pytest.approx(-0.1)
-        assert truncated_loss(0.5, 0.0, 0.5) == -0.5  # exact boundary hit
 
 
 class TestDegenerateEqualsBaseline:
@@ -145,12 +129,29 @@ class TestHierarchyRun:
         by_block = HierarchyLearner(4, 512, delta=1.0, seed=9)
         by_block.run(oracle)
         by_day = HierarchyLearner(4, 512, delta=1.0, seed=9)
-        days = 0
-        while by_day.day < 512 or by_day._buffer:
+        for _ in range(512):
             by_day.step_day(oracle)
-            days += 1
-        assert days == 512
+        with pytest.raises(RuntimeError, match="horizon exhausted"):
+            by_day.step_day(oracle)  # exactly 512 days were served
         assert by_day.cumulative_loss == by_block.cumulative_loss
+
+    def test_step_day_rejects_adaptive_oracle(self):
+        h = HierarchyLearner(4, 64, delta=1.0, seed=0)
+        before = h.meter.snapshot()
+        state = h.rng.bit_generator.state
+        with pytest.raises(ValueError, match="oblivious streams only"):
+            h.step_day(GameOracle(StreamParams(4, 64, seed=0), k=2))
+        assert h.day == 0
+        assert h.meter.snapshot() == before
+        assert h.rng.bit_generator.state == state
+
+    def test_next_block_protocol(self, oracle):
+        h = HierarchyLearner(4, 512, delta=1.0, seed=9)
+        t0, realized, played = h.next_block(oracle)
+        assert t0 == 1
+        assert len(realized) == len(played) == h.day == h.B
+        assert set(played.tolist()) <= {1, 2, 3, 4}
+        assert h.cumulative_loss == pytest.approx(realized.sum())
 
     def test_meter_audit(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=4)

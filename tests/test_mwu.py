@@ -141,37 +141,6 @@ class TestRunBlock:
             s.run_block(np.array([[0.0, 2.0]]), np.random.default_rng(0))
 
 
-class TestMembership:
-    def test_add_joins_at_minimum(self):
-        s = MwuState(["a", "b"], horizon=10, eta=1.0)
-        s.update({"a": 0.0, "b": 1.0})
-        s.update({"a": 0.0, "b": 1.0})
-        s.add("c")
-        # cumulative losses are stored relative to the minimum
-        assert s.cum[s._index["c"]] == s.cum.min()
-
-    def test_add_then_remove_restores(self):
-        s = MwuState(["a", "b"], horizon=10)
-        s.update({"a": 0.3, "b": 0.6})
-        before = s.distribution().copy()
-        s.add("c")
-        s.remove("c")
-        assert s.ids == ["a", "b"]
-        assert np.allclose(s.distribution(), before, atol=1e-12)
-
-    def test_remove_last_id_rejected(self):
-        s = MwuState(["a"], horizon=5)
-        with pytest.raises(ValueError):
-            s.remove("a")
-
-    def test_membership_violations(self):
-        s = MwuState(["a", "b"], horizon=5)
-        with pytest.raises(ValueError):
-            s.add("a")
-        with pytest.raises(ValueError):
-            s.remove("zzz")
-
-
 class TestRegretBound:
     def test_high_probability_regret(self):
         # realized loss <= best + (ln m)/eta + eta*T + 4*sqrt(T ln(mT)),
