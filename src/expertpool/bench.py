@@ -29,6 +29,7 @@ __all__ = [
     "run_lowerbound_demo",
     "check_pool",
     "check_memory",
+    "hierarchy_memory_cap_words",
     "dump_stream",
     "TRACE_COLUMNS",
 ]
@@ -37,20 +38,43 @@ TRACE_COLUMNS = ["day", "alg_loss_cum", "best_loss_cum", "regret",
                  "words_current", "words_peak", "pool_size"]
 
 ENUMERATION_GUARD = 10**9
+BLOCK_DAYS = 4096  # days per block of the hindsight pass and of dump_stream
 
 
-def oracle_best_expert(oracle: LossOracle, n: int | None = None,
-                       T: int | None = None) -> tuple[int, float]:
-    """Best expert in hindsight by full enumeration, ties to the lowest id."""
+def _hindsight(oracle: LossOracle, n: int | None = None,
+               T: int | None = None) -> tuple[np.ndarray, int, float]:
+    """One pass over days 1..T in blocks, with O(n + T) memory.
+
+    Returns the per-day best cumulative loss so far, the best expert in
+    hindsight (ties to the lowest id) and its total. The running totals are
+    carried into each block before its cumsum, so every sum is the same
+    sequence of additions as one cumsum over the whole matrix.
+    """
     if oracle.mode == "adaptive-game":
         raise ValueError("best expert is undefined for an adaptive stream")
     n = oracle.n if n is None else n
     T = oracle.T if T is None else T
     if n * T > ENUMERATION_GUARD:
         raise ValueError(f"n*T = {n * T} exceeds the enumeration guard")
-    totals = oracle.loss_block(1, T, np.arange(1, n + 1)).sum(axis=0)
-    best = int(np.argmin(totals)) + 1
-    return best, float(totals[best - 1])
+    ids = np.arange(1, n + 1)
+    run = np.zeros(n)
+    best_so_far = np.empty(T)
+    for t0 in range(1, T + 1, BLOCK_DAYS):
+        t1 = min(t0 + BLOCK_DAYS - 1, T)
+        blk = oracle.loss_block(t0, t1, ids)
+        blk[0] += run
+        np.cumsum(blk, axis=0, out=blk)
+        blk.min(axis=1, out=best_so_far[t0 - 1:t1])
+        run = blk[-1].copy()
+    best = int(np.argmin(run)) + 1
+    return best_so_far, best, float(run[best - 1])
+
+
+def oracle_best_expert(oracle: LossOracle, n: int | None = None,
+                       T: int | None = None) -> tuple[int, float]:
+    """Best expert in hindsight by full enumeration, ties to the lowest id."""
+    _, best, total = _hindsight(oracle, n, T)
+    return best, total
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +134,27 @@ def memory_cap_words(params: BaselineParams) -> int:
     return 2 * s_hat * s_hat + 4 * s_hat + 4 * m + 16
 
 
+def hierarchy_memory_cap_words(learner: HierarchyLearner) -> int:
+    """Word budget of the whole hierarchy, from its level parameters.
+
+    Level 1 gets the baseline's ``memory_cap_words`` for one full level-1
+    episode. Each level k >= 2 gets its 8 level words, a pool of at most
+    S = pool_cap + sample_size entries (S^2 + 3S words: 4 per entry and 2 per
+    younger entry's accumulator) and, for at most S epoch members m, the words
+    ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size + 1,
+    merge 4m.
+    """
+    lp1 = learner.level_params[0]
+    ep_len = min(lp1.episode_days, learner.T)
+    words = memory_cap_words(BaselineParams(learner.n, ep_len, learner.eps,
+                                            B=min(learner.B, ep_len)))
+    for lp in learner.level_params[1:]:
+        s_hat = lp.pool_cap + lp.sample_size
+        words += 8 + s_hat * s_hat + 3 * s_hat
+        words += (s_hat + 4) + (s_hat + lp.sample_size + 1) + 4 * s_hat
+    return words
+
+
 def check_memory(learner: BaselineLearner) -> list[str]:
     """Epoch-boundary memory audit: meter vs live state, and the word cap."""
     bad: list[str] = []
@@ -130,45 +175,52 @@ class TraceWriter:
     """Per-day CSV trace with exact regret against the enumerated best expert."""
 
     def __init__(self, path: Path, oracle: LossOracle):
-        cum = oracle.full_matrix().cumsum(axis=0)
-        self.best_so_far = cum.min(axis=1)  # best expert so far, per day
-        self.rows: list[list[str]] = []
+        self.best_so_far, _, self.best_total = _hindsight(oracle)
+        self.rows: list[str] = []  # one string of csv lines per recorded block
         self.path = path
         self.alg_cum = 0.0
 
     def record(self, t0: int, realized: np.ndarray, meter: WordMeter,
                pool_size: int) -> None:
-        for off, loss in enumerate(realized):
-            day = t0 + off
-            self.alg_cum += float(loss)
-            best = float(self.best_so_far[day - 1])
-            self.rows.append([
-                str(day),
-                f"{self.alg_cum:.12g}",
-                f"{best:.12g}",
-                f"{self.alg_cum - best:.12g}",
-                str(meter.current),
-                str(meter.peak),
-                str(pool_size),
-            ])
+        # seeded like the per-day running sum, so every partial sum is the same
+        alg = np.array(realized, dtype=np.float64)
+        alg[0] += self.alg_cum
+        np.cumsum(alg, out=alg)
+        self.alg_cum = float(alg[-1])
+        best = self.best_so_far[t0 - 1:t0 - 1 + len(alg)]
+        # the words and pool columns are read once per block, after it
+        tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
+        self.rows.append("".join(
+            f"{day},{a:.12g},{b:.12g},{r:.12g},{tail}"
+            for day, a, b, r in zip(range(t0, t0 + len(alg)), alg.tolist(),
+                                    best.tolist(), (alg - best).tolist())))
 
     def flush(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_COLUMNS)
-            w.writerows(self.rows)
+            # record() ends each row in "\r\n", the csv writer's terminator
+            csv.writer(fh).writerow(TRACE_COLUMNS)
+            fh.writelines(self.rows)
 
 
 def dump_stream(oracle: LossOracle, path: Path) -> None:
-    """Write the full loss matrix in the csv-file oracle schema."""
-    matrix = oracle.full_matrix()
+    """Write the full loss matrix in the csv-file oracle schema.
+
+    Each distinct value of a block of rows is formatted once, keyed by its
+    bits so that -0.0 keeps its own string.
+    """
+    matrix = np.ascontiguousarray(oracle.full_matrix(), dtype=np.float64)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"e{i}" for i in range(1, oracle.n + 1)])
-        for t in range(1, oracle.T + 1):
-            w.writerow([str(t)] + [f"{v:.12g}" for v in matrix[t - 1]])
+        csv.writer(fh).writerow(["t"] + [f"e{i}" for i in range(1, oracle.n + 1)])
+        for r0 in range(0, oracle.T, BLOCK_DAYS):
+            keys, inverse = np.unique(matrix[r0:r0 + BLOCK_DAYS].view(np.uint64),
+                                      return_inverse=True)
+            table = np.array([f"{v:.12g}" for v in keys.view(np.float64).tolist()],
+                             dtype=object)
+            cells = table[inverse.reshape(-1, oracle.n)].tolist()
+            fh.write("".join(f"{t},{','.join(row)}\r\n"
+                             for t, row in enumerate(cells, r0 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +343,22 @@ def _run_trial(config: ExperimentConfig, seed: int, oracle: LossOracle,
     one_day = config.checks == "paranoid" and config.learner == "baseline"
     # the baseline's epoch checks already audit its meter at every epoch close
     audit = one_day or (config.checks != "off" and config.learner != "baseline")
+    cap = (hierarchy_memory_cap_words(learner)
+           if audit and config.learner == "full-hierarchy" else None)
     while learner.day < config.T:
         t0, realized, _ = (learner.next_block(oracle, 1) if one_day
                            else learner.next_block(oracle))
         if audit:
-            audit = learner.audit_words()
-            if audit != learner.meter.current:
+            words = learner.audit_words()
+            if words != learner.meter.current:
                 violations.append(
                     f"day {learner.day}: meter {learner.meter.current} != "
-                    f"audited {audit} words"
+                    f"audited {words} words"
                 )
+            if cap is not None and learner.meter.peak > cap:
+                violations.append(f"day {learner.day}: peak of "
+                                  f"{learner.meter.peak} words exceeds cap {cap}")
+                cap = None  # the peak never falls: report its first crossing only
         if trace is not None:
             trace.record(t0, realized, learner.meter, learner.pool_size)
     return learner.cumulative_loss, learner.meter.peak, violations
@@ -322,7 +380,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
                 trace_path = Path(config.output) / f"trace_seed{seed}.csv"
                 trace = TraceWriter(trace_path, oracle)
             loss, peak, violations = _run_trial(config, seed, oracle, trace)
-            _, best_total = oracle_best_expert(oracle)
+            # the trace's hindsight pass already holds the best total
+            best_total = (trace.best_total if trace is not None
+                          else oracle_best_expert(oracle)[1])
         except (ValueError, KeyError, OSError) as exc:  # one bad trial must not sink the rest
             results.append(TrialResult(
                 seed, math.nan, math.nan, math.nan, 0,

@@ -29,25 +29,45 @@ __all__ = [
 
 _GOLD_T = np.uint64(0x9E3779B97F4A7C15)
 _GOLD_I = np.uint64(0xC2B2AE3D27D4EB4F)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalization round on a uint64 array (wrapping)."""
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
+    """One splitmix64 finalization round, in place on a uint64 array.
+
+    Array arithmetic wraps silently, so no error state is needed.
+    """
+    tmp = np.empty_like(x)
+    x += _GOLD_T
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _MIX_1
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _MIX_2
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+    return x
+
+
+def _bits53(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The top 53 bits of the two-round splitmix64 hash of (seed, t, i)."""
+    t = np.asarray(t, dtype=np.uint64)
+    i = np.asarray(i, dtype=np.uint64)
+    h = np.multiply(t, _GOLD_T, out=np.empty(t.shape, np.uint64))
+    h ^= np.uint64(seed)
+    _splitmix64(h)
+    h = np.bitwise_xor(h, np.multiply(i, _GOLD_I, out=np.empty(i.shape, np.uint64)))
+    _splitmix64(h)
+    h >>= _S11
+    return h
 
 
 def _uniform01(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
     """Deterministic uniform in [0, 1) as a pure function of (seed, t, i)."""
-    t = np.asarray(t, dtype=np.uint64)
-    i = np.asarray(i, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = _splitmix64(np.uint64(seed) ^ (t * _GOLD_T))
-        h = _splitmix64(h ^ (i * _GOLD_I))
-    return (h >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    return _bits53(seed, t, i) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)
@@ -146,12 +166,16 @@ class BernoulliOracle(LossOracle):
     def __init__(self, params: StreamParams, means: np.ndarray):
         super().__init__(params)
         self.means = np.asarray(means, dtype=np.float64)
+        if np.isnan(self.means).any():
+            raise ValueError("Bernoulli means must not be NaN")
+        # u < mean with u = k / 2^53 and integer k is exactly k < ceil(mean * 2^53)
+        self._cut = np.ceil(np.clip(self.means, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
     def loss_block(self, t0, t1, ids):
         ids = np.asarray(ids, dtype=np.int64)
-        days = np.arange(t0, t1 + 1, dtype=np.int64)
-        u = _uniform01(self.params.seed, days[:, None], ids[None, :])
-        return (u < self.means[ids - 1]).astype(np.float64)
+        days = np.arange(t0, t1 + 1, dtype=np.uint64)
+        k = _bits53(self.params.seed, days[:, None], ids[None, :])
+        return (k < self._cut[ids - 1]).astype(np.float64)
 
 
 class EpochSpoilerOracle(LossOracle):

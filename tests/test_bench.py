@@ -1,5 +1,6 @@
 """Tests for the experiment harness, traces, adaptive demo, and CLI."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -8,16 +9,43 @@ import numpy as np
 import pytest
 
 from expertpool import bench, cli
+from expertpool.baseline import BaselineLearner, BaselineParams
 from expertpool.bench import (
     TRACE_COLUMNS,
     ExperimentConfig,
     dump_stream,
+    hierarchy_memory_cap_words,
     oracle_best_expert,
     run_experiment,
     run_lowerbound_demo,
     summarize,
 )
-from expertpool.streams import ConstantOracle, CsvOracle, GameOracle, StreamParams, make_oracle
+from expertpool.hierarchy import HierarchyLearner
+from expertpool.streams import (
+    BernoulliOracle,
+    ConstantOracle,
+    CsvOracle,
+    GameOracle,
+    LossOracle,
+    StreamParams,
+    make_oracle,
+)
+
+SPOILER = {"generator": "epoch-spoiler", "best-id": 2, "base-loss": 0.3,
+           "decoy-loss": 0.1, "epoch-length": 25}
+
+
+class CountingOracle(BernoulliOracle):
+    """A Bernoulli stream that counts the cells it serves."""
+
+    def __init__(self, params, means):
+        super().__init__(params, means)
+        self.cells = 0
+
+    def loss_block(self, t0, t1, ids):
+        out = super().loss_block(t0, t1, ids)
+        self.cells += out.size
+        return out
 
 
 class TestOracleBestExpert:
@@ -51,6 +79,149 @@ class TestOracleBestExpert:
         totals = replay.full_matrix().sum(axis=0)
         best, total = oracle_best_expert(o)
         assert abs(totals[best - 1] - total) < 1e-9
+
+
+class TestHindsightPass:
+    """The blocked pass against one cumsum over the whole matrix."""
+
+    @pytest.mark.parametrize("chunk", [7, bench.BLOCK_DAYS])
+    @pytest.mark.parametrize("spec", [
+        SPOILER,  # non-integer losses
+        {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+    ], ids=["epoch-spoiler", "iid-bernoulli"])
+    def test_matches_full_cumsum_bit_for_bit(self, monkeypatch, chunk, spec):
+        monkeypatch.setattr(bench, "BLOCK_DAYS", chunk)
+        params = StreamParams(5, 2 * chunk + 37, seed=8)
+        assert params.T % chunk
+        o = make_oracle(params, spec)
+        full = o.full_matrix()
+        best_so_far, best, total = bench._hindsight(o)
+        assert best_so_far.tobytes() == full.cumsum(axis=0).min(axis=1).tobytes()
+        # the whole-matrix result the oracle gave before the blocked pass
+        totals = full.sum(axis=0)
+        old_best = int(np.argmin(totals)) + 1
+        assert oracle_best_expert(o) == (old_best, float(totals[old_best - 1]))
+        assert (best, total) == (old_best, float(totals[old_best - 1]))
+
+    def test_prefix_horizon(self):
+        o = make_oracle(StreamParams(4, 50, seed=1), SPOILER)
+        best, total = oracle_best_expert(o, T=20)
+        totals = o.loss_block(1, 20, np.arange(1, 5)).sum(axis=0)
+        assert (best, total) == (int(np.argmin(totals)) + 1, float(totals.min()))
+
+    def test_traced_trial_reads_the_stream_once(self, tmp_path, monkeypatch):
+        # harness cells are exactly n*T on top of the learner's own queries
+        n, T, means = 8, 1000, np.linspace(0.2, 0.8, 8)
+        oracles = []
+
+        def counting(params, spec):
+            oracles.append(CountingOracle(params, means))
+            return oracles[-1]
+
+        monkeypatch.setattr(bench, "make_oracle", counting)
+        cfg = ExperimentConfig("baseline", n, T, {"generator": "iid-bernoulli"},
+                               trials=[4], learner_params={"eps": 0.3},
+                               output=str(tmp_path))
+        (r,) = run_experiment(cfg)
+        assert r.violations == []
+        learner = BaselineLearner(BaselineParams(n, T, eps=0.3, seed=4))
+        solo = CountingOracle(StreamParams(n, T, seed=4), means)
+        learner.run(solo)
+        assert learner.queries == solo.cells
+        assert oracles[0].cells == n * T + learner.queries
+
+
+class MatrixOracle(LossOracle):
+    """Replays a fixed T x n matrix."""
+
+    def __init__(self, matrix):
+        super().__init__(StreamParams(matrix.shape[1], matrix.shape[0]))
+        self.matrix = matrix
+
+    def loss_block(self, t0, t1, ids):
+        return self.matrix[t0 - 1:t1, np.asarray(ids) - 1].copy()
+
+
+def _dump_one_row_at_a_time(oracle, path):
+    """The row-by-row csv writer dump_stream must match byte for byte."""
+    matrix = oracle.full_matrix()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"e{i}" for i in range(1, oracle.n + 1)])
+        for t in range(1, oracle.T + 1):
+            w.writerow([str(t)] + [f"{v:.12g}" for v in matrix[t - 1]])
+
+
+class TestDumpStream:
+    VALUES = [-0.0, 0.1, 1 / 3, 0.0, 1.0, 2.5e-7]
+
+    def test_bytes_match_row_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "BLOCK_DAYS", 3)
+        rng = np.random.default_rng(0)
+        o = MatrixOracle(rng.choice(self.VALUES, size=(11, 4)))
+        dump_stream(o, tmp_path / "new.csv")
+        _dump_one_row_at_a_time(o, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("spec", [
+        SPOILER, {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+    ], ids=["epoch-spoiler", "iid-bernoulli"])
+    def test_generated_stream_bytes_match_row_writer(self, tmp_path, monkeypatch, spec):
+        monkeypatch.setattr(bench, "BLOCK_DAYS", 64)
+        o = make_oracle(StreamParams(6, 300, seed=5), spec)
+        dump_stream(o, tmp_path / "new.csv")
+        _dump_one_row_at_a_time(o, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_negative_zero_and_non_dyadic_round_trip(self, tmp_path):
+        matrix = np.array([[-0.0, 0.1], [0.1, 0.0], [0.0, -0.0]])
+        path = tmp_path / "z.csv"
+        dump_stream(MatrixOracle(matrix), path)
+        assert path.read_text().splitlines()[1:] == ["1,-0,0.1", "2,0.1,0", "3,0,-0"]
+        replay = CsvOracle(StreamParams(2, 3), str(path)).full_matrix()
+        assert replay.tobytes() == matrix.tobytes()  # the sign of zero included
+
+
+class TestHierarchyMemoryCap:
+    STREAM = {"generator": "iid-bernoulli", "mean-range": [0.3, 0.7],
+              "overrides": {"1": 0.2}}
+
+    @pytest.mark.parametrize("n,T", [(4, 256), (16, 65536)])
+    def test_criterion_7_configs_stay_under_cap(self, n, T):
+        cfg = ExperimentConfig("full-hierarchy", n, T, self.STREAM, trials=[5],
+                               learner_params={"delta": 1.0}, checks="epoch")
+        (r,) = run_experiment(cfg)
+        assert r.violations == []
+        cap = hierarchy_memory_cap_words(HierarchyLearner(n, T, delta=1.0))
+        assert 0 < r.peak_words <= cap
+
+    def test_cap_below_peak_is_flagged(self, monkeypatch):
+        cfg = ExperimentConfig("full-hierarchy", 4, 256, self.STREAM, trials=[5])
+        (clean,) = run_experiment(cfg)
+        monkeypatch.setattr(bench, "hierarchy_memory_cap_words",
+                            lambda learner: clean.peak_words - 1)
+        (r,) = run_experiment(cfg)
+        assert len(r.violations) == 1  # the first crossing, reported once
+        assert f"peak of {clean.peak_words} words exceeds cap" in r.violations[0]
+
+    def test_cap_unchecked_when_checks_off(self, monkeypatch):
+        monkeypatch.setattr(bench, "hierarchy_memory_cap_words", lambda learner: 0)
+        cfg = ExperimentConfig("full-hierarchy", 4, 256, self.STREAM, trials=[5],
+                               checks="off")
+        assert run_experiment(cfg)[0].violations == []
+
+    def test_cap_grows_with_levels(self):
+        one = HierarchyLearner(16, 4096, delta=1.0)
+        two = HierarchyLearner(4, 512, delta=1.0)
+        assert one.K == 1 and two.K == 2
+        lvl1 = BaselineParams(16, min(one.level_params[0].episode_days, 4096),
+                              one.eps, B=one.B)
+        assert hierarchy_memory_cap_words(one) == bench.memory_cap_words(lvl1)
+        lp = two.level_params[1]
+        s_hat = lp.pool_cap + lp.sample_size
+        lvl1 = BaselineParams(4, two.level_params[0].episode_days, two.eps, B=two.B)
+        assert hierarchy_memory_cap_words(two) == (
+            bench.memory_cap_words(lvl1) + s_hat * s_hat + 9 * s_hat + lp.sample_size + 13)
 
 
 class TestExperimentConfig:

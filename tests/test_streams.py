@@ -14,9 +14,21 @@ from expertpool.streams import (
     GameInstance,
     GameOracle,
     StreamParams,
+    _bits53,
+    _uniform01,
     count_covered_sets,
     make_oracle,
 )
+
+MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_int(x: int) -> int:
+    """Reference splitmix64 finalization round on a Python int."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
 
 
 class TestStreamParams:
@@ -112,6 +124,56 @@ class TestBernoulliOracle:
     def test_missing_means_spec_rejected(self):
         with pytest.raises(ValueError):
             make_oracle(StreamParams(2, 5), {"generator": "iid-bernoulli"})
+
+    def test_rejects_nan_mean(self):
+        with pytest.raises(ValueError, match="NaN"):
+            BernoulliOracle(StreamParams(2, 5), np.array([0.5, math.nan]))
+
+
+def _edge_means() -> list[float]:
+    """0, 1/2, 1, k/2^53 and the float neighbours of each inside [0, 1]."""
+    base = [0.0, 0.5, 1.0, 1 / 2**53, 3 / 2**53, (2**52 + 1) / 2**53,
+            (2**53 - 1) / 2**53, 0.3]
+    out = set()
+    for m in base:
+        for v in (m, np.nextafter(m, 0.0), np.nextafter(m, 1.0)):
+            out.add(float(v))
+    return sorted(out)
+
+
+class TestHashExactness:
+    def test_bits53_matches_integer_reference(self):
+        seed, days, ids = 12345, np.arange(1, 40), np.arange(1, 7)
+        k = _bits53(seed, days[:, None], ids[None, :])
+        for r, t in enumerate(days.tolist()):
+            for c, i in enumerate(ids.tolist()):
+                h = _splitmix64_int(seed ^ ((t * 0x9E3779B97F4A7C15) & MASK64))
+                h = _splitmix64_int(h ^ ((i * 0xC2B2AE3D27D4EB4F) & MASK64))
+                assert int(k[r, c]) == h >> 11
+
+    def test_uniform01_is_bits53_scaled(self):
+        days, ids = np.arange(1, 9)[:, None], np.arange(1, 5)[None, :]
+        u = _uniform01(7, days, ids)
+        assert np.array_equal(u, _bits53(7, days, ids).astype(np.float64) / 2.0**53)
+        assert u.min() >= 0.0 and u.max() < 1.0
+
+    def test_integer_compare_equals_float_compare_at_the_cut(self):
+        # k just below, at and above each cut: k < cut iff k / 2^53 < mean
+        means = np.array(_edge_means())
+        o = BernoulliOracle(StreamParams(len(means), 10), means)
+        for m, cut in zip(means.tolist(), o._cut.tolist()):
+            for k in {max(cut + d, 0) for d in (-2, -1, 0, 1, 2)}:
+                if k < 2**53:
+                    assert (k < cut) == (k / 2.0**53 < m), (m, k, cut)
+
+    def test_loss_block_equals_float_compare(self):
+        means = np.array(_edge_means())
+        params = StreamParams(len(means), 3000, seed=4)
+        o = BernoulliOracle(params, means)
+        days = np.arange(1, params.T + 1)[:, None]
+        ids = np.arange(1, params.n + 1)[None, :]
+        want = (_uniform01(params.seed, days, ids) < means).astype(np.float64)
+        assert np.array_equal(o.full_matrix(), want)
 
 
 class TestEpochSpoiler:
