@@ -21,6 +21,7 @@ __all__ = [
     "IntervalAccumulator",
     "PoolEntry",
     "Pool",
+    "Epoch",
     "BaselineLearner",
     "best_of_sample",
     "evict_pass",
@@ -210,6 +211,45 @@ class Pool:
         self.entries = []
 
 
+class Epoch:
+    """An open epoch of the baseline or of any hierarchy level: its members
+    (pool copies, then fresh ids), exponential weights over them, per-member
+    loss sums and the round count. Its ``mwu`` and ``epoch`` words are charged
+    on opening and released by ``close``."""
+
+    def __init__(self, pool: Pool, rng: np.random.Generator, n: int,
+                 sample_size: int, B: int, full: bool, eta: float | None = None):
+        self.pool = pool
+        self.full = full
+        self.members, self.r_ids = pool.draw(rng, n, sample_size, full)
+        self.mwu = MwuState(self.members, horizon=B, eta=eta)
+        self.sums = np.zeros(len(self.members))
+        self.rounds = 0
+        # MWU cumulative losses + constants; loss sums + fresh ids
+        self._words = {"mwu": len(self.members) + 4,
+                       "epoch": len(self.members) + len(self.r_ids)}
+        for category, words in self._words.items():
+            pool.meter.charge(category, words)
+
+    @property
+    def words(self) -> int:
+        return sum(self._words.values())
+
+    def add(self, sums: np.ndarray, rounds: int) -> None:
+        """Count ``rounds`` more rounds whose per-member losses sum to ``sums``."""
+        self.sums += sums
+        self.rounds += rounds
+
+    def close(self, alpha: int, evict, threshold: float) -> None:
+        """Fold a full epoch's average losses into the pool (a shorter tail
+        epoch skips retention, eviction and bookkeeping), then release."""
+        if self.full:
+            self.pool.close_epoch(self.members, self.sums / self.rounds, self.r_ids,
+                                  alpha, evict, threshold)
+        for category, words in self._words.items():
+            self.pool.meter.release(category, words)
+
+
 class BaselineLearner:
     """Sequential driver for the epoch learner.
 
@@ -229,12 +269,7 @@ class BaselineLearner:
         self.epoch = 0  # current epoch index once begun
         self.cumulative_loss = 0.0
         self.queries = 0
-        # within-epoch state
-        self._members: list[int] = []
-        self._r_ids: list[int] = []
-        self._mwu: MwuState | None = None
-        self._epoch_sums: np.ndarray | None = None
-        self._epoch_days = 0
+        self._epoch: Epoch | None = None
         self._epoch_len = 0
         self.on_epoch_close = None  # optional callback(learner)
 
@@ -250,11 +285,11 @@ class BaselineLearner:
 
     @property
     def in_epoch(self) -> bool:
-        return self._mwu is not None
+        return self._epoch is not None
 
     @property
     def members(self) -> list[int]:
-        return list(self._members)
+        return list(self._epoch.members) if self.in_epoch else []
 
     def epoch_rest(self) -> tuple[list[int], int]:
         """Members and days left of the open epoch, beginning one if none is open."""
@@ -262,14 +297,9 @@ class BaselineLearner:
             p = self.params
             self.epoch += 1
             self._epoch_len = min(p.B, p.T - self.day)
-            self._members, self._r_ids = self.pool.draw(
-                self.rng, p.n, p.sample_size, full=self._epoch_len == p.B)
-            self._mwu = MwuState(self._members, horizon=p.B)
-            self._epoch_sums = np.zeros(len(self._members))
-            self._epoch_days = 0
-            self.meter.charge("mwu", len(self._members) + 4)
-            self.meter.charge("epoch", len(self._members) + len(self._r_ids))
-        return self.members, self._epoch_len - self._epoch_days
+            self._epoch = Epoch(self.pool, self.rng, p.n, p.sample_size, p.B,
+                                full=self._epoch_len == p.B)
+        return self.members, self._epoch_len - self._epoch.rounds
 
     def advance(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Play the next ``len(losses)`` days of the current epoch.
@@ -278,19 +308,22 @@ class BaselineLearner:
         order of ``members``. Returns the realized per-day losses and the
         expert ids played.
         """
+        ep = self._epoch
         days = losses.shape[0]
-        if self._epoch_days + days > self._epoch_len:
+        if ep.rounds + days > self._epoch_len:
             raise ValueError("block crosses an epoch boundary")
-        picks = self._mwu.run_block(losses, self.rng)
+        picks = ep.mwu.run_block(losses, self.rng)
         realized = losses[np.arange(days), picks]
-        played = np.asarray(self._members, dtype=np.int64)[picks]
-        self._epoch_sums += losses.sum(axis=0)
-        self._epoch_days += days
+        played = np.asarray(ep.members, dtype=np.int64)[picks]
+        ep.add(losses.sum(axis=0), days)
         self.day += days
         self.cumulative_loss += float(realized.sum())
-        self.queries += days * len(self._members)
-        if self._epoch_days == self._epoch_len:
-            self._close_epoch()
+        self.queries += days * len(ep.members)
+        if ep.rounds == self._epoch_len:
+            ep.close(self.epoch, evict_pass, self.params.eps)
+            self._epoch = None
+            if self.on_epoch_close is not None:
+                self.on_epoch_close(self)
         return realized, played
 
     def next_block(self, oracle: LossOracle, days: int | None = None
@@ -313,25 +346,9 @@ class BaselineLearner:
         """Exact current mixed strategy mapped onto [n] (zero off-pool mass)."""
         self.epoch_rest()
         p = np.zeros(self.params.n)
-        dist = self._mwu.distribution()
-        for i, prob in zip(self._members, dist):
+        for i, prob in zip(self._epoch.members, self._epoch.mwu.distribution()):
             p[i - 1] += prob
         return p
-
-    def _close_epoch(self) -> None:
-        p = self.params
-        # tail epochs (shorter than B) skip retention, eviction and bookkeeping
-        if self._epoch_days == p.B:
-            self.pool.close_epoch(self._members, self._epoch_sums / p.B,
-                                  self._r_ids, self.epoch, evict_pass, p.eps)
-        self.meter.release("mwu", len(self._members) + 4)
-        self.meter.release("epoch", len(self._members) + len(self._r_ids))
-        self._mwu = None
-        self._members = []
-        self._r_ids = []
-        self._epoch_sums = None
-        if self.on_epoch_close is not None:
-            self.on_epoch_close(self)
 
     # -- whole-run driver ---------------------------------------------------
 
@@ -340,19 +357,8 @@ class BaselineLearner:
         while self.day < self.params.T:
             self.next_block(oracle)
 
-    def reset_episode(self) -> None:
-        """Clear the pool and epoch phase (hierarchy episode restarts)."""
-        if self.in_epoch:
-            raise RuntimeError("cannot reset mid-epoch")
-        self.pool.clear()
-        self.epoch = 0
-
     # -- accounting ---------------------------------------------------------
 
     def audit_words(self) -> int:
         """Recompute the metered word count from live state."""
-        words = 8 + self.pool.words
-        if self.in_epoch:
-            words += len(self._members) + 4  # MWU cumulative losses + constants
-            words += len(self._members) + len(self._r_ids)  # epoch sums + R ids
-        return words
+        return 8 + self.pool.words + (self._epoch.words if self.in_epoch else 0)

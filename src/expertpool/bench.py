@@ -141,8 +141,8 @@ def hierarchy_memory_cap_words(learner: HierarchyLearner) -> int:
     episode. Each level k >= 2 gets its 8 level words, a pool of at most
     S = pool_cap + sample_size entries (S^2 + 3S words: 4 per entry and 2 per
     younger entry's accumulator) and, for at most S epoch members m, the words
-    ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size + 1,
-    merge 4m.
+    ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size,
+    merge 4m + 1.
     """
     lp1 = learner.level_params[0]
     ep_len = min(lp1.episode_days, learner.T)
@@ -151,7 +151,7 @@ def hierarchy_memory_cap_words(learner: HierarchyLearner) -> int:
     for lp in learner.level_params[1:]:
         s_hat = lp.pool_cap + lp.sample_size
         words += 8 + s_hat * s_hat + 3 * s_hat
-        words += (s_hat + 4) + (s_hat + lp.sample_size + 1) + 4 * s_hat
+        words += (s_hat + 4) + (s_hat + lp.sample_size) + 4 * s_hat + 1
     return words
 
 
@@ -320,12 +320,9 @@ def _make_learner(config: ExperimentConfig, seed: int, violations: list[str]):
         learner = HierarchyLearner(config.n, config.T,
                                    delta=lp.get("delta", 1.0), seed=seed)
         if checks:
-            cap = math.ceil(8.0 / learner.eps * math.log(config.T))
-
             def on_level(lvl: LevelState) -> None:
-                violations.extend(
-                    check_pool(lvl.entries, lvl.lp.theta, cap, potential=False)
-                )
+                violations.extend(check_pool(lvl.entries, lvl.lp.theta,
+                                             lvl.lp.pool_cap, potential=False))
 
             learner.on_level1_epoch_close = on_close
             for lvl in learner.levels:

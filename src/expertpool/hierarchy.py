@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import BaselineLearner, BaselineParams, Pool, PoolEntry, evict_pass
+from .baseline import BaselineLearner, BaselineParams, Epoch, Pool, PoolEntry, evict_pass
 from .meter import WordMeter
 from .streams import LossOracle
 
@@ -101,23 +101,17 @@ class LevelState:
         self.pool = Pool(meter)
         self.epoch_in_episode = 0
         self.epoch_count = 0
-        self.in_epoch = False
         self.day_in_dd = 0
-        self.dd_in_epoch = 0
         self.cumulative_loss = 0.0
         self.queries = 0
         self.width_exceedances = 0
         self.min_truncated = math.inf  # most negative truncated loss seen
-        self.decision_days = 0
         self.dd_close_days: list[int] = []  # global day indices of closed rounds
         self.episode_close_days: list[int] = []
         self.on_epoch_close = None
-        # within-epoch / within-round state
-        self._members: list[int] = []
-        self._r_ids: list[int] = []
+        self._epoch: Epoch | None = None  # its rounds' losses are truncated
+        # merge race of the open epoch and decision round
         self._ids_arr: np.ndarray | None = None
-        self._level_cum: np.ndarray | None = None
-        self._epoch_trunc_sums: np.ndarray | None = None
         self._committed = -1
         self._cum_own: np.ndarray | None = None
         self._cum_descend: np.ndarray | None = None
@@ -130,27 +124,22 @@ class LevelState:
 
     # -- lifecycle ----------------------------------------------------------
 
+    @property
+    def _merge_words(self) -> int:
+        # id, own, descend and round sums per member, and the epoch's round count
+        return 4 * len(self._ids_arr) + 1
+
     def _begin_epoch(self, remaining_days: int, rng: np.random.Generator) -> None:
         lp = self.lp
-        full = remaining_days >= lp.B * lp.day_span
-        self._members, self._r_ids = self.pool.draw(rng, self.n, lp.sample_size, full)
-        self._ids_arr = np.asarray(self._members, dtype=np.int64)
-        m = len(self._members)
-        self._level_cum = np.zeros(m)
-        self._epoch_trunc_sums = np.zeros(m)
-        self.dd_in_epoch = 0
-        self.in_epoch = True
-        self._full_epoch = full
-        self.meter.charge("mwu", m + 4)
-        self.meter.charge("epoch", m + len(self._r_ids) + 1)
-        self.meter.charge("merge", 4 * m)
+        self._epoch = Epoch(self.pool, rng, self.n, lp.sample_size, lp.B,
+                            full=remaining_days >= lp.B * lp.day_span,
+                            eta=self.mwu_eta)
+        self._ids_arr = np.asarray(self._epoch.members, dtype=np.int64)
+        self.meter.charge("merge", self._merge_words)
 
     def _start_decision_day(self, rng: np.random.Generator) -> None:
-        m = len(self._members)
-        w = np.exp(-self.mwu_eta * (self._level_cum - self._level_cum.min()))
-        cdf = np.cumsum(w)
-        self._committed = min(int(np.searchsorted(cdf, rng.random() * cdf[-1],
-                                                  side="right")), m - 1)
+        m = len(self._ids_arr)
+        self._committed = self._epoch.members.index(self._epoch.mwu.sample(rng))
         self._cum_own = np.zeros(m)
         self._cum_descend = np.zeros(m)
         self._dd_sum_e = np.zeros(m)
@@ -165,13 +154,13 @@ class LevelState:
         losses and played expert ids over the same days.
         """
         lp = self.lp
-        if not self.in_epoch:
+        if self._epoch is None:
             self._begin_epoch(self.T - (t0 - 1), rng)
         if self.day_in_dd == 0:
             self._start_decision_day(rng)
         if self.day_in_dd + L > lp.day_span:
             raise ValueError("block crosses a decision-round boundary")
-        m = len(self._members)
+        m = len(self._ids_arr)
         block = oracle.loss_block(t0, t0 + L - 1, self._ids_arr)
         self.queries += L * m
 
@@ -212,27 +201,18 @@ class LevelState:
         normalized = (truncated + lp.width) / (2.0 * lp.width)
         self.width_exceedances += int((normalized > 1.0 + 1e-12).sum())
         np.clip(normalized, 0.0, 1.0, out=normalized)
-        self._level_cum += normalized
-        self._level_cum -= self._level_cum.min()
-        self._epoch_trunc_sums += truncated
+        self._epoch.mwu.update(normalized)
+        self._epoch.add(truncated, 1)
         self.day_in_dd = 0
-        self.dd_in_epoch += 1
-        self.decision_days += 1
         self.dd_close_days.append(global_day)
-        if self.dd_in_epoch == lp.B:
+        if self._epoch.rounds == lp.B:
             self._close_epoch(global_day)
 
     def _close_epoch(self, global_day: int) -> None:
         lp = self.lp
-        if self._full_epoch:
-            self.pool.close_epoch(self._members, self._epoch_trunc_sums / lp.B,
-                                  self._r_ids, self.epoch_count + 1, evict_pass,
-                                  lp.theta)
-        m = len(self._members)
-        self.meter.release("mwu", m + 4)
-        self.meter.release("epoch", m + len(self._r_ids) + 1)
-        self.meter.release("merge", 4 * m)
-        self.in_epoch = False
+        self._epoch.close(self.epoch_count + 1, evict_pass, lp.theta)
+        self.meter.release("merge", self._merge_words)
+        self._epoch = None
         self.epoch_count += 1
         self.epoch_in_episode += 1
         if self.on_epoch_close is not None:
@@ -244,9 +224,8 @@ class LevelState:
 
     def audit_words(self) -> int:
         words = 8 + self.pool.words
-        if self.in_epoch:
-            m = len(self._members)
-            words += (m + 4) + (m + len(self._r_ids) + 1) + 4 * m
+        if self._epoch is not None:
+            words += self._epoch.words + self._merge_words
         return words
 
 
@@ -268,7 +247,6 @@ class HierarchyLearner:
             LevelState(lp, n, T, self.meter) for lp in self.level_params[1:]
         ]
         self._lvl1: BaselineLearner | None = None
-        self._buffer: list[int] = []  # played ids of days not yet stepped
         self.on_level1_epoch_close = None
 
     def _ensure_level1(self) -> None:
@@ -318,17 +296,6 @@ class HierarchyLearner:
         self.day += L
         self.cumulative_loss += float(realized.sum())
         return t0, realized, played
-
-    def step_day(self, oracle: LossOracle) -> int:
-        """Advance one calendar day; returns the expert id actually played.
-
-        Oblivious streams only: days are served from a bottom epoch played ahead.
-        """
-        if self.day >= self.T and not self._buffer:
-            raise RuntimeError("horizon exhausted")
-        if not self._buffer:
-            self._buffer = self.next_block(oracle)[2].tolist()
-        return self._buffer.pop(0)
 
     def run(self, oracle: LossOracle) -> None:
         while self.day < self.T:

@@ -1,9 +1,8 @@
 """Exponential-weights learner over a fixed finite expert set.
 
-The loss range is configurable so the same core serves plain losses in [0, 1]
-and shifted/scaled losses elsewhere. Weights are never stored: the state keeps
-cumulative losses and derives the distribution on demand, relative to the
-running minimum so the exp arguments stay bounded.
+Losses lie in [0, 1]. Weights are never stored: the state keeps cumulative
+losses and derives the distribution on demand, relative to the running minimum
+so the exp arguments stay bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ class MwuState:
     """Distribution over tracked ids with p(i) proportional to exp(-eta * cum(i))."""
 
     def __init__(self, ids: Sequence[Hashable], horizon: int,
-                 loss_range: tuple[float, float] = (0.0, 1.0),
                  eta: float | None = None):
         ids = list(ids)
         if not ids:
@@ -28,20 +26,12 @@ class MwuState:
             raise ValueError("expert ids must be distinct")
         if horizon < 1:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        lo, hi = loss_range
-        if not hi > lo:
-            raise ValueError(f"degenerate loss range [{lo}, {hi}]")
         self.ids = ids
-        self.lo, self.hi = float(lo), float(hi)
         self.horizon = horizon
         if eta is None:
-            # eta = sqrt(ln m / horizon), rescaled to the loss range; a
-            # singleton set has no meaningful rate, so fall back to 1/width.
-            width = self.hi - self.lo
-            if len(ids) == 1:
-                eta = 1.0 / width
-            else:
-                eta = np.sqrt(np.log(len(ids)) / horizon) / width
+            # eta = sqrt(ln m / horizon); a singleton set has no meaningful
+            # rate, so fall back to 1.
+            eta = 1.0 if len(ids) == 1 else np.sqrt(np.log(len(ids)) / horizon)
         self.eta = float(eta)
         self.cum = np.zeros(len(ids))
 
@@ -70,15 +60,15 @@ class MwuState:
             vec = np.asarray(losses, dtype=np.float64)
             if vec.shape != self.cum.shape:
                 raise ValueError(f"expected {len(self.ids)} losses, got {vec.shape}")
-        if vec.min() < self.lo - 1e-12 or vec.max() > self.hi + 1e-12:
-            raise ValueError(f"loss outside range [{self.lo}, {self.hi}]")
+        if vec.min() < -1e-12 or vec.max() > 1.0 + 1e-12:
+            raise ValueError("loss outside range [0, 1]")
         self.cum += vec
         self.cum -= self.cum.min()
 
     def sample(self, rng: np.random.Generator) -> Hashable:
         """Draw one id from the current distribution (one uniform consumed)."""
-        cdf = np.cumsum(self.distribution())
-        k = int(np.searchsorted(cdf, rng.random(), side="right"))
+        cdf = np.cumsum(self.weights())
+        k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         return self.ids[min(k, len(self.ids) - 1)]
 
     def run_block(self, losses: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -94,8 +84,8 @@ class MwuState:
             raise ValueError(f"expected shape (rounds, {len(self.ids)})")
         if rounds == 0:
             return np.empty(0, dtype=np.int64)
-        if losses.min() < self.lo - 1e-12 or losses.max() > self.hi + 1e-12:
-            raise ValueError(f"loss outside range [{self.lo}, {self.hi}]")
+        if losses.min() < -1e-12 or losses.max() > 1.0 + 1e-12:
+            raise ValueError("loss outside range [0, 1]")
         pre = self.cum + np.vstack([np.zeros(len(self.ids)), np.cumsum(losses, axis=0)[:-1]])
         w = np.exp(-self.eta * (pre - pre.min(axis=1, keepdims=True)))
         cdf = np.cumsum(w, axis=1)

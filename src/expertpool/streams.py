@@ -124,6 +124,13 @@ class LossOracle:
         return self.loss_block(1, self.params.T, np.arange(1, self.params.n + 1))
 
 
+def _check_unit(values: np.ndarray, what: str) -> None:
+    """Reject values outside [0, 1], NaN included: ``min`` and ``max`` return
+    NaN for an array holding one, and NaN fails both comparisons."""
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1]")
+
+
 class ConstantOracle(LossOracle):
     """Each expert has a fixed loss every day."""
 
@@ -132,8 +139,7 @@ class ConstantOracle(LossOracle):
         means = np.asarray(means, dtype=np.float64)
         if means.shape != (params.n,):
             raise ValueError(f"need {params.n} means, got {means.shape}")
-        if means.min() < 0.0 or means.max() > 1.0:
-            raise ValueError("constant losses must lie in [0, 1]")
+        _check_unit(means, "constant losses")
         self.means = means
 
     def loss_block(self, t0, t1, ids):
@@ -155,8 +161,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
             means[int(sid) - 1] = m
     else:
         raise ValueError("iid-bernoulli needs 'means' or 'mean-range'")
-    if means.min() < 0.0 or means.max() > 1.0:
-        raise ValueError("Bernoulli means must lie in [0, 1]")
+    _check_unit(means, "Bernoulli means")
     return means
 
 
@@ -260,8 +265,7 @@ class CsvOracle(LossOracle):
         if not np.array_equal(data[:, 0], np.arange(1, params.T + 1)):
             raise ValueError(f"day column in {path!r} is not 1..{params.T}")
         mat = data[:, 1:]
-        if mat.min() < 0.0 or mat.max() > 1.0:
-            raise ValueError(f"losses in {path!r} outside [0, 1]")
+        _check_unit(mat, f"losses in {path!r}")
         self.matrix = np.ascontiguousarray(mat)
 
     def loss_block(self, t0, t1, ids):

@@ -1,11 +1,14 @@
 """Tests for the epoch-structured pool learner."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expertpool.baseline import (
+    EVICT_GUARD,
     BaselineLearner,
     BaselineParams,
     IntervalAccumulator,
@@ -16,6 +19,7 @@ from expertpool.baseline import (
     evict_pass,
     pool_potential,
 )
+from expertpool.bench import check_pool
 from expertpool.meter import WordMeter
 from expertpool.streams import ConstantOracle, StreamParams, make_oracle
 
@@ -173,12 +177,82 @@ class TestPoolPotential:
         assert phi[1] == pytest.approx(2 * math.log(10) + 0.9)
 
     def test_illegal_pool_flagged_by_harness(self):
-        from expertpool.bench import check_pool
         # hand-built pool violating the potential increase
         old = entry(1, 1, 0.1, own_count=1, cross={2: (0.9, 1)})
         young = entry(2, 2, 0.1, own_count=1)
         bad = check_pool([old, young], threshold=0.3, cap=10)
         assert any("potential" in msg for msg in bad)
+
+
+@st.composite
+def pools(draw):
+    """Pools of at most 6 entries whose (older, younger) gaps are often exactly
+    the threshold, or the threshold plus or minus ``EVICT_GUARD``."""
+    threshold = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3]))
+    size = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(1, 11)))[:size]
+    owns = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    counts = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    boundary = st.sampled_from([threshold - EVICT_GUARD, threshold,
+                                threshold + EVICT_GUARD])
+    entries = []
+    for k, (i, own, count) in enumerate(zip(ids, owns, counts)):
+        young = entry(i, k + 1, own, own_count=count)
+        for older in entries:
+            gap = draw(st.one_of(boundary, st.floats(-1.0, 1.0)))
+            older.cross[i] = IntervalAccumulator(young.own.average + gap, 1)
+        entries.append(young)
+    return entries, threshold
+
+
+def reference_evict(entries, threshold):
+    """Brute force over every (older, younger) pair of the snapshot: the ids
+    kept, the ids evicted and each survivor's remaining cross keys."""
+    doomed = {young.id for yi, young in enumerate(entries)
+              for older in entries[:yi]
+              if young.own.average
+              >= older.cross[young.id].average - threshold - EVICT_GUARD}
+    kept = [e for e in entries if e.id not in doomed]
+    return ([e.id for e in kept], [e.id for e in entries if e.id in doomed],
+            [set(e.cross) - doomed for e in kept])
+
+
+def reference_dominated(entries, threshold):
+    """Every (older, younger) pair that ``check_pool`` must report."""
+    return {(older.id, young.id) for yi, young in enumerate(entries)
+            for older in entries[:yi]
+            if not older.cross[young.id].average > young.own.average + threshold}
+
+
+def reported_dominated(entries, threshold):
+    bad = check_pool(entries, threshold, cap=len(entries), potential=False)
+    pairs = {tuple(map(int, m)) for m in
+             (re.match(r"domination: expert (\d+) over expert (\d+)'s", b).groups()
+              for b in bad)}
+    assert len(pairs) == len(bad)  # nothing but domination is reported
+    return pairs
+
+
+class TestEvictionDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(pools())
+    def test_evict_pass_matches_brute_force(self, pool):
+        entries, threshold = pool
+        kept, doomed, crosses = reference_evict(entries, threshold)
+        survivors, evicted = evict_pass(list(entries), threshold)
+        assert [e.id for e in survivors] == kept
+        assert [e.id for e in evicted] == doomed
+        assert [set(e.cross) for e in survivors] == crosses
+
+    @settings(max_examples=300, deadline=None)
+    @given(pools())
+    def test_check_pool_domination_matches_brute_force(self, pool):
+        entries, threshold = pool
+        assert reported_dominated(entries, threshold) == \
+            reference_dominated(entries, threshold)
+        # whatever survives an eviction pass is domination-free
+        survivors, _ = evict_pass(list(entries), threshold)
+        assert reported_dominated(survivors, threshold) == set()
 
 
 class TestLearner:
@@ -287,12 +361,3 @@ class TestLearner:
         )
         learner.run(oracle)
         assert learner.audit_words() == learner.meter.current
-
-    def test_reset_episode_clears_pool(self):
-        oracle = ConstantOracle(StreamParams(4, 8, seed=0), [0.1, 0.5, 0.6, 0.7])
-        learner = BaselineLearner(BaselineParams(4, 8, eps=0.2, B=4, seed=0))
-        learner.run(oracle)
-        assert learner.entries
-        learner.reset_episode()
-        assert learner.entries == []
-        assert learner.meter.by_category.get("pool", 0) == 0

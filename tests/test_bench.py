@@ -313,6 +313,13 @@ class TestRunExperiment:
         (r,) = run_experiment(cfg)
         assert r.violations[0].startswith("trial aborted: FileNotFoundError: ")
 
+    def test_nan_loss_aborts_trial(self):
+        cfg = ExperimentConfig("baseline", 2, 20,
+                               {"generator": "constant", "means": [math.nan, 0.5]})
+        (r,) = run_experiment(cfg)
+        assert math.isnan(r.regret)
+        assert r.violations[0].startswith("trial aborted: ValueError: ")
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(params, spec):
             raise TypeError("not an input error")

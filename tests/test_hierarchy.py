@@ -125,22 +125,12 @@ class TestHierarchyRun:
                             tuple(h.levels[0].dd_close_days)))
         assert results[0] == results[1]
 
-    def test_step_day_matches_block_run(self, oracle):
-        by_block = HierarchyLearner(4, 512, delta=1.0, seed=9)
-        by_block.run(oracle)
-        by_day = HierarchyLearner(4, 512, delta=1.0, seed=9)
-        for _ in range(512):
-            by_day.step_day(oracle)
-        with pytest.raises(RuntimeError, match="horizon exhausted"):
-            by_day.step_day(oracle)  # exactly 512 days were served
-        assert by_day.cumulative_loss == by_block.cumulative_loss
-
-    def test_step_day_rejects_adaptive_oracle(self):
+    def test_next_block_rejects_adaptive_oracle(self):
         h = HierarchyLearner(4, 64, delta=1.0, seed=0)
         before = h.meter.snapshot()
         state = h.rng.bit_generator.state
         with pytest.raises(ValueError, match="oblivious streams only"):
-            h.step_day(GameOracle(StreamParams(4, 64, seed=0), k=2))
+            h.next_block(GameOracle(StreamParams(4, 64, seed=0), k=2))
         assert h.day == 0
         assert h.meter.snapshot() == before
         assert h.rng.bit_generator.state == state

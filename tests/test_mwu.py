@@ -24,19 +24,11 @@ class TestInit:
         assert s.distribution().tolist() == [1.0]
         assert s.eta == 1.0
 
-    def test_eta_scales_with_range(self):
-        s = MwuState(["a", "b"], horizon=100, loss_range=(-2.0, 2.0))
-        assert s.eta == pytest.approx(math.sqrt(math.log(2) / 100) / 4.0)
-
     def test_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
             MwuState([], horizon=5)
         with pytest.raises(ValueError):
             MwuState(["a", "a"], horizon=5)
-
-    def test_rejects_degenerate_range(self):
-        with pytest.raises(ValueError):
-            MwuState(["a", "b"], horizon=5, loss_range=(1.0, 1.0))
 
 
 class TestUpdate:

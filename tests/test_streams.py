@@ -56,6 +56,10 @@ class TestConstantOracle:
         with pytest.raises(ValueError):
             ConstantOracle(StreamParams(2, 4), [0.0, 1.5])
 
+    def test_rejects_nan_mean(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ConstantOracle(StreamParams(2, 4), [math.nan, 0.5])
+
     def test_index_bounds(self):
         o = ConstantOracle(StreamParams(2, 4), [0.1, 0.2])
         with pytest.raises(IndexError):
@@ -242,6 +246,12 @@ class TestCsvOracle:
     def test_out_of_range_losses(self, tmp_path):
         f = tmp_path / "s.csv"
         self._write(f, 2, [[1, 0.1, 1.2]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            CsvOracle(StreamParams(2, 1), str(f))
+
+    def test_nan_cell_rejected(self, tmp_path):
+        f = tmp_path / "s.csv"
+        self._write(f, 2, [[1, 0.1, "nan"]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             CsvOracle(StreamParams(2, 1), str(f))
 
