@@ -168,9 +168,9 @@ class Pool:
         pool_ids = [e.id for e in self.entries]
         r_ids = []
         if full or not pool_ids:
-            drawn = rng.choice(n, size=size, replace=False) + 1
+            drawn = (rng.choice(n, size=size, replace=False) + 1).tolist()
             in_pool = set(pool_ids)
-            r_ids = [int(i) for i in drawn if int(i) not in in_pool]
+            r_ids = [i for i in drawn if i not in in_pool]
         return pool_ids + r_ids, r_ids
 
     def admit(self, by_id: dict[int, float], r_ids: list[int], alpha: int) -> None:
@@ -187,9 +187,8 @@ class Pool:
         """Run ``evict(entries, threshold)`` and release the words it frees."""
         before = self.words
         self.entries, evicted = evict(self.entries, threshold)
-        freed = before - self.words
-        if freed:
-            self.meter.release("pool", freed)
+        if evicted:
+            self.meter.release("pool", before - self.words)
         return evicted
 
     def close_epoch(self, members: list[int], avgs: np.ndarray, r_ids: list[int],
@@ -213,15 +212,17 @@ class Pool:
 
 class Epoch:
     """An open epoch of the baseline or of any hierarchy level: its members
-    (pool copies, then fresh ids), exponential weights over them, per-member
-    loss sums and the round count. Its ``mwu`` and ``epoch`` words are charged
-    on opening and released by ``close``."""
+    (pool copies, then fresh ids; ``ids`` holds them as an int64 array),
+    exponential weights over them, per-member loss sums and the round count.
+    Its ``mwu`` and ``epoch`` words are charged on opening and released by
+    ``close``."""
 
     def __init__(self, pool: Pool, rng: np.random.Generator, n: int,
                  sample_size: int, B: int, full: bool, eta: float | None = None):
         self.pool = pool
         self.full = full
         self.members, self.r_ids = pool.draw(rng, n, sample_size, full)
+        self.ids = np.array(self.members, dtype=np.int64)
         self.mwu = MwuState(self.members, horizon=B, eta=eta)
         self.sums = np.zeros(len(self.members))
         self.rounds = 0
@@ -289,17 +290,18 @@ class BaselineLearner:
 
     @property
     def members(self) -> list[int]:
-        return list(self._epoch.members) if self.in_epoch else []
+        return self._epoch.members if self.in_epoch else []
 
-    def epoch_rest(self) -> tuple[list[int], int]:
-        """Members and days left of the open epoch, beginning one if none is open."""
+    def epoch_rest(self) -> tuple[np.ndarray, int]:
+        """Member ids (an int64 array) and days left of the open epoch,
+        beginning one if none is open."""
         if not self.in_epoch:
             p = self.params
             self.epoch += 1
             self._epoch_len = min(p.B, p.T - self.day)
             self._epoch = Epoch(self.pool, self.rng, p.n, p.sample_size, p.B,
                                 full=self._epoch_len == p.B)
-        return self.members, self._epoch_len - self._epoch.rounds
+        return self._epoch.ids, self._epoch_len - self._epoch.rounds
 
     def advance(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Play the next ``len(losses)`` days of the current epoch.
@@ -314,7 +316,7 @@ class BaselineLearner:
             raise ValueError("block crosses an epoch boundary")
         picks = ep.mwu.run_block(losses, self.rng)
         realized = losses[np.arange(days), picks]
-        played = np.asarray(ep.members, dtype=np.int64)[picks]
+        played = ep.ids[picks]
         ep.add(losses.sum(axis=0), days)
         self.day += days
         self.cumulative_loss += float(realized.sum())
@@ -332,10 +334,10 @@ class BaselineLearner:
 
         Returns (first day, realized losses, played ids).
         """
-        members, left = self.epoch_rest()
+        ids, left = self.epoch_rest()
         t0 = self.day + 1
         t1 = self.day + (left if days is None else min(days, left))
-        realized, played = self.advance(oracle.loss_block(t0, t1, np.asarray(members)))
+        realized, played = self.advance(oracle.loss_block(t0, t1, ids))
         return t0, realized, played
 
     def step_day(self, oracle: LossOracle) -> int:

@@ -87,6 +87,32 @@ def build_levels(n: int, T: int, delta: float) -> tuple[float, int, list[LevelPa
     return eps, len(levels), levels
 
 
+def _follow_own_probability(block: np.ndarray, base_realized: np.ndarray,
+                            cum_own: np.ndarray, cum_descend: np.ndarray,
+                            eta: float) -> np.ndarray:
+    """The merge race's two-way exponential weights: p(follow own expert) per
+    day of the block and member, 1 / (1 + exp(-eta * (descend - own))).
+
+    Row r of ``own`` and ``descend`` is the round's carry plus the cumulative
+    sum of rows 0..r-1 of the block's losses and of the lower level's realized
+    losses.
+    """
+    L, m = block.shape
+    own = np.empty((L, m))
+    own[0] = 0.0
+    np.add.accumulate(block[:-1], axis=0, out=own[1:])
+    own += cum_own
+    shifted = np.empty(L)
+    shifted[0] = 0.0
+    np.add.accumulate(base_realized[:-1], out=shifted[1:])
+    x = np.add(shifted[:, None], cum_descend)
+    x -= own
+    x *= -eta
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
 class LevelState:
     """One level (k >= 2): pool over merged experts, truncated-loss eviction."""
 
@@ -111,7 +137,6 @@ class LevelState:
         self.on_epoch_close = None
         self._epoch: Epoch | None = None  # its rounds' losses are truncated
         # merge race of the open epoch and decision round
-        self._ids_arr: np.ndarray | None = None
         self._committed = -1
         self._cum_own: np.ndarray | None = None
         self._cum_descend: np.ndarray | None = None
@@ -127,18 +152,17 @@ class LevelState:
     @property
     def _merge_words(self) -> int:
         # id, own, descend and round sums per member, and the epoch's round count
-        return 4 * len(self._ids_arr) + 1
+        return 4 * len(self._epoch.ids) + 1
 
     def _begin_epoch(self, remaining_days: int, rng: np.random.Generator) -> None:
         lp = self.lp
         self._epoch = Epoch(self.pool, rng, self.n, lp.sample_size, lp.B,
                             full=remaining_days >= lp.B * lp.day_span,
                             eta=self.mwu_eta)
-        self._ids_arr = np.asarray(self._epoch.members, dtype=np.int64)
         self.meter.charge("merge", self._merge_words)
 
     def _start_decision_day(self, rng: np.random.Generator) -> None:
-        m = len(self._ids_arr)
+        m = len(self._epoch.ids)
         self._committed = self._epoch.members.index(self._epoch.mwu.sample(rng))
         self._cum_own = np.zeros(m)
         self._cum_descend = np.zeros(m)
@@ -160,32 +184,25 @@ class LevelState:
             self._start_decision_day(rng)
         if self.day_in_dd + L > lp.day_span:
             raise ValueError("block crosses a decision-round boundary")
-        m = len(self._ids_arr)
-        block = oracle.loss_block(t0, t0 + L - 1, self._ids_arr)
+        ids = self._epoch.ids
+        m = len(ids)
+        block = oracle.loss_block(t0, t0 + L - 1, ids)
         self.queries += L * m
-
-        def shifted_cumsum(x):
-            c = np.cumsum(x, axis=0)
-            return np.vstack([np.zeros_like(c[:1]), c[:-1]])
-
-        own_pre = self._cum_own[None, :] + shifted_cumsum(block)
-        descend_pre = self._cum_descend[None, :] + shifted_cumsum(
-            base_realized[:, None]
-        )
-        # two-way exponential weights: p(follow own expert)
-        p_own = 1.0 / (1.0 + np.exp(-self.merge_eta * (descend_pre - own_pre)))
+        p_own = _follow_own_probability(block, base_realized, self._cum_own,
+                                        self._cum_descend, self.merge_eta)
         follow_own = rng.random((L, m)) < p_own
         realized_e = np.where(follow_own, block, base_realized[:, None])
+        base_sum = base_realized.sum()
         self._cum_own += block.sum(axis=0)
-        self._cum_descend += base_realized.sum()
+        self._cum_descend += base_sum
         realized = realized_e[:, self._committed].copy()
         played = np.where(
             follow_own[:, self._committed],
-            self._ids_arr[self._committed],
+            ids[self._committed],
             base_played,
         )
         self._dd_sum_e += realized_e.sum(axis=0)
-        self._dd_sum_base += float(base_realized.sum())
+        self._dd_sum_base += float(base_sum)
         self.day_in_dd += L
         self.cumulative_loss += float(realized.sum())
         if self.day_in_dd == lp.day_span:
@@ -285,10 +302,9 @@ class HierarchyLearner:
                              "oblivious streams only")
         self._ensure_level1()
         # level 1 counts days within its own episode; the oracle is global
-        members, L = self._lvl1.epoch_rest()
+        ids, L = self._lvl1.epoch_rest()
         t0 = self.day + 1
-        realized, played = self._lvl1.advance(
-            oracle.loss_block(t0, t0 + L - 1, np.asarray(members)))
+        realized, played = self._lvl1.advance(oracle.loss_block(t0, t0 + L - 1, ids))
         for lvl in self.levels:
             realized, played = lvl.process_block(
                 oracle, t0, L, realized, played, self.rng

@@ -7,11 +7,26 @@ so the exp arguments stay bounded.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = ["MwuState"]
+
+
+@lru_cache(maxsize=256)
+def _default_eta(m: int, horizon: int) -> float:
+    """eta = sqrt(ln m / horizon); a singleton set has no meaningful rate, so
+    it falls back to 1."""
+    return 1.0 if m == 1 else float(np.sqrt(np.log(m) / horizon))
+
+
+def _check_losses(losses: np.ndarray) -> None:
+    """Reject losses outside [0, 1] (within 1e-12), NaN included: ``min`` and
+    ``max`` return NaN for an array holding one, and NaN fails both comparisons."""
+    if not (losses.min() >= -1e-12 and losses.max() <= 1.0 + 1e-12):
+        raise ValueError("loss outside range [0, 1]")
 
 
 class MwuState:
@@ -28,11 +43,7 @@ class MwuState:
             raise ValueError(f"horizon must be positive, got {horizon}")
         self.ids = ids
         self.horizon = horizon
-        if eta is None:
-            # eta = sqrt(ln m / horizon); a singleton set has no meaningful
-            # rate, so fall back to 1.
-            eta = 1.0 if len(ids) == 1 else np.sqrt(np.log(len(ids)) / horizon)
-        self.eta = float(eta)
+        self.eta = _default_eta(len(ids), horizon) if eta is None else float(eta)
         self.cum = np.zeros(len(ids))
 
     # -- distribution -------------------------------------------------------
@@ -60,8 +71,7 @@ class MwuState:
             vec = np.asarray(losses, dtype=np.float64)
             if vec.shape != self.cum.shape:
                 raise ValueError(f"expected {len(self.ids)} losses, got {vec.shape}")
-        if vec.min() < -1e-12 or vec.max() > 1.0 + 1e-12:
-            raise ValueError("loss outside range [0, 1]")
+        _check_losses(vec)
         self.cum += vec
         self.cum -= self.cum.min()
 
@@ -79,20 +89,28 @@ class MwuState:
         per round, up to floating rounding in the cumulative sums.
         """
         losses = np.asarray(losses, dtype=np.float64)
-        rounds = losses.shape[0]
-        if losses.shape != (rounds, len(self.ids)):
-            raise ValueError(f"expected shape (rounds, {len(self.ids)})")
+        rounds, m = losses.shape[0], len(self.ids)
+        if losses.shape != (rounds, m):
+            raise ValueError(f"expected shape (rounds, {m})")
         if rounds == 0:
             return np.empty(0, dtype=np.int64)
-        if losses.min() < -1e-12 or losses.max() > 1.0 + 1e-12:
-            raise ValueError("loss outside range [0, 1]")
-        pre = self.cum + np.vstack([np.zeros(len(self.ids)), np.cumsum(losses, axis=0)[:-1]])
-        w = np.exp(-self.eta * (pre - pre.min(axis=1, keepdims=True)))
-        cdf = np.cumsum(w, axis=1)
-        u = rng.random(rounds) * cdf[:, -1]
+        _check_losses(losses)
+        # rows 0..rounds-1: cum plus the losses of the earlier rounds; the last
+        # row: the block's column sums
+        pre = np.empty((rounds + 1, m))
+        pre[0] = 0.0
+        np.add.accumulate(losses, axis=0, out=pre[1:])
+        w = pre[:-1]
+        w += self.cum
+        w -= w.min(axis=1, keepdims=True)
+        w *= -self.eta
+        np.exp(w, out=w)
+        cdf = np.add.accumulate(w, axis=1, out=w)
+        u = rng.random(rounds)
+        u *= cdf[:, -1]
         picks = (cdf < u[:, None]).sum(axis=1)
-        np.minimum(picks, len(self.ids) - 1, out=picks)
-        self.cum += losses.sum(axis=0)
+        np.minimum(picks, m - 1, out=picks)
+        self.cum += pre[-1]
         self.cum -= self.cum.min()
         return picks
 

@@ -52,17 +52,27 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bits53(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The top 53 bits of the two-round splitmix64 hash of (seed, t, i)."""
+def _day_half(seed: int, t: np.ndarray) -> np.ndarray:
+    """The first splitmix64 round of the hash, keyed by (seed, day) only."""
     t = np.asarray(t, dtype=np.uint64)
-    i = np.asarray(i, dtype=np.uint64)
     h = np.multiply(t, _GOLD_T, out=np.empty(t.shape, np.uint64))
     h ^= np.uint64(seed)
-    _splitmix64(h)
-    h = np.bitwise_xor(h, np.multiply(i, _GOLD_I, out=np.empty(i.shape, np.uint64)))
+    return _splitmix64(h)
+
+
+def _cell_half(day: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The second round on ``day ^ key`` (broadcast), as its top 53 bits."""
+    h = np.bitwise_xor(day, key)
     _splitmix64(h)
     h >>= _S11
     return h
+
+
+def _bits53(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The top 53 bits of the two-round splitmix64 hash of (seed, t, i)."""
+    i = np.asarray(i, dtype=np.uint64)
+    return _cell_half(_day_half(seed, t),
+                      np.multiply(i, _GOLD_I, out=np.empty(i.shape, np.uint64)))
 
 
 def _uniform01(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -131,6 +141,24 @@ def _check_unit(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 1]")
 
 
+class _HashedOracle(LossOracle):
+    """An oracle whose cells are ``_bits53(seed, t, i)``. The day half of the
+    hash (one word per day) and each expert's key ``i * _GOLD_I`` are computed
+    once, harness-side and unmetered, so a block costs one splitmix round per
+    cell."""
+
+    def __init__(self, params: StreamParams):
+        super().__init__(params)
+        self._day = _day_half(params.seed, np.arange(params.T + 1))
+        self._key = np.arange(params.n + 1, dtype=np.uint64) * _GOLD_I
+
+    def _bits(self, t0: int, t1: int, ids: np.ndarray) -> np.ndarray:
+        """``_bits53`` over days t0..t1 and the given ids, shape (days, len(ids))."""
+        if not 1 <= t0 <= t1 + 1 <= self.params.T + 1:
+            raise IndexError(f"days {t0}..{t1} outside [1, {self.params.T}]")
+        return _cell_half(self._day[t0:t1 + 1, None], self._key[ids])
+
+
 class ConstantOracle(LossOracle):
     """Each expert has a fixed loss every day."""
 
@@ -165,7 +193,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
     return means
 
 
-class BernoulliOracle(LossOracle):
+class BernoulliOracle(_HashedOracle):
     """Independent 0/1 losses; expert i succeeds with probability 1 - mean_i."""
 
     def __init__(self, params: StreamParams, means: np.ndarray):
@@ -178,12 +206,10 @@ class BernoulliOracle(LossOracle):
 
     def loss_block(self, t0, t1, ids):
         ids = np.asarray(ids, dtype=np.int64)
-        days = np.arange(t0, t1 + 1, dtype=np.uint64)
-        k = _bits53(self.params.seed, days[:, None], ids[None, :])
-        return (k < self._cut[ids - 1]).astype(np.float64)
+        return (self._bits(t0, t1, ids) < self._cut[ids - 1]).astype(np.float64)
 
 
-class EpochSpoilerOracle(LossOracle):
+class EpochSpoilerOracle(_HashedOracle):
     """One designated best expert with constant low loss; in every third epoch,
     freshly keyed decoy experts undercut it to bait eviction of the incumbent.
     """
@@ -220,7 +246,7 @@ class EpochSpoilerOracle(LossOracle):
         ids = np.asarray(ids, dtype=np.int64)
         days = np.arange(t0, t1 + 1, dtype=np.int64)
         # Field losses sit well above base_loss so the designated expert wins.
-        jitter = _uniform01(self.params.seed, days[:, None], ids[None, :])
+        jitter = self._bits(t0, t1, ids) * (1.0 / (1 << 53))
         hi = min(1.0, self.base_loss + 0.3)
         out = np.minimum(1.0, hi + 0.2 * jitter)
         out[:, ids == self.best_id] = self.base_loss

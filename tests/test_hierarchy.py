@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from expertpool.baseline import BaselineLearner, BaselineParams
-from expertpool.hierarchy import HierarchyLearner, build_levels
-from expertpool.streams import ConstantOracle, GameOracle, StreamParams, make_oracle
+from expertpool.hierarchy import (HierarchyLearner, LevelParams, LevelState,
+                                  _follow_own_probability, build_levels)
+from expertpool.meter import WordMeter
+from expertpool.streams import (ConstantOracle, GameOracle, LossOracle, StreamParams,
+                                make_oracle)
 
 
 class TestBuildLevels:
@@ -179,3 +182,106 @@ class TestHeadToHead:
                 "(monitored expectation)",
                 stacklevel=1,
             )
+
+
+class _MatrixOracle(LossOracle):
+    """Fixed non-integer losses, served as a file replay serves them."""
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__(StreamParams(matrix.shape[1], matrix.shape[0]))
+        self.matrix = matrix
+
+    def loss_block(self, t0, t1, ids):
+        return self.matrix[t0 - 1:t1][:, np.asarray(ids) - 1].copy()
+
+
+def _shifted_cumsum(x):
+    c = np.cumsum(x, axis=0)
+    return np.vstack([np.zeros_like(c[:1]), c[:-1]])
+
+
+def _reference_probability(block, base_realized, cum_own, cum_descend, eta):
+    """p(follow own expert), with cumulative sums shifted under a stacked zero
+    row and each step a new array."""
+    own_pre = cum_own[None, :] + _shifted_cumsum(block)
+    descend_pre = cum_descend[None, :] + _shifted_cumsum(base_realized[:, None])
+    return 1.0 / (1.0 + np.exp(-eta * (descend_pre - own_pre)))
+
+
+def _reference_process_block(lvl, oracle, t0, L, base_realized, base_played, rng):
+    """``LevelState.process_block`` on the reference merge race."""
+    lp = lvl.lp
+    if lvl._epoch is None:
+        lvl._begin_epoch(lvl.T - (t0 - 1), rng)
+    if lvl.day_in_dd == 0:
+        lvl._start_decision_day(rng)
+    ids = lvl._epoch.ids
+    m = len(ids)
+    block = oracle.loss_block(t0, t0 + L - 1, ids)
+    lvl.queries += L * m
+    p_own = _reference_probability(block, base_realized, lvl._cum_own,
+                                   lvl._cum_descend, lvl.merge_eta)
+    follow_own = rng.random((L, m)) < p_own
+    realized_e = np.where(follow_own, block, base_realized[:, None])
+    lvl._cum_own += block.sum(axis=0)
+    lvl._cum_descend += base_realized.sum()
+    realized = realized_e[:, lvl._committed].copy()
+    played = np.where(follow_own[:, lvl._committed], ids[lvl._committed],
+                      base_played)
+    lvl._dd_sum_e += realized_e.sum(axis=0)
+    lvl._dd_sum_base += float(base_realized.sum())
+    lvl.day_in_dd += L
+    lvl.cumulative_loss += float(realized.sum())
+    if lvl.day_in_dd == lp.day_span:
+        lvl._close_decision_day(t0 + L - 1)
+    return realized, played
+
+
+class TestMergeRaceDifferential:
+    """The merge race against the reference, bit for bit, on non-integer losses
+    where a reassociated sum would change the low bits."""
+
+    @pytest.mark.parametrize("L,m", [(1, 1), (2, 3), (4, 16), (10, 1), (16, 8)])
+    def test_probability_bit_identical(self, L, m):
+        data = np.random.default_rng(10 * L + m)
+        for _ in range(20):
+            block, base = data.random((L, m)), data.random(L)
+            cum_own = data.random(m) * data.integers(1, 500)
+            cum_descend = np.full(m, data.random() * data.integers(1, 500))
+            eta = math.sqrt(math.log(2.0) / data.integers(1, 1024))
+            got = _follow_own_probability(block, base, cum_own, cum_descend, eta)
+            want = _reference_probability(block, base, cum_own, cum_descend, eta)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,sample,day_span,L,seed", [
+        (6, 3, 12, 4, 0),
+        (5, 1, 20, 10, 1),  # one-member epochs, blocks long enough for pairwise sums
+        (8, 4, 9, 1, 2),
+        (4, 2, 16, 16, 3),
+        (7, 5, 24, 8, 4),
+    ])
+    def test_bit_identical(self, n, sample, day_span, L, seed):
+        lp = LevelParams(k=2, eps=0.5, B=3, day_span=day_span, epochs_per_episode=2,
+                         theta=0.05, width=1.0, sample_size=sample, pool_cap=40)
+        T = 4 * lp.episode_days
+        data = np.random.default_rng(100 + seed)
+        oracle = _MatrixOracle(data.random((T, n)))
+        base_realized = data.random(T)
+        base_played = data.integers(1, n + 1, size=T)
+        lvl, ref = LevelState(lp, n, T, WordMeter()), LevelState(lp, n, T, WordMeter())
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t0 in range(1, T + 1, L):
+            days = slice(t0 - 1, t0 - 1 + L)
+            got = lvl.process_block(oracle, t0, L, base_realized[days],
+                                    base_played[days], rng)
+            want = _reference_process_block(ref, oracle, t0, L, base_realized[days],
+                                            base_played[days], ref_rng)
+            assert np.array_equal(got[0], want[0]), t0
+            assert np.array_equal(got[1], want[1]), t0
+            for name in ("_cum_own", "_cum_descend", "_dd_sum_e"):
+                assert np.array_equal(getattr(lvl, name), getattr(ref, name)), (t0, name)
+            assert lvl._dd_sum_base == ref._dd_sum_base
+            assert lvl.cumulative_loss == ref.cumulative_loss
+            assert lvl.meter.snapshot() == ref.meter.snapshot()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert lvl.epoch_count == 8

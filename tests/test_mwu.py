@@ -55,6 +55,14 @@ class TestUpdate:
         with pytest.raises(ValueError):
             s.update({"a": 0.0, "b": 1.5})
 
+    def test_nan_loss_rejected(self):
+        s = MwuState(["a", "b"], horizon=10)
+        s.update([0.25, 0.0])
+        before = s.cum.copy()
+        with pytest.raises(ValueError):
+            s.update([math.nan, 0.5])
+        assert np.array_equal(s.cum, before)
+
     def test_missing_id_rejected(self):
         s = MwuState(["a", "b"], horizon=10)
         with pytest.raises(KeyError):
@@ -123,6 +131,26 @@ class TestRunBlock:
         assert np.allclose(block_state.distribution(), step_state.distribution(),
                            atol=1e-9)
 
+    @pytest.mark.parametrize("rounds,m", [(1, 2), (4, 16), (10, 3), (37, 7)])
+    def test_matches_reference_exactly(self, rounds, m):
+        # the reference stacks a zero row over the shifted cumulative sums
+        data = np.random.default_rng(rounds * m)
+        state = MwuState(list(range(m)), horizon=100)
+        ref_cum = state.cum.copy()
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(6):
+            losses = data.random((rounds, m))
+            pre = ref_cum + np.vstack([np.zeros(m), np.cumsum(losses, axis=0)[:-1]])
+            w = np.exp(-state.eta * (pre - pre.min(axis=1, keepdims=True)))
+            cdf = np.cumsum(w, axis=1)
+            u = ref_rng.random(rounds) * cdf[:, -1]
+            want = np.minimum((cdf < u[:, None]).sum(axis=1), m - 1)
+            ref_cum += losses.sum(axis=0)
+            ref_cum -= ref_cum.min()
+            assert np.array_equal(state.run_block(losses, rng), want)
+            assert np.array_equal(state.cum, ref_cum)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_empty_block(self):
         s = MwuState(["a", "b"], horizon=5)
         assert s.run_block(np.empty((0, 2)), np.random.default_rng(0)).size == 0
@@ -131,6 +159,17 @@ class TestRunBlock:
         s = MwuState(["a", "b"], horizon=5)
         with pytest.raises(ValueError):
             s.run_block(np.array([[0.0, 2.0]]), np.random.default_rng(0))
+
+    def test_nan_cell_rejected(self):
+        s = MwuState(["a", "b"], horizon=5)
+        s.run_block(np.array([[0.5, 0.25]]), np.random.default_rng(0))
+        before = s.cum.copy()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            s.run_block(np.array([[0.5, 0.25], [math.nan, 0.5]]), rng)
+        assert np.array_equal(s.cum, before)
+        assert rng.bit_generator.state == state
 
 
 class TestRegretBound:

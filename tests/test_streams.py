@@ -180,6 +180,69 @@ class TestHashExactness:
         assert np.array_equal(o.full_matrix(), want)
 
 
+def _spoiler_reference(o: EpochSpoilerOracle, t0: int, t1: int, ids: np.ndarray) -> np.ndarray:
+    """Epoch-spoiler losses computed cell by cell from ``_uniform01``."""
+    out = np.empty((t1 - t0 + 1, len(ids)))
+    hi = min(1.0, o.base_loss + 0.3)
+    for r, t in enumerate(range(t0, t1 + 1)):
+        epoch = (t - 1) // o.epoch_length
+        decoys = o._decoys(epoch) if epoch % 3 == 1 else set()
+        for c, i in enumerate(ids.tolist()):
+            if i in decoys:
+                out[r, c] = o.decoy_loss
+            elif i == o.best_id:
+                out[r, c] = o.base_loss
+            else:
+                u = _uniform01(o.params.seed, np.array([t]), np.array([i]))[0]
+                out[r, c] = min(1.0, hi + 0.2 * u)
+    return out
+
+
+class TestHashedLossBlock:
+    """The oracles' per-day hash table against the hash computed directly."""
+
+    T = 300
+    # (t0, t1, ids): day 1, day T, one day, the whole horizon, unsorted and
+    # repeated ids; a late window comes before an early one
+    QUERIES = [
+        (1, 1, [1]),
+        (T, T, [7, 1]),
+        (150, 150, [3, 3, 6, 2]),
+        (290, 300, [5, 2, 7, 2, 1]),
+        (1, 12, [6, 4, 4]),
+        (1, T, [1, 2, 3, 4, 5, 6, 7]),
+        (40, 95, [7, 6, 5, 4, 3, 2, 1, 1]),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 17])
+    def test_bernoulli_matches_direct_hash(self, seed):
+        means = np.array([0.0, 0.1, 0.35, 0.5, 0.77, 0.9, 1.0])
+        o = BernoulliOracle(StreamParams(7, self.T, seed=seed), means)
+        for t0, t1, ids in self.QUERIES:
+            ids = np.array(ids)
+            days = np.arange(t0, t1 + 1)[:, None]
+            k = _bits53(seed, days, ids[None, :])
+            got = o.loss_block(t0, t1, ids)
+            assert np.array_equal(got, (k < o._cut[ids - 1]).astype(np.float64))
+            want = (_uniform01(seed, days, ids[None, :]) < means[ids - 1])
+            assert np.array_equal(got, want.astype(np.float64))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_spoiler_matches_direct_hash(self, seed):
+        o = EpochSpoilerOracle(StreamParams(7, self.T, seed=seed), best_id=2,
+                               base_loss=0.3, decoy_loss=0.1, epoch_length=9)
+        for t0, t1, ids in self.QUERIES:
+            ids = np.array(ids)
+            assert np.array_equal(o.loss_block(t0, t1, ids),
+                                  _spoiler_reference(o, t0, t1, ids))
+
+    def test_days_outside_the_horizon_rejected(self):
+        o = BernoulliOracle(StreamParams(3, 10), np.array([0.5, 0.5, 0.5]))
+        for t0, t1 in [(0, 3), (5, 11), (11, 11)]:
+            with pytest.raises(IndexError):
+                o.loss_block(t0, t1, np.array([1]))
+
+
 class TestEpochSpoiler:
     def test_best_expert_has_constant_base_loss_outside_spoilers(self):
         o = EpochSpoilerOracle(StreamParams(8, 90, seed=4), best_id=3,
