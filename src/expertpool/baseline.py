@@ -255,12 +255,13 @@ class BaselineLearner:
     """Sequential driver for the epoch learner.
 
     ``next_block`` plays the rest of the open epoch (or a shorter block) and
-    is the one stepping API; ``step_day`` is its one-day form, needed against
-    adaptive streams.
+    is the one stepping API; ``next_block(oracle, 1)`` after
+    ``commit_distribution`` faces an adaptive stream. ``on_epoch_close``, if
+    given, is called with the learner after every epoch close.
     """
 
     def __init__(self, params: BaselineParams, meter: WordMeter | None = None,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, on_epoch_close=None):
         self.params = params
         self.rng = np.random.default_rng(params.seed) if rng is None else rng
         self.meter = WordMeter() if meter is None else meter
@@ -272,7 +273,7 @@ class BaselineLearner:
         self.queries = 0
         self._epoch: Epoch | None = None
         self._epoch_len = 0
-        self.on_epoch_close = None  # optional callback(learner)
+        self.on_epoch_close = on_epoch_close
 
     @property
     def entries(self) -> list[PoolEntry]:
@@ -339,10 +340,6 @@ class BaselineLearner:
         t1 = self.day + (left if days is None else min(days, left))
         realized, played = self.advance(oracle.loss_block(t0, t1, ids))
         return t0, realized, played
-
-    def step_day(self, oracle: LossOracle) -> int:
-        """Advance exactly one day, querying the oracle for current members."""
-        return int(self.next_block(oracle, 1)[2][0])
 
     def commit_distribution(self) -> np.ndarray:
         """Exact current mixed strategy mapped onto [n] (zero off-pool mass)."""

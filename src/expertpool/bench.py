@@ -155,16 +155,14 @@ def hierarchy_memory_cap_words(learner: HierarchyLearner) -> int:
     return words
 
 
-def check_memory(learner: BaselineLearner) -> list[str]:
-    """Epoch-boundary memory audit: meter vs live state, and the word cap."""
-    bad: list[str] = []
+def check_memory(learner) -> list[str]:
+    """Meter audit of any learner: its metered words against the words
+    ``audit_words`` recomputes from live state."""
     audit = learner.audit_words()
     if audit != learner.meter.current:
-        bad.append(f"meter {learner.meter.current} != audited {audit} words")
-    cap = memory_cap_words(learner.params)
-    if learner.meter.current > cap:
-        bad.append(f"metered {learner.meter.current} words exceed cap {cap}")
-    return bad
+        return [f"meter {learner.meter.current} != audited {audit} words "
+                f"at day {learner.day}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -275,89 +273,82 @@ class TrialResult:
 
 
 class _FullMemoryLearner:
-    """Exponential weights over all n experts, played as one block."""
+    """Exponential weights over all n experts, stepped like the pool learners:
+    ``next_block`` plays the rest of the horizon, or at most ``days`` days."""
 
     def __init__(self, n: int, T: int, seed: int):
         self.state = MwuState(list(range(1, n + 1)), horizon=T)
+        self.ids = np.arange(1, n + 1)
         self.meter = WordMeter()
         self.meter.charge("mwu", n + 4)
         self.rng = np.random.default_rng(seed)
+        self.T = T
         self.pool_size = n
         self.day = 0
         self.cumulative_loss = 0.0
 
-    def next_block(self, oracle: LossOracle) -> tuple[int, np.ndarray, np.ndarray]:
-        matrix = oracle.full_matrix()
-        picks = self.state.run_block(matrix, self.rng)
-        realized = matrix[np.arange(oracle.T), picks]
-        self.day = oracle.T
-        self.cumulative_loss = float(realized.sum())
-        return 1, realized, picks + 1
+    def next_block(self, oracle: LossOracle, days: int | None = None
+                   ) -> tuple[int, np.ndarray, np.ndarray]:
+        t0 = self.day + 1
+        t1 = self.T if days is None else min(self.day + days, self.T)
+        losses = oracle.loss_block(t0, t1, self.ids)
+        picks = self.state.run_block(losses, self.rng)
+        realized = losses[np.arange(len(losses)), picks]
+        self.day = t1
+        self.cumulative_loss += float(realized.sum())
+        return t0, realized, picks + 1
+
+    def commit_distribution(self) -> np.ndarray:
+        return self.state.distribution()
 
     def audit_words(self) -> int:
         return len(self.state) + 4
 
 
 def _make_learner(config: ExperimentConfig, seed: int, violations: list[str]):
-    """The configured learner, with its epoch-close invariant checks attached."""
+    """The configured learner and its word cap; with checks on, every pool's
+    epoch close (the baseline's, or each hierarchy level's) runs ``check_pool``."""
     lp = config.learner_params
-    checks = config.checks != "off"
 
-    def on_close(l: BaselineLearner) -> None:
-        p = l.params
-        violations.extend(check_pool(l.entries, p.eps, p.pool_cap, dichotomy_eps=p.eps))
-        # the hierarchy's level 1 shares its meter, so the audit is hierarchy-wide
-        if config.learner == "baseline":
-            violations.extend(check_memory(l))
+    def on_close(level) -> None:
+        if isinstance(level, LevelState):
+            violations.extend(check_pool(level.entries, level.lp.theta,
+                                         level.lp.pool_cap, potential=False))
+        else:
+            p = level.params
+            violations.extend(check_pool(level.entries, p.eps, p.pool_cap,
+                                         dichotomy_eps=p.eps))
 
+    hook = on_close if config.checks != "off" else None
     if config.learner == "baseline":
-        learner = BaselineLearner(BaselineParams(
-            config.n, config.T, eps=lp.get("eps", 0.1), B=lp.get("B"), seed=seed))
-        if checks:
-            learner.on_epoch_close = on_close
-        return learner
+        params = BaselineParams(config.n, config.T, eps=lp.get("eps", 0.1),
+                                B=lp.get("B"), seed=seed)
+        return BaselineLearner(params, on_epoch_close=hook), memory_cap_words(params)
     if config.learner == "full-hierarchy":
-        learner = HierarchyLearner(config.n, config.T,
-                                   delta=lp.get("delta", 1.0), seed=seed)
-        if checks:
-            def on_level(lvl: LevelState) -> None:
-                violations.extend(check_pool(lvl.entries, lvl.lp.theta,
-                                             lvl.lp.pool_cap, potential=False))
-
-            learner.on_level1_epoch_close = on_close
-            for lvl in learner.levels:
-                lvl.on_epoch_close = on_level
-        return learner
-    return _FullMemoryLearner(config.n, config.T, seed)
+        learner = HierarchyLearner(config.n, config.T, delta=lp.get("delta", 1.0),
+                                   seed=seed, on_epoch_close=hook)
+        return learner, hierarchy_memory_cap_words(learner)
+    return _FullMemoryLearner(config.n, config.T, seed), config.n + 4
 
 
 def _run_trial(config: ExperimentConfig, seed: int, oracle: LossOracle,
                trace: TraceWriter | None) -> tuple[float, int, list[str]]:
-    """Play blocks to the horizon, auditing the meter after each block; paranoid
-    checks play the baseline in one-day blocks."""
+    """Play blocks to the horizon. With checks on, the meter is audited after
+    every block and the peak is checked against the word cap at the end;
+    paranoid checks play the baseline in one-day blocks."""
     violations: list[str] = []
-    learner = _make_learner(config, seed, violations)
+    learner, cap = _make_learner(config, seed, violations)
+    checks = config.checks != "off"
     one_day = config.checks == "paranoid" and config.learner == "baseline"
-    # the baseline's epoch checks already audit its meter at every epoch close
-    audit = one_day or (config.checks != "off" and config.learner != "baseline")
-    cap = (hierarchy_memory_cap_words(learner)
-           if audit and config.learner == "full-hierarchy" else None)
     while learner.day < config.T:
         t0, realized, _ = (learner.next_block(oracle, 1) if one_day
                            else learner.next_block(oracle))
-        if audit:
-            words = learner.audit_words()
-            if words != learner.meter.current:
-                violations.append(
-                    f"day {learner.day}: meter {learner.meter.current} != "
-                    f"audited {words} words"
-                )
-            if cap is not None and learner.meter.peak > cap:
-                violations.append(f"day {learner.day}: peak of "
-                                  f"{learner.meter.peak} words exceeds cap {cap}")
-                cap = None  # the peak never falls: report its first crossing only
+        if checks:
+            violations.extend(check_memory(learner))
         if trace is not None:
             trace.record(t0, realized, learner.meter, learner.pool_size)
+    if checks and learner.meter.peak > cap:
+        violations.append(f"metered peak of {learner.meter.peak} words exceeds cap {cap}")
     return learner.cumulative_loss, learner.meter.peak, violations
 
 
@@ -419,44 +410,24 @@ def summarize(results: list[TrialResult]) -> dict:
 # Adaptive-adversary demonstration
 # ---------------------------------------------------------------------------
 
-class _MwuCommitLearner:
-    def __init__(self, n: int, horizon: int):
-        self.state = MwuState(list(range(1, n + 1)), horizon=horizon)
-
-    def commit(self) -> np.ndarray:
-        return self.state.distribution()
-
-    def observe(self, normalized_losses: np.ndarray) -> None:
-        self.state.update(normalized_losses)
-
-
 class _FixedLearner:
+    """A fixed mixed strategy, which reads no losses."""
+
     def __init__(self, p: np.ndarray):
         self.p = p
 
-    def commit(self) -> np.ndarray:
+    def commit_distribution(self) -> np.ndarray:
         return self.p
 
-    def observe(self, normalized_losses: np.ndarray) -> None:
+    def next_block(self, oracle: LossOracle, days: int | None = None) -> None:
         pass
-
-
-class _BaselineCommitLearner:
-    def __init__(self, n: int, horizon: int, eps: float, seed: int):
-        self.learner = BaselineLearner(BaselineParams(n, horizon, eps, seed=seed))
-
-    def commit(self) -> np.ndarray:
-        return self.learner.commit_distribution()
-
-    def observe(self, oracle: GameOracle) -> None:
-        self.learner.step_day(oracle)
 
 
 def make_demo_learner(spec: dict, n: int, rounds: int, seed: int,
                       game: GameOracle):
     kind = spec.get("kind", "mwu-full-memory")
     if kind == "mwu-full-memory":
-        return _MwuCommitLearner(n, rounds)
+        return _FullMemoryLearner(n, rounds, seed)
     if kind == "equilibrium":
         return _FixedLearner(game.game.equilibrium())
     if kind == "fixed-uniform-subset":
@@ -466,7 +437,7 @@ def make_demo_learner(spec: dict, n: int, rounds: int, seed: int,
             p[i - 1] = 1.0 / len(subset)
         return _FixedLearner(p)
     if kind == "baseline":
-        return _BaselineCommitLearner(n, rounds, spec.get("eps", 0.1), seed)
+        return BaselineLearner(BaselineParams(n, rounds, spec.get("eps", 0.1), seed=seed))
     raise ValueError(f"unknown demo learner {kind!r}")
 
 
@@ -482,8 +453,10 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
                         learner_spec: dict, seeds: list[int]) -> list[DemoResult]:
     """Repeated play against the best-responding column player.
 
-    The learner commits its exact mixed strategy each round; reported losses
-    are on the raw [0, 4] scale for direct comparison with the 1/k thresholds.
+    Each round the learner commits its exact mixed strategy
+    (``commit_distribution``), the column player best-responds, and the learner
+    plays that day (``next_block(oracle, 1)``). Reported losses are on the raw
+    [0, 4] scale for direct comparison with the 1/k thresholds.
     """
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
@@ -492,13 +465,12 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     for seed in seeds:
         oracle = GameOracle(StreamParams(n, rounds, seed=seed), k=k)
         learner = make_demo_learner(learner_spec, n, rounds, seed, oracle)
-        adaptive_baseline = isinstance(learner, _BaselineCommitLearner)
         total = 0.0
         for _ in range(rounds):
-            p = learner.commit()
-            y, vec = oracle.adversary_step(p)
+            p = learner.commit_distribution()
+            y, _ = oracle.adversary_step(p)
             total += float(p @ oracle.game.column(y))
-            learner.observe(oracle if adaptive_baseline else vec)
+            learner.next_block(oracle, 1)
         out.append(DemoResult(
             seed=seed,
             support=tuple(sorted(oracle.game.S)),

@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run with invariant checks forced on")
     p_check.add_argument("config", help="path to the experiment JSON")
     p_check.add_argument("--paranoid", action="store_true",
-                         help="baseline: audit after every day, not just at "
-                              "epoch closes; full-hierarchy: no change, still "
-                              "audited once per bottom-level epoch")
+                         help="baseline: play one day per block, so the meter "
+                              "is audited after every day; other learners: no "
+                              "change, still audited after every block")
     p_check.set_defaults(func=_cmd_check)
 
     return parser

@@ -47,7 +47,8 @@ def build_levels(n: int, T: int, delta: float) -> tuple[float, int, list[LevelPa
     eps = n^(-delta/2); level day spans nest exactly: a level-k decision round
     spans one full level-(k-1) episode. Counts are rounded up where the ideal
     values are non-integral, and K is the deepest level whose episode fits in T
-    (at least 1; a warning marks the degenerate single-level regime).
+    (at least 1; a warning marks the degenerate single-level regime). The
+    eviction threshold eps must not exceed 1/2, so n^delta >= 4.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -56,6 +57,8 @@ def build_levels(n: int, T: int, delta: float) -> tuple[float, int, list[LevelPa
     if T < n:
         raise ValueError(f"need T >= n, got T={T}, n={n}")
     eps = n ** (-delta / 2.0)
+    if eps > 0.5:
+        raise ValueError(f"eps = n^(-delta/2) = {eps:.4g} exceeds 1/2; need n^delta >= 4")
     B = math.ceil(eps**-2)
     log_nt = math.log(n * T)
     sample = min(math.ceil(eps**-2), n)
@@ -114,9 +117,12 @@ def _follow_own_probability(block: np.ndarray, base_realized: np.ndarray,
 
 
 class LevelState:
-    """One level (k >= 2): pool over merged experts, truncated-loss eviction."""
+    """One level (k >= 2): pool over merged experts, truncated-loss eviction.
+    ``on_epoch_close``, if given, is called with the level after every epoch
+    close."""
 
-    def __init__(self, lp: LevelParams, n: int, T: int, meter: WordMeter):
+    def __init__(self, lp: LevelParams, n: int, T: int, meter: WordMeter,
+                 on_epoch_close=None):
         self.lp = lp
         self.n = n
         self.T = T
@@ -132,9 +138,7 @@ class LevelState:
         self.queries = 0
         self.width_exceedances = 0
         self.min_truncated = math.inf  # most negative truncated loss seen
-        self.dd_close_days: list[int] = []  # global day indices of closed rounds
-        self.episode_close_days: list[int] = []
-        self.on_epoch_close = None
+        self.on_epoch_close = on_epoch_close
         self._epoch: Epoch | None = None  # its rounds' losses are truncated
         # merge race of the open epoch and decision round
         self._committed = -1
@@ -206,10 +210,10 @@ class LevelState:
         self.day_in_dd += L
         self.cumulative_loss += float(realized.sum())
         if self.day_in_dd == lp.day_span:
-            self._close_decision_day(t0 + L - 1)
+            self._close_decision_day()
         return realized, played
 
-    def _close_decision_day(self, global_day: int) -> None:
+    def _close_decision_day(self) -> None:
         lp = self.lp
         avg_e = self._dd_sum_e / lp.day_span
         avg_base = self._dd_sum_base / lp.day_span
@@ -221,11 +225,10 @@ class LevelState:
         self._epoch.mwu.update(normalized)
         self._epoch.add(truncated, 1)
         self.day_in_dd = 0
-        self.dd_close_days.append(global_day)
         if self._epoch.rounds == lp.B:
-            self._close_epoch(global_day)
+            self._close_epoch()
 
-    def _close_epoch(self, global_day: int) -> None:
+    def _close_epoch(self) -> None:
         lp = self.lp
         self._epoch.close(self.epoch_count + 1, evict_pass, lp.theta)
         self.meter.release("merge", self._merge_words)
@@ -237,7 +240,6 @@ class LevelState:
         if self.epoch_in_episode == lp.epochs_per_episode:
             self.pool.clear()
             self.epoch_in_episode = 0
-            self.episode_close_days.append(global_day)
 
     def audit_words(self) -> int:
         words = 8 + self.pool.words
@@ -247,9 +249,11 @@ class LevelState:
 
 
 class HierarchyLearner:
-    """Full multi-level algorithm: plays the top level's decision every day."""
+    """Full multi-level algorithm: plays the top level's decision every day.
+    ``on_epoch_close`` is handed to every level-1 learner and every level."""
 
-    def __init__(self, n: int, T: int, delta: float, seed: int = 0):
+    def __init__(self, n: int, T: int, delta: float, seed: int = 0,
+                 on_epoch_close=None):
         self.n = n
         self.T = T
         self.delta = delta
@@ -260,11 +264,12 @@ class HierarchyLearner:
         self.meter = WordMeter()
         self.day = 0
         self.cumulative_loss = 0.0
+        self.on_epoch_close = on_epoch_close
         self.levels = [
-            LevelState(lp, n, T, self.meter) for lp in self.level_params[1:]
+            LevelState(lp, n, T, self.meter, on_epoch_close)
+            for lp in self.level_params[1:]
         ]
         self._lvl1: BaselineLearner | None = None
-        self.on_level1_epoch_close = None
 
     def _ensure_level1(self) -> None:
         """Start a level-1 episode once the previous one has played out."""
@@ -282,9 +287,8 @@ class HierarchyLearner:
             B=min(self.B, ep_len),
             seed=self.seed,
         )
-        self._lvl1 = BaselineLearner(params, meter=self.meter, rng=self.rng)
-        if self.on_level1_epoch_close is not None:
-            self._lvl1.on_epoch_close = self.on_level1_epoch_close
+        self._lvl1 = BaselineLearner(params, meter=self.meter, rng=self.rng,
+                                     on_epoch_close=self.on_epoch_close)
 
     @property
     def pool_size(self) -> int:

@@ -8,7 +8,7 @@ so the exp arguments stay bounded.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -55,22 +55,13 @@ class MwuState:
         w = self.weights()
         return w / w.sum()
 
-    def probability(self, i: Hashable) -> float:
-        return float(self.distribution()[self.ids.index(i)])
-
     # -- updates ------------------------------------------------------------
 
-    def update(self, losses: Mapping[Hashable, float] | Sequence[float]) -> None:
-        """Add one round of losses (one entry per tracked id, in range)."""
-        if isinstance(losses, Mapping):
-            missing = [i for i in self.ids if i not in losses]
-            if missing:
-                raise KeyError(f"missing losses for {missing}")
-            vec = np.array([losses[i] for i in self.ids], dtype=np.float64)
-        else:
-            vec = np.asarray(losses, dtype=np.float64)
-            if vec.shape != self.cum.shape:
-                raise ValueError(f"expected {len(self.ids)} losses, got {vec.shape}")
+    def update(self, losses: Sequence[float]) -> None:
+        """Add one round of losses (one entry per tracked id, in order, in range)."""
+        vec = np.asarray(losses, dtype=np.float64)
+        if vec.shape != self.cum.shape:
+            raise ValueError(f"expected {len(self.ids)} losses, got {vec.shape}")
         _check_losses(vec)
         self.cum += vec
         self.cum -= self.cum.min()

@@ -408,7 +408,6 @@ class GameOracle(LossOracle):
         self.game = GameInstance(params.n, k, params.seed if seed is None else seed)
         self._round = 0
         self._columns: dict[int, np.ndarray] = {}
-        self._responses: dict[int, int] = {}
 
     def adversary_step(self, p: np.ndarray) -> tuple[int, np.ndarray]:
         """Commit round t: best-respond to p, return (action, normalized losses)."""
@@ -416,14 +415,7 @@ class GameOracle(LossOracle):
         self._round += 1
         vec = self.game.column(y) / 4.0
         self._columns[self._round] = vec
-        self._responses[self._round] = y
         return y, vec
-
-    def loss(self, t: int, i: int) -> float:
-        self._check(t, i)
-        if t not in self._columns:
-            raise RuntimeError(f"uncommitted round {t}: call adversary_step first")
-        return float(self._columns[t][i - 1])
 
     def loss_block(self, t0, t1, ids):
         ids = np.asarray(ids, dtype=np.int64)

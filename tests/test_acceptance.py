@@ -156,25 +156,35 @@ def test_criterion_07_hierarchy_integrity(tmp_path):
                                  {"generator": "iid-bernoulli",
                                   "mean-range": [0.3, 0.7],
                                   "overrides": {"1": 0.2}})
-            learner = HierarchyLearner(n, T, delta=1.0, seed=5)
-            cap = math.ceil(8.0 / learner.eps * math.log(T))
+            # every pool's epoch closes, level 1's and each level k's
             caps_seen = []
-            for lvl in learner.levels:
-                lvl.on_epoch_close = lambda s: caps_seen.append(len(s.entries))
-            learner.run(oracle)
+            learner = HierarchyLearner(
+                n, T, delta=1.0, seed=5,
+                on_epoch_close=lambda s: caps_seen.append(len(s.entries)))
+            cap = math.ceil(8.0 / learner.eps * math.log(T))
+            log = []
+            while learner.day < T:
+                learner.next_block(oracle)
+                day = learner.day
+                for lvl in learner.levels:
+                    # position in the open round and in the episode, in days
+                    rounds = 0 if lvl._epoch is None else lvl._epoch.rounds
+                    in_episode = ((lvl.epoch_in_episode * lvl.lp.B + rounds)
+                                  * lvl.lp.day_span + lvl.day_in_dd)
+                    where = f"n={n} level {lvl.lp.k}"
+                    if lvl.day_in_dd != day % lvl.lp.day_span:
+                        problems.append(f"{where}: round misaligned at day {day}")
+                    if in_episode != day % lvl.lp.episode_days:
+                        problems.append(f"{where}: episode misaligned at day {day}")
+                log.append((day, tuple(len(lvl.entries) for lvl in learner.levels)))
             if learner.K != 2:
                 problems.append(f"n={n}: K={learner.K} != 2")
             for lvl in learner.levels:
                 if lvl.min_truncated < -lvl.lp.width:  # exact floor
                     problems.append(f"n={n} level {lvl.lp.k}: floor violated")
-                if any(d % lvl.lp.day_span for d in lvl.dd_close_days):
-                    problems.append(f"n={n} level {lvl.lp.k}: round misaligned")
-                if any(d % lvl.lp.episode_days for d in lvl.episode_close_days):
-                    problems.append(f"n={n} level {lvl.lp.k}: episode misaligned")
             if any(size > cap for size in caps_seen):
                 problems.append(f"n={n}: pool cap {cap} exceeded")
-            traces.append((learner.cumulative_loss, learner.meter.peak,
-                           tuple(learner.levels[0].dd_close_days)))
+            traces.append((learner.cumulative_loss, learner.meter.peak, tuple(log)))
         if traces[0] != traces[1]:
             problems.append(f"n={n}: reruns differ")
         # byte-level determinism of the serialized trace

@@ -269,9 +269,9 @@ class TestLearner:
         oracle = ConstantOracle(StreamParams(6, 40, seed=0),
                                 [0.05, 0.9, 0.9, 0.9, 0.9, 0.9])
         params = BaselineParams(6, 40, eps=0.1, B=4, seed=1)
-        learner = BaselineLearner(params)
         pools = []
-        learner.on_epoch_close = lambda l: pools.append([e.id for e in l.entries])
+        learner = BaselineLearner(
+            params, on_epoch_close=lambda l: pools.append([e.id for e in l.entries]))
         learner.run(oracle)
         assert pools[0] == [1]
         for snapshot in pools[1:]:
@@ -295,7 +295,7 @@ class TestLearner:
         by_block.run(oracle)
         by_day = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
         while by_day.day < 60:
-            by_day.step_day(oracle)
+            by_day.next_block(oracle, 1)
         assert by_day.cumulative_loss == by_block.cumulative_loss
         assert [e.id for e in by_day.entries] == [e.id for e in by_block.entries]
 
@@ -324,13 +324,13 @@ class TestLearner:
     def test_entry_epochs_distinct(self):
         spec = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
         oracle = make_oracle(StreamParams(10, 300, seed=8), spec)
-        learner = BaselineLearner(BaselineParams(10, 300, eps=0.25, B=10, seed=3))
         seen = []
         def check(l):
             alphas = [e.alpha for e in l.entries]
             assert len(set(alphas)) == len(alphas)
             seen.append(tuple(alphas))
-        learner.on_epoch_close = check
+        learner = BaselineLearner(BaselineParams(10, 300, eps=0.25, B=10, seed=3),
+                                  on_epoch_close=check)
         learner.run(oracle)
         assert seen
 
@@ -354,10 +354,10 @@ class TestLearner:
     def test_meter_audit_matches(self):
         spec = {"generator": "iid-bernoulli", "mean-range": [0.1, 0.9]}
         oracle = make_oracle(StreamParams(8, 120, seed=7), spec)
-        learner = BaselineLearner(BaselineParams(8, 120, eps=0.3, B=6, seed=2))
-        learner.on_epoch_close = lambda l: (
-            None if l.audit_words() == l.meter.current
-            else pytest.fail("meter drifted from live state")
-        )
+        learner = BaselineLearner(
+            BaselineParams(8, 120, eps=0.3, B=6, seed=2),
+            on_epoch_close=lambda l: (
+                None if l.audit_words() == l.meter.current
+                else pytest.fail("meter drifted from live state")))
         learner.run(oracle)
         assert learner.audit_words() == learner.meter.current

@@ -224,6 +224,69 @@ class TestHierarchyMemoryCap:
             bench.memory_cap_words(lvl1) + s_hat * s_hat + 9 * s_hat + lp.sample_size + 13)
 
 
+class TestMemoryAudit:
+    """``check_memory`` after every block of every learner, and the peak
+    against the learner's cap once per trial. Criterion 6 keeps the violations
+    that start with "meter" or "metered", so both kinds must."""
+
+    CONFIGS = [("baseline", "epoch"), ("baseline", "paranoid"),
+               ("full-hierarchy", "epoch"), ("mwu-full-memory", "epoch")]
+    AUDITED = {"baseline": BaselineLearner, "full-hierarchy": HierarchyLearner,
+               "mwu-full-memory": bench._FullMemoryLearner}
+
+    def _config(self, learner, checks):
+        return ExperimentConfig(learner, 8, 400, SPOILER, trials=[3],
+                                learner_params={"eps": 0.3}, checks=checks)
+
+    @pytest.mark.parametrize("learner,checks", CONFIGS)
+    def test_audit_drift_flagged(self, monkeypatch, learner, checks):
+        cls = self.AUDITED[learner]
+        honest = cls.audit_words
+        monkeypatch.setattr(cls, "audit_words", lambda self: honest(self) + 1)
+        (r,) = run_experiment(self._config(learner, checks))
+        assert r.violations
+        assert all(v.startswith("meter ") for v in r.violations)
+
+    @pytest.mark.parametrize("learner,checks", CONFIGS)
+    def test_cap_below_peak_flagged_once(self, monkeypatch, learner, checks):
+        (clean,) = run_experiment(self._config(learner, checks))
+        assert clean.violations == []
+        make = bench._make_learner
+
+        def tight(config, seed, violations):
+            return make(config, seed, violations)[0], clean.peak_words - 1
+
+        monkeypatch.setattr(bench, "_make_learner", tight)
+        (r,) = run_experiment(self._config(learner, checks))
+        assert len(r.violations) == 1
+        assert r.violations[0].startswith("metered")
+        assert f"peak of {clean.peak_words} words exceeds cap" in r.violations[0]
+
+    def test_learner_caps(self):
+        for learner, want in (
+            ("baseline", bench.memory_cap_words(BaselineParams(8, 400, 0.3))),
+            ("full-hierarchy", hierarchy_memory_cap_words(HierarchyLearner(8, 400, 1.0))),
+            ("mwu-full-memory", 8 + 4),
+        ):
+            _, cap = bench._make_learner(self._config(learner, "epoch"), 3, [])
+            assert cap == want
+
+    @pytest.mark.parametrize("learner,checks,calls", [
+        ("full-hierarchy", "epoch", 132), ("baseline", "epoch", 6),
+        ("baseline", "paranoid", 6)])
+    def test_check_pool_once_per_epoch_close(self, monkeypatch, learner, checks, calls):
+        n, T, stream = ((4, 512, {"generator": "iid-bernoulli", "mean-range": [0.3, 0.7]})
+                        if learner == "full-hierarchy" else (8, 400, SPOILER))
+        seen = []
+        check = bench.check_pool
+        monkeypatch.setattr(bench, "check_pool",
+                            lambda *a, **k: seen.append(1) or check(*a, **k))
+        cfg = ExperimentConfig(learner, n, T, stream, trials=[3],
+                               learner_params={"eps": 0.3}, checks=checks)
+        assert run_experiment(cfg)[0].violations == []
+        assert len(seen) == calls
+
+
 class TestExperimentConfig:
     def test_unknown_learner(self):
         with pytest.raises(ValueError):
@@ -320,6 +383,14 @@ class TestRunExperiment:
         assert math.isnan(r.regret)
         assert r.violations[0].startswith("trial aborted: ValueError: ")
 
+    def test_hierarchy_eps_above_half_aborts_trial(self):
+        cfg = ExperimentConfig("full-hierarchy", 8, 4096, self.STREAM,
+                               learner_params={"delta": 0.5})
+        (r,) = run_experiment(cfg)
+        assert math.isnan(r.regret)
+        assert r.violations[0].startswith("trial aborted: ValueError: ")
+        assert "exceeds 1/2" in r.violations[0]
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(params, spec):
             raise TypeError("not an input error")
@@ -370,6 +441,42 @@ class TestLowerBoundDemo:
         res = run_lowerbound_demo(6, 1 / 4, 40,
                                   {"kind": "baseline", "eps": 0.3}, [0])
         assert 0.0 <= res[0].avg_raw_loss <= 4.0
+
+    # avg_raw_loss of seeds 0-2, recorded with the demo's earlier per-learner
+    # adapters (an MWU updated from the served column, a baseline stepped a day)
+    DEMO_REFERENCE = {
+        ("mwu-full-memory", 8, 1 / 8, 300): [
+            0.36604782586247625, 0.36604782586247625, 0.36604782586247625],
+        ("mwu-full-memory", 6, 1 / 4, 200): [
+            0.7407565936110576, 0.7407565936110575, 0.7407565936110575],
+        ("mwu-full-memory", 64, 1 / 8, 500): [
+            0.49872421218089014, 0.49872421218089025, 0.49872421218089014],
+        ("baseline", 8, 1 / 8, 300): [
+            0.5595727188752538, 0.5595727188752538, 0.5595727188752538],
+        ("baseline", 6, 1 / 4, 200): [
+            0.9865203833519572, 0.9865203833519572, 0.9865203833519572],
+        ("baseline", 64, 1 / 8, 500): [
+            2.2255102063733037, 2.323347538163817, 2.214830758420281],
+    }
+
+    @pytest.mark.parametrize("kind,n,eps_prime,rounds", list(DEMO_REFERENCE))
+    def test_demo_learners_match_reference(self, kind, n, eps_prime, rounds):
+        spec = {"kind": kind, "eps": 0.3}
+        res = run_lowerbound_demo(n, eps_prime, rounds, spec, [0, 1, 2])
+        assert [r.avg_raw_loss for r in res] == \
+            self.DEMO_REFERENCE[kind, n, eps_prime, rounds]
+
+    def test_full_memory_steps_like_one_block(self):
+        # one day at a time or the whole horizon at once: the same picks
+        oracle = make_oracle(StreamParams(6, 50, seed=1), SPOILER)
+        whole = bench._FullMemoryLearner(6, 50, 2)
+        by_day = bench._FullMemoryLearner(6, 50, 2)
+        _, realized, played = whole.next_block(oracle)
+        steps = [by_day.next_block(oracle, 1) for _ in range(50)]
+        assert [t0 for t0, _, _ in steps] == list(range(1, 51))
+        assert np.array_equal(np.concatenate([p for _, _, p in steps]), played)
+        assert by_day.day == whole.day == 50
+        assert by_day.cumulative_loss == pytest.approx(whole.cumulative_loss)
 
 
 class TestCli:
@@ -432,6 +539,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "VIOLATION" not in captured.out
+
+    def test_hierarchy_eps_above_half_nonzero_exit(self, tmp_path, capsys):
+        cfg = self._write_json(tmp_path / "h.json", {
+            "learner": "full-hierarchy", "n": 8, "T": 4096,
+            "stream": {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+            "trials": [0], "learner-params": {"delta": 0.5},
+        })
+        assert cli.main(["run", cfg]) == 1
+        assert "VIOLATION: trial aborted: ValueError: " in capsys.readouterr().out
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1

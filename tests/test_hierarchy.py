@@ -14,6 +14,35 @@ from expertpool.streams import (ConstantOracle, GameOracle, LossOracle, StreamPa
                                 make_oracle)
 
 
+def _episode_position(lvl):
+    """Days into the level's episode: its closed epochs, the open epoch's
+    closed decision rounds and the open round's days."""
+    rounds = 0 if lvl._epoch is None else lvl._epoch.rounds
+    return ((lvl.epoch_in_episode * lvl.lp.B + rounds) * lvl.lp.day_span
+            + lvl.day_in_dd)
+
+
+def _assert_aligned(lvl, day):
+    """After ``day`` days, the level sits at ``day`` modulo its round and
+    episode lengths."""
+    assert lvl.day_in_dd == day % lvl.lp.day_span, (lvl.lp.k, day)
+    assert _episode_position(lvl) == day % lvl.lp.episode_days, (lvl.lp.k, day)
+
+
+def run_aligned(h, oracle):
+    """Step ``h`` to its horizon, checking every level's alignment (level 1's
+    too) after every block. Returns (day, pool size per level k >= 2) per block."""
+    episode1 = h.level_params[0].episode_days
+    log = []
+    while h.day < h.T:
+        h.next_block(oracle)
+        assert h._lvl1.day % episode1 == h.day % episode1
+        for lvl in h.levels:
+            _assert_aligned(lvl, h.day)
+        log.append((h.day, tuple(len(lvl.entries) for lvl in h.levels)))
+    return log
+
+
 class TestBuildLevels:
     def test_n16_delta1(self):
         eps, K, levels = build_levels(16, 65536, 1.0)
@@ -56,6 +85,14 @@ class TestBuildLevels:
         lvl2 = levels[1]
         assert lvl2.theta == pytest.approx(eps**2 * log_nt**3)
         assert lvl2.width == pytest.approx(eps * log_nt**3)
+
+    def test_eps_above_half_rejected(self):
+        # eps = 8^(-1/4) = 0.5946: the eviction threshold must be at most 1/2
+        with pytest.raises(ValueError, match="exceeds 1/2"):
+            build_levels(8, 4096, 0.5)
+        with pytest.raises(ValueError, match="exceeds 1/2"):
+            HierarchyLearner(8, 4096, 0.5)
+        assert build_levels(4, 256, 1.0)[0] == 0.5  # the boundary is admissible
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -103,29 +140,30 @@ class TestHierarchyRun:
 
     def test_decision_day_alignment(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=2)
-        h.run(oracle)
+        sizes = dict(run_aligned(h, oracle))
         lvl2 = h.levels[0]
-        assert all(d % lvl2.lp.day_span == 0 for d in lvl2.dd_close_days)
-        assert lvl2.episode_close_days == [256, 512]
-        assert lvl2.entries == []  # cleared at episode end
+        assert (lvl2.lp.day_span, lvl2.lp.episode_days) == (32, 256)
+        assert any(size for day, (size,) in sizes.items() if day < 256)
+        assert sizes[256] == sizes[512] == (0,)  # cleared at episode end
+        assert lvl2.entries == []
 
     def test_pool_cap_every_epoch(self, oracle):
-        h = HierarchyLearner(4, 512, delta=1.0, seed=2)
-        cap = math.ceil(8.0 / h.eps * math.log(512))
-        failures = []
-        for lvl in h.levels:
-            lvl.on_epoch_close = lambda s: failures.append(len(s.entries)) \
-                if len(s.entries) > cap else None
+        eps, _, _ = build_levels(4, 512, 1.0)
+        cap = math.ceil(8.0 / eps * math.log(512))
+        sizes = {BaselineLearner: [], LevelState: []}
+        h = HierarchyLearner(4, 512, delta=1.0, seed=2,
+                             on_epoch_close=lambda s: sizes[type(s)].append(len(s.entries)))
         h.run(oracle)
-        assert failures == []
+        # one hook sees all 128 level-1 closes (16 episodes) and 4 level-2 closes
+        assert (len(sizes[BaselineLearner]), len(sizes[LevelState])) == (128, 4)
+        assert max(sizes[BaselineLearner] + sizes[LevelState]) <= cap
 
     def test_determinism(self, oracle):
         results = []
         for _ in range(2):
             h = HierarchyLearner(4, 512, delta=1.0, seed=5)
-            h.run(oracle)
-            results.append((h.cumulative_loss, h.meter.peak,
-                            tuple(h.levels[0].dd_close_days)))
+            log = run_aligned(h, oracle)
+            results.append((h.cumulative_loss, h.meter.peak, tuple(log)))
         assert results[0] == results[1]
 
     def test_next_block_rejects_adaptive_oracle(self):
@@ -233,7 +271,7 @@ def _reference_process_block(lvl, oracle, t0, L, base_realized, base_played, rng
     lvl.day_in_dd += L
     lvl.cumulative_loss += float(realized.sum())
     if lvl.day_in_dd == lp.day_span:
-        lvl._close_decision_day(t0 + L - 1)
+        lvl._close_decision_day()
     return realized, played
 
 
@@ -284,4 +322,6 @@ class TestMergeRaceDifferential:
             assert lvl.cumulative_loss == ref.cumulative_loss
             assert lvl.meter.snapshot() == ref.meter.snapshot()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+            _assert_aligned(lvl, t0 + L - 1)
+            _assert_aligned(ref, t0 + L - 1)
         assert lvl.epoch_count == 8

@@ -34,26 +34,26 @@ class TestInit:
 class TestUpdate:
     def test_closed_form_two_experts(self):
         s = MwuState(["a", "b"], horizon=10, eta=math.log(2))
-        s.update({"a": 0.0, "b": 1.0})
+        s.update([0.0, 1.0])
         # weights proportional to (1, 1/2)
         assert np.allclose(s.distribution(), [2 / 3, 1 / 3])
 
     def test_equal_losses_leave_distribution_unchanged(self):
         s = MwuState(["a", "b", "c"], horizon=10)
         before = s.distribution().copy()
-        s.update({"a": 0.7, "b": 0.7, "c": 0.7})
+        s.update([0.7, 0.7, 0.7])
         assert np.allclose(s.distribution(), before, atol=1e-12)
 
     def test_persistent_loser_vanishes(self):
         s = MwuState(["a", "b"], horizon=100)
         for _ in range(100):
-            s.update({"a": 0.0, "b": 1.0})
-        assert s.probability("a") > 0.99
+            s.update([0.0, 1.0])
+        assert s.distribution()[0] > 0.99
 
     def test_out_of_range_loss_rejected(self):
         s = MwuState(["a", "b"], horizon=10)
         with pytest.raises(ValueError):
-            s.update({"a": 0.0, "b": 1.5})
+            s.update([0.0, 1.5])
 
     def test_nan_loss_rejected(self):
         s = MwuState(["a", "b"], horizon=10)
@@ -64,9 +64,10 @@ class TestUpdate:
         assert np.array_equal(s.cum, before)
 
     def test_missing_id_rejected(self):
+        # one loss for two ids: the sequence must have one entry per id
         s = MwuState(["a", "b"], horizon=10)
-        with pytest.raises(KeyError):
-            s.update({"a": 0.0})
+        with pytest.raises(ValueError, match="expected 2 losses"):
+            s.update([0.0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
