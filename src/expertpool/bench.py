@@ -19,7 +19,7 @@ from .baseline import BaselineLearner, BaselineParams, pool_potential
 from .hierarchy import HierarchyLearner, LevelState
 from .meter import WordMeter
 from .mwu import MwuState
-from .streams import GameOracle, LossOracle, StreamParams, make_oracle
+from .streams import GameOracle, LossOracle, StreamParams, make_oracle, stream_builder
 
 __all__ = [
     "ExperimentConfig",
@@ -41,8 +41,7 @@ ENUMERATION_GUARD = 10**9
 BLOCK_DAYS = 4096  # days per block of the hindsight pass and of dump_stream
 
 
-def _hindsight(oracle: LossOracle, n: int | None = None,
-               T: int | None = None) -> tuple[np.ndarray, int, float]:
+def _hindsight(oracle: LossOracle) -> tuple[np.ndarray, int, float]:
     """One pass over days 1..T in blocks, with O(n + T) memory.
 
     Returns the per-day best cumulative loss so far, the best expert in
@@ -50,10 +49,9 @@ def _hindsight(oracle: LossOracle, n: int | None = None,
     carried into each block before its cumsum, so every sum is the same
     sequence of additions as one cumsum over the whole matrix.
     """
-    if oracle.mode == "adaptive-game":
+    if isinstance(oracle, GameOracle):
         raise ValueError("best expert is undefined for an adaptive stream")
-    n = oracle.n if n is None else n
-    T = oracle.T if T is None else T
+    n, T = oracle.n, oracle.T
     if n * T > ENUMERATION_GUARD:
         raise ValueError(f"n*T = {n * T} exceeds the enumeration guard")
     ids = np.arange(1, n + 1)
@@ -70,10 +68,9 @@ def _hindsight(oracle: LossOracle, n: int | None = None,
     return best_so_far, best, float(run[best - 1])
 
 
-def oracle_best_expert(oracle: LossOracle, n: int | None = None,
-                       T: int | None = None) -> tuple[int, float]:
+def oracle_best_expert(oracle: LossOracle) -> tuple[int, float]:
     """Best expert in hindsight by full enumeration, ties to the lowest id."""
-    _, best, total = _hindsight(oracle, n, T)
+    _, best, total = _hindsight(oracle)
     return best, total
 
 
@@ -243,9 +240,7 @@ class ExperimentConfig:
             raise ValueError("trials must be nonempty")
         if self.checks not in {"off", "epoch", "paranoid"}:
             raise ValueError(f"unknown check level {self.checks!r}")
-        if self.stream.get("generator") == "adaptive-game":
-            raise ValueError("adaptive-game streams are for demo-lb only; "
-                             "experiments need an oblivious stream")
+        stream_builder(self.stream)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -431,10 +426,11 @@ def make_demo_learner(spec: dict, n: int, rounds: int, seed: int,
     if kind == "equilibrium":
         return _FixedLearner(game.game.equilibrium())
     if kind == "fixed-uniform-subset":
-        subset = spec["subset"]
+        ids = np.asarray(spec["subset"])
+        if ids.dtype.kind != "i" or not np.all((ids >= 1) & (ids <= n)):
+            raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
         p = np.zeros(n)
-        for i in subset:
-            p[i - 1] = 1.0 / len(subset)
+        p[ids - 1] = 1.0 / len(ids)
         return _FixedLearner(p)
     if kind == "baseline":
         return BaselineLearner(BaselineParams(n, rounds, spec.get("eps", 0.1), seed=seed))

@@ -26,13 +26,9 @@ from .bench import (
 from .streams import StreamParams, make_oracle
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    with open(args.config) as fh:
+        config = ExperimentConfig.from_dict(json.load(fh))
     if args.output is not None:
         config.output = args.output
     if args.checks is not None:
@@ -83,25 +79,9 @@ def _cmd_dump_stream(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     params = StreamParams(spec["n"], spec["T"], seed=spec.get("seed", 0))
-    oracle = make_oracle(params, spec["stream"])
-    if oracle.mode == "adaptive-game":
-        print("cannot dump an adaptive stream", file=sys.stderr)
-        return 1
-    dump_stream(oracle, Path(out))
+    dump_stream(make_oracle(params, spec["stream"]), Path(out))
     print(f"wrote {params.T} days x {params.n} experts to {out}")
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    config.checks = "paranoid" if args.paranoid else "epoch"
-    results = run_experiment(config)
-    total = sum(len(r.violations) for r in results)
-    for r in results:
-        for v in r.violations:
-            print(f"seed {r.seed} VIOLATION: {v}")
-    print(f"{len(results)} trial(s), {total} violation(s)")
-    return 1 if total else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,11 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run with invariant checks forced on")
     p_check.add_argument("config", help="path to the experiment JSON")
-    p_check.add_argument("--paranoid", action="store_true",
+    p_check.add_argument("--paranoid", dest="checks", action="store_const",
+                         const="paranoid", default="epoch",
                          help="baseline: play one day per block, so the meter "
                               "is audited after every day; other learners: no "
                               "change, still audited after every block")
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_cmd_run, output=None)
 
     return parser
 

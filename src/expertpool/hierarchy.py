@@ -14,7 +14,7 @@ import numpy as np
 
 from .baseline import BaselineLearner, BaselineParams, Epoch, Pool, PoolEntry, evict_pass
 from .meter import WordMeter
-from .streams import LossOracle
+from .streams import GameOracle, LossOracle
 
 __all__ = ["LevelParams", "LevelState", "HierarchyLearner", "build_levels"]
 
@@ -301,7 +301,7 @@ class HierarchyLearner:
 
         Oblivious streams only. Returns (first day, realized losses, played ids).
         """
-        if oracle.mode == "adaptive-game":
+        if isinstance(oracle, GameOracle):
             raise ValueError("the hierarchy reads a whole bottom epoch ahead; "
                              "oblivious streams only")
         self._ensure_level1()

@@ -1,5 +1,7 @@
-"""Loss-stream oracles: seeded oblivious generators, CSV-backed streams and
-the adaptive zero-sum-game adversary, all behind one query interface.
+"""Loss-stream oracles behind one query interface: the oblivious streams
+that ``make_oracle`` builds by name from its one generator table (seeded
+generators and CSV replay), and the adaptive zero-sum-game adversary, which
+only the lower-bound demo builds.
 
 Expert ids and day indices are 1-based throughout the public API.
 """
@@ -23,6 +25,8 @@ __all__ = [
     "CsvOracle",
     "GameInstance",
     "GameOracle",
+    "GENERATORS",
+    "stream_builder",
     "make_oracle",
     "count_covered_sets",
 ]
@@ -101,8 +105,6 @@ class LossOracle:
     Oblivious oracles are pure functions of (seed, t, i): query order and the
     learner's decisions never affect the returned values.
     """
-
-    mode = "oblivious-generator"
 
     def __init__(self, params: StreamParams):
         self.params = params
@@ -211,11 +213,12 @@ class BernoulliOracle(_HashedOracle):
 
 class EpochSpoilerOracle(_HashedOracle):
     """One designated best expert with constant low loss; in every third epoch,
-    freshly keyed decoy experts undercut it to bait eviction of the incumbent.
+    two freshly keyed decoy experts (one when n = 2) undercut it to bait
+    eviction of the incumbent.
     """
 
     def __init__(self, params: StreamParams, best_id: int, base_loss: float,
-                 decoy_loss: float, epoch_length: int, decoy_count: int = 2):
+                 decoy_loss: float, epoch_length: int):
         super().__init__(params)
         if not 1 <= best_id <= params.n:
             raise ValueError(f"best-id {best_id} outside [1, {params.n}]")
@@ -227,13 +230,12 @@ class EpochSpoilerOracle(_HashedOracle):
         self.base_loss = base_loss
         self.decoy_loss = decoy_loss
         self.epoch_length = epoch_length
-        self.decoy_count = min(decoy_count, params.n - 1)
 
     def _decoys(self, epoch: int) -> set[int]:
         """Seed-derived decoy ids for one spoiler epoch."""
         picked: set[int] = set()
         j = 0
-        while len(picked) < self.decoy_count:
+        while len(picked) < min(2, self.params.n - 1):
             h = _uniform01(self.params.seed ^ 0x5B0C0FFEE, np.array([epoch]),
                            np.array([j]))[0]
             cand = 1 + int(h * self.params.n)
@@ -264,8 +266,6 @@ class EpochSpoilerOracle(_HashedOracle):
 
 class CsvOracle(LossOracle):
     """Losses replayed from a CSV file with header ``t,e1,...,en``."""
-
-    mode = "oblivious-file"
 
     def __init__(self, params: StreamParams, path: str):
         super().__init__(params)
@@ -398,56 +398,49 @@ def count_covered_sets(n: int, k: int, p: np.ndarray) -> int:
 
 class GameOracle(LossOracle):
     """Adaptive adversary: per round, commits Bob's best response to the
-    learner's mixed strategy and serves the normalized loss column.
+    learner's mixed strategy and serves that round's normalized loss column,
+    the only one it keeps.
     """
 
-    mode = "adaptive-game"
-
-    def __init__(self, params: StreamParams, k: int, seed: int | None = None):
+    def __init__(self, params: StreamParams, k: int):
         super().__init__(params)
-        self.game = GameInstance(params.n, k, params.seed if seed is None else seed)
+        self.game = GameInstance(params.n, k, params.seed)
         self._round = 0
-        self._columns: dict[int, np.ndarray] = {}
+        self._column = np.empty(0)
 
     def adversary_step(self, p: np.ndarray) -> tuple[int, np.ndarray]:
         """Commit round t: best-respond to p, return (action, normalized losses)."""
         y, _ = self.game.best_response(p)
         self._round += 1
-        vec = self.game.column(y) / 4.0
-        self._columns[self._round] = vec
-        return y, vec
+        self._column = self.game.column(y) / 4.0
+        return y, self._column
 
     def loss_block(self, t0, t1, ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty((t1 - t0 + 1, len(ids)))
-        for r, t in enumerate(range(t0, t1 + 1)):
-            if t not in self._columns:
-                raise RuntimeError(f"uncommitted round {t}: call adversary_step first")
-            out[r] = self._columns[t][ids - 1]
-        return out
+        if not t0 == t1 == self._round > 0:
+            raise RuntimeError(f"uncommitted round {t0}..{t1}: only round "
+                               f"{self._round} is live; call adversary_step first")
+        return self._column[np.asarray(ids, dtype=np.int64) - 1][None, :]
 
 
-_GENERATORS = {"constant", "iid-bernoulli", "epoch-spoiler", "csv-file", "adaptive-game"}
+GENERATORS = {
+    "constant": lambda params, spec: ConstantOracle(params, spec["means"]),
+    "iid-bernoulli": lambda params, spec: BernoulliOracle(
+        params, _resolve_means(params, spec)),
+    "epoch-spoiler": lambda params, spec: EpochSpoilerOracle(
+        params, best_id=spec["best-id"], base_loss=spec["base-loss"],
+        decoy_loss=spec["decoy-loss"], epoch_length=spec["epoch-length"]),
+    "csv-file": lambda params, spec: CsvOracle(params, spec["path"]),
+}
+
+
+def stream_builder(spec: dict):
+    """The ``GENERATORS`` entry that ``spec["generator"]`` names."""
+    kind = spec.get("generator") if isinstance(spec, dict) else None
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r}; expected one of {sorted(GENERATORS)}")
+    return GENERATORS[kind]
 
 
 def make_oracle(params: StreamParams, spec: dict) -> LossOracle:
-    """Build an oracle from a generator descriptor (see the config schema)."""
-    kind = spec.get("generator")
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}")
-    if kind == "constant":
-        return ConstantOracle(params, spec["means"])
-    if kind == "iid-bernoulli":
-        return BernoulliOracle(params, _resolve_means(params, spec))
-    if kind == "epoch-spoiler":
-        return EpochSpoilerOracle(
-            params,
-            best_id=spec["best-id"],
-            base_loss=spec["base-loss"],
-            decoy_loss=spec["decoy-loss"],
-            epoch_length=spec["epoch-length"],
-            decoy_count=spec.get("decoy-count", 2),
-        )
-    if kind == "csv-file":
-        return CsvOracle(params, spec["path"])
-    return GameOracle(params, k=spec["k"], seed=spec.get("game-seed"))
+    """Build an oblivious oracle from a generator descriptor (see the config schema)."""
+    return stream_builder(spec)(params, spec)

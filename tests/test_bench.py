@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +103,6 @@ class TestHindsightPass:
         old_best = int(np.argmin(totals)) + 1
         assert oracle_best_expert(o) == (old_best, float(totals[old_best - 1]))
         assert (best, total) == (old_best, float(totals[old_best - 1]))
-
-    def test_prefix_horizon(self):
-        o = make_oracle(StreamParams(4, 50, seed=1), SPOILER)
-        best, total = oracle_best_expert(o, T=20)
-        totals = o.loss_block(1, 20, np.arange(1, 5)).sum(axis=0)
-        assert (best, total) == (int(np.argmin(totals)) + 1, float(totals.min()))
 
     def test_traced_trial_reads_the_stream_once(self, tmp_path, monkeypatch):
         # harness cells are exactly n*T on top of the learner's own queries
@@ -300,6 +295,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("baseline", 4, 10, {}, checks="sometimes")
 
+    @pytest.mark.parametrize("stream", [{"generator": "bogus"}, {},
+                                        "iid-bernoulli"])
+    def test_unknown_generator_rejected_at_construction(self, stream):
+        with pytest.raises(ValueError, match="unknown generator"):
+            ExperimentConfig("baseline", 4, 10, stream)
+
     def test_from_dict_key_mapping(self):
         cfg = ExperimentConfig.from_dict({
             "learner": "baseline", "n": 4, "T": 16,
@@ -400,7 +401,7 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_adaptive_stream_rejected(self):
-        with pytest.raises(ValueError, match="demo-lb"):
+        with pytest.raises(ValueError, match="unknown generator 'adaptive-game'"):
             ExperimentConfig("baseline", 4, 20,
                              {"generator": "adaptive-game", "k": 2})
 
@@ -425,6 +426,19 @@ class TestLowerBoundDemo:
         res = run_lowerbound_demo(
             8, 1 / 8, 50, {"kind": "fixed-uniform-subset", "subset": subset}, [0])
         assert res[0].avg_raw_loss == 4.0
+
+    def test_game_keeps_one_round(self):
+        # harness memory stays flat over the rounds: the game serves only the
+        # committed round's column
+        run_lowerbound_demo(64, 1 / 8, 10, {"kind": "mwu-full-memory"}, [0])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_lowerbound_demo(64, 1 / 8, 1000, {"kind": "mwu-full-memory"}, [0])
+            growth = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert growth < 50_000
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -527,7 +541,7 @@ class TestCli:
             "learner": "baseline", "n": 4, "T": 10,
             "stream": {"generator": "does-not-exist"}, "trials": [0],
         })
-        # the oracle error aborts the trial, which counts as a failure
+        # the config load rejects the unknown generator: error, exit 1
         assert cli.main(["check", cfg]) != 0
 
     def test_adaptive_config_clean_exit(self, tmp_path, capsys):
@@ -539,6 +553,47 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "VIOLATION" not in captured.out
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_unknown_generator_clean_exit(self, tmp_path, capsys, command):
+        cfg = self._write_json(tmp_path / "u.json", {
+            "learner": "baseline", "n": 4, "T": 10,
+            "stream": {"generator": "bogus"}, "trials": [0],
+        })
+        assert cli.main([command, cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown generator")
+        assert "VIOLATION" not in captured.out
+
+    def test_check_prints_run_report(self, tmp_path, capsys):
+        cfg = self._write_json(tmp_path / "c.json", {
+            "learner": "baseline", "n": 6, "T": 60,
+            "stream": {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+            "trials": [0, 1], "learner-params": {"eps": 0.3}, "checks": "off",
+        })
+        assert cli.main(["check", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("seed 0: loss=")
+        assert "seed 1: loss=" in out
+        assert json.loads(out[out.index("{"):])["trials"] == 2
+
+    def test_dump_stream_adaptive_rejected(self, tmp_path, capsys):
+        cfg = self._write_json(tmp_path / "g.json", {
+            "n": 4, "T": 10, "stream": {"generator": "adaptive-game", "k": 2},
+            "output": str(tmp_path / "g.csv"),
+        })
+        assert cli.main(["dump-stream", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown generator")
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("subset", [[0, 1], [-1, 1], [1, 9], [1.5, 2], ["1", 2]])
+    def test_demo_subset_bad_ids_clean_exit(self, tmp_path, capsys, subset):
+        cfg = self._write_json(tmp_path / "d.json", {
+            "n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": [0],
+            "learner": {"kind": "fixed-uniform-subset", "subset": subset},
+        })
+        assert cli.main(["demo-lb", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_hierarchy_eps_above_half_nonzero_exit(self, tmp_path, capsys):
         cfg = self._write_json(tmp_path / "h.json", {

@@ -420,6 +420,17 @@ class TestGameOracle:
         first = o.loss(1, 1)
         assert o.loss(1, 1) == first
 
+    def test_only_the_committed_round_is_live(self):
+        o = GameOracle(StreamParams(4, 10), k=2)
+        for _ in range(3):
+            _, vec = o.adversary_step(np.full(4, 0.25))
+        ids = np.arange(1, 5)
+        for t0, t1 in [(2, 2), (2, 3), (3, 4), (4, 4)]:
+            with pytest.raises(RuntimeError, match="uncommitted round"):
+                o.loss_block(t0, t1, ids)
+        assert np.array_equal(o.loss_block(3, 3, ids), vec[None, :])
+        assert np.array_equal(o.loss_block(3, 3, [4, 2]), vec[None, [3, 1]])
+
 
 class TestCountCoveredSets:
     def test_uniform_on_true_support(self):
@@ -449,6 +460,10 @@ class TestMakeOracle:
         with pytest.raises(ValueError, match="unknown generator"):
             make_oracle(StreamParams(2, 5), {"generator": "bogus"})
 
+    def test_adaptive_game_is_not_a_stream(self):
+        with pytest.raises(ValueError, match="unknown generator 'adaptive-game'"):
+            make_oracle(StreamParams(4, 5), {"generator": "adaptive-game", "k": 2})
+
     def test_dispatch_types(self):
         params = StreamParams(3, 5, seed=1)
         assert isinstance(make_oracle(params, {"generator": "constant",
@@ -457,6 +472,3 @@ class TestMakeOracle:
         assert isinstance(make_oracle(params, {"generator": "iid-bernoulli",
                                                "means": [0.1, 0.2, 0.3]}),
                           BernoulliOracle)
-        assert isinstance(make_oracle(params, {"generator": "adaptive-game",
-                                               "k": 2}),
-                          GameOracle)
