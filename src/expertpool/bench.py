@@ -23,6 +23,7 @@ from .streams import GameOracle, LossOracle, StreamParams, make_oracle, stream_b
 
 __all__ = [
     "ExperimentConfig",
+    "HindsightPass",
     "TrialResult",
     "oracle_best_expert",
     "run_experiment",
@@ -38,40 +39,94 @@ TRACE_COLUMNS = ["day", "alg_loss_cum", "best_loss_cum", "regret",
                  "words_current", "words_peak", "pool_size"]
 
 ENUMERATION_GUARD = 10**9
-BLOCK_DAYS = 4096  # days per block of the hindsight pass and of dump_stream
+WINDOW_CELLS = 2**15  # cells per window of the stream pass and of dump_stream
 
 
-def _hindsight(oracle: LossOracle) -> tuple[np.ndarray, int, float]:
-    """One pass over days 1..T in blocks, with O(n + T) memory.
+def _window_days(n: int) -> int:
+    """Days per window of all n experts: at most ``WINDOW_CELLS`` cells."""
+    return max(1, WINDOW_CELLS // n)
 
-    Returns the per-day best cumulative loss so far, the best expert in
-    hindsight (ties to the lowest id) and its total. The running totals are
-    carried into each block before its cumsum, so every sum is the same
-    sequence of additions as one cumsum over the whole matrix.
+
+class HindsightPass(LossOracle):
+    """One in-order pass over an oblivious stream, serving the learner's
+    queries and the regret oracle from the same reads.
+
+    The stream is read in windows of all n experts, each exactly once. Every
+    window is folded into the running totals and the per-day best cumulative
+    loss so far: the totals are carried into its first row before its cumsum,
+    so every sum is the same sequence of additions as one cumsum over the
+    whole matrix. A query is answered by ``take``-ing from the kept windows
+    and the ones it makes the pass read, always as a fresh C-contiguous
+    array. The last two windows read are kept, so repeated queries for the
+    same days (the hierarchy's levels each ask for their bottom block) are
+    served from them as long as those days span at most two windows; a query
+    for days before them goes straight to the oracle. Memory is O(n + T)
+    beyond those two windows and the answer.
     """
-    if isinstance(oracle, GameOracle):
-        raise ValueError("best expert is undefined for an adaptive stream")
-    n, T = oracle.n, oracle.T
-    if n * T > ENUMERATION_GUARD:
-        raise ValueError(f"n*T = {n * T} exceeds the enumeration guard")
-    ids = np.arange(1, n + 1)
-    run = np.zeros(n)
-    best_so_far = np.empty(T)
-    for t0 in range(1, T + 1, BLOCK_DAYS):
-        t1 = min(t0 + BLOCK_DAYS - 1, T)
-        blk = oracle.loss_block(t0, t1, ids)
-        blk[0] += run
-        np.cumsum(blk, axis=0, out=blk)
-        blk.min(axis=1, out=best_so_far[t0 - 1:t1])
-        run = blk[-1].copy()
-    best = int(np.argmin(run)) + 1
-    return best_so_far, best, float(run[best - 1])
+
+    def __init__(self, oracle: LossOracle):
+        if isinstance(oracle, GameOracle):
+            raise ValueError("best expert is undefined for an adaptive stream")
+        if oracle.n * oracle.T > ENUMERATION_GUARD:
+            raise ValueError(f"n*T = {oracle.n * oracle.T} exceeds the enumeration guard")
+        super().__init__(oracle.params)
+        self.oracle = oracle
+        self.best_so_far = np.empty(self.T)
+        self.read = 0  # the last day read
+        self._days = _window_days(self.n)
+        self._ids = np.arange(1, self.n + 1)
+        self._run = np.zeros(self.n)
+        self._cum = np.empty((min(self._days, self.T), self.n))
+        # (first day, window) of the last two windows read, oldest first
+        self._kept = [(1, np.empty((0, self.n)))]
+
+    def _read(self) -> None:
+        """Read the next window and fold it into the totals and best column."""
+        w0 = self.read + 1
+        self.read = min(self.read + self._days, self.T)
+        win = self.oracle.loss_block(w0, self.read, self._ids)
+        self._kept = [self._kept[-1], (w0, win)]
+        cum = self._cum[:len(win)]
+        np.copyto(cum, win)
+        cum[0] += self._run
+        np.cumsum(cum, axis=0, out=cum)
+        cum.min(axis=1, out=self.best_so_far[w0 - 1:self.read])
+        self._run[:] = cum[-1]
+
+    def loss_block(self, t0, t1, ids):
+        if not self._kept[0][0] <= t0 <= t1 <= self.T:  # behind the pass, or out of range
+            return self.oracle.loss_block(t0, t1, ids)
+        cols = np.subtract(ids, 1)
+        out = np.empty((t1 - t0 + 1, len(cols)))
+        t = t0  # the first day not yet served
+        # each window is served as soon as it is read, while it is in cache
+        while True:
+            for w0, win in self._kept:
+                b = min(t1, w0 + len(win) - 1)
+                if w0 <= t <= b:
+                    win[t - w0:b - w0 + 1].take(cols, axis=1, out=out[t - t0:b - t0 + 1])
+                    t = b + 1
+            if t > t1:
+                return out
+            self._read()
+
+    def best(self, t0: int, t1: int) -> np.ndarray:
+        """The best cumulative loss so far on each of days t0..t1."""
+        while self.read < t1:
+            self._read()
+        return self.best_so_far[t0 - 1:t1]
+
+    def finish(self) -> tuple[int, float]:
+        """Read the rest of the stream; the best expert in hindsight (ties to
+        the lowest id) and its total."""
+        self.best(self.T, self.T)
+        best = int(np.argmin(self._run)) + 1
+        return best, float(self._run[best - 1])
 
 
 def oracle_best_expert(oracle: LossOracle) -> tuple[int, float]:
     """Best expert in hindsight by full enumeration, ties to the lowest id."""
-    _, best, total = _hindsight(oracle)
-    return best, total
+    return HindsightPass(oracle).finish()
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +222,11 @@ def check_memory(learner) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class TraceWriter:
-    """Per-day CSV trace with exact regret against the enumerated best expert."""
+    """Per-day CSV trace with exact regret against the enumerated best expert,
+    whose per-day column the trial's stream pass supplies."""
 
-    def __init__(self, path: Path, oracle: LossOracle):
-        self.best_so_far, _, self.best_total = _hindsight(oracle)
+    def __init__(self, path: Path, stream: HindsightPass):
+        self.stream = stream
         self.rows: list[str] = []  # one string of csv lines per recorded block
         self.path = path
         self.alg_cum = 0.0
@@ -182,7 +238,7 @@ class TraceWriter:
         alg[0] += self.alg_cum
         np.cumsum(alg, out=alg)
         self.alg_cum = float(alg[-1])
-        best = self.best_so_far[t0 - 1:t0 - 1 + len(alg)]
+        best = self.stream.best(t0, t0 - 1 + len(alg))
         # the words and pool columns are read once per block, after it
         tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
         self.rows.append("".join(
@@ -199,23 +255,26 @@ class TraceWriter:
 
 
 def dump_stream(oracle: LossOracle, path: Path) -> None:
-    """Write the full loss matrix in the csv-file oracle schema.
+    """Write the full loss matrix in the csv-file oracle schema, one window of
+    days at a time.
 
-    Each distinct value of a block of rows is formatted once, keyed by its
-    bits so that -0.0 keeps its own string.
+    Each distinct value of a window is formatted once, keyed by its bits so
+    that -0.0 keeps its own string.
     """
-    matrix = np.ascontiguousarray(oracle.full_matrix(), dtype=np.float64)
+    ids = np.arange(1, oracle.n + 1)
+    days = _window_days(oracle.n)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["t"] + [f"e{i}" for i in range(1, oracle.n + 1)])
-        for r0 in range(0, oracle.T, BLOCK_DAYS):
-            keys, inverse = np.unique(matrix[r0:r0 + BLOCK_DAYS].view(np.uint64),
-                                      return_inverse=True)
+        csv.writer(fh).writerow(["t"] + [f"e{i}" for i in ids])
+        for t0 in range(1, oracle.T + 1, days):
+            window = np.ascontiguousarray(
+                oracle.loss_block(t0, min(t0 + days - 1, oracle.T), ids), dtype=np.float64)
+            keys, inverse = np.unique(window.view(np.uint64), return_inverse=True)
             table = np.array([f"{v:.12g}" for v in keys.view(np.float64).tolist()],
                              dtype=object)
             cells = table[inverse.reshape(-1, oracle.n)].tolist()
             fh.write("".join(f"{t},{','.join(row)}\r\n"
-                             for t, row in enumerate(cells, r0 + 1)))
+                             for t, row in enumerate(cells, t0)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +295,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.learner not in {"mwu-full-memory", "baseline", "full-hierarchy"}:
             raise ValueError(f"unknown learner {self.learner!r}")
-        if not self.trials:
-            raise ValueError("trials must be nonempty")
+        if not (isinstance(self.trials, list) and self.trials
+                and all(isinstance(s, int) for s in self.trials)):
+            raise ValueError(f"trials must be a nonempty list of integer seeds, "
+                             f"got {self.trials!r}")
+        if not isinstance(self.learner_params, dict):
+            raise ValueError(f"learner-params must be an object, got {self.learner_params!r}")
         if self.checks not in {"off", "epoch", "paranoid"}:
             raise ValueError(f"unknown check level {self.checks!r}")
         stream_builder(self.stream)
@@ -350,6 +413,8 @@ def _run_trial(config: ExperimentConfig, seed: int, oracle: LossOracle,
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     """One deterministic run per seed; optional CSV traces and invariants.
 
+    Each trial reads its stream once, through one ``HindsightPass`` that
+    serves the learner's queries, the trace's best column and the regret.
     An input error aborts only its own trial; any other error propagates.
     """
     results: list[TrialResult] = []
@@ -358,14 +423,12 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
         trace_path = None
         try:
             params = StreamParams(config.n, config.T, seed=seed)
-            oracle = make_oracle(params, config.stream)
+            stream = HindsightPass(make_oracle(params, config.stream))
             if config.output is not None:
                 trace_path = Path(config.output) / f"trace_seed{seed}.csv"
-                trace = TraceWriter(trace_path, oracle)
-            loss, peak, violations = _run_trial(config, seed, oracle, trace)
-            # the trace's hindsight pass already holds the best total
-            best_total = (trace.best_total if trace is not None
-                          else oracle_best_expert(oracle)[1])
+                trace = TraceWriter(trace_path, stream)
+            loss, peak, violations = _run_trial(config, seed, stream, trace)
+            _, best_total = stream.finish()
         except (ValueError, KeyError, OSError) as exc:  # one bad trial must not sink the rest
             results.append(TrialResult(
                 seed, math.nan, math.nan, math.nan, 0,
@@ -420,6 +483,8 @@ class _FixedLearner:
 
 def make_demo_learner(spec: dict, n: int, rounds: int, seed: int,
                       game: GameOracle):
+    if not isinstance(spec, dict):
+        raise ValueError(f"demo learner must be an object with a 'kind', got {spec!r}")
     kind = spec.get("kind", "mwu-full-memory")
     if kind == "mwu-full-memory":
         return _FullMemoryLearner(n, rounds, seed)

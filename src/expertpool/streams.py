@@ -230,9 +230,16 @@ class EpochSpoilerOracle(_HashedOracle):
         self.base_loss = base_loss
         self.decoy_loss = decoy_loss
         self.epoch_length = epoch_length
+        self._decoy_memo: dict[int, set[int]] = {}  # harness-side, unmetered
 
     def _decoys(self, epoch: int) -> set[int]:
-        """Seed-derived decoy ids for one spoiler epoch."""
+        """Seed-derived decoy ids for one spoiler epoch, drawn once per epoch:
+        the windows of a stream pass split an epoch over several blocks."""
+        if epoch not in self._decoy_memo:
+            self._decoy_memo[epoch] = self._draw_decoys(epoch)
+        return self._decoy_memo[epoch]
+
+    def _draw_decoys(self, epoch: int) -> set[int]:
         picked: set[int] = set()
         j = 0
         while len(picked) < min(2, self.params.n - 1):
@@ -290,13 +297,13 @@ class CsvOracle(LossOracle):
             raise ValueError(f"ragged rows in {path!r}")
         if not np.array_equal(data[:, 0], np.arange(1, params.T + 1)):
             raise ValueError(f"day column in {path!r} is not 1..{params.T}")
-        mat = data[:, 1:]
-        _check_unit(mat, f"losses in {path!r}")
-        self.matrix = np.ascontiguousarray(mat)
+        self.matrix = data[:, 1:]  # a view: the day column stays beside it
+        _check_unit(self.matrix, f"losses in {path!r}")
 
     def loss_block(self, t0, t1, ids):
+        # take, not fancy indexing: a[:, idx] comes back in Fortran order
         ids = np.asarray(ids, dtype=np.int64)
-        return self.matrix[t0 - 1 : t1, :][:, ids - 1].copy()
+        return np.take(self.matrix[t0 - 1:t1], ids - 1, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -82,31 +82,154 @@ class TestOracleBestExpert:
         assert abs(totals[best - 1] - total) < 1e-9
 
 
-class TestHindsightPass:
-    """The blocked pass against one cumsum over the whole matrix."""
+def _window(monkeypatch, days, n):
+    """Windows of ``days`` days of all n experts; None keeps the default."""
+    if days is not None:
+        monkeypatch.setattr(bench, "WINDOW_CELLS", days * n)
 
-    @pytest.mark.parametrize("chunk", [7, bench.BLOCK_DAYS])
+
+class DirectPass(bench.HindsightPass):
+    """The pass with every learner query sent to the oracle: the reference
+    the shared windows must reproduce byte for byte."""
+
+    def loss_block(self, t0, t1, ids):
+        return self.oracle.loss_block(t0, t1, ids)
+
+
+class TestHindsightPass:
+    """The windowed stream pass: the regret oracle against one cumsum over the
+    whole matrix, and the learner's queries against the oracle itself."""
+
+    @pytest.mark.parametrize("window", [1, 7, 4096])
     @pytest.mark.parametrize("spec", [
         SPOILER,  # non-integer losses
         {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
     ], ids=["epoch-spoiler", "iid-bernoulli"])
-    def test_matches_full_cumsum_bit_for_bit(self, monkeypatch, chunk, spec):
-        monkeypatch.setattr(bench, "BLOCK_DAYS", chunk)
-        params = StreamParams(5, 2 * chunk + 37, seed=8)
-        assert params.T % chunk
+    def test_matches_full_cumsum_bit_for_bit(self, monkeypatch, window, spec):
+        params = StreamParams(5, 2 * window + 37, seed=8)
+        _window(monkeypatch, window, params.n)
+        assert window == 1 or params.T % window  # a last, shorter window
         o = make_oracle(params, spec)
         full = o.full_matrix()
-        best_so_far, best, total = bench._hindsight(o)
-        assert best_so_far.tobytes() == full.cumsum(axis=0).min(axis=1).tobytes()
-        # the whole-matrix result the oracle gave before the blocked pass
+        stream = bench.HindsightPass(o)
+        best, total = stream.finish()
+        assert stream.best_so_far.tobytes() == full.cumsum(axis=0).min(axis=1).tobytes()
+        # the whole-matrix result the oracle gave before the windowed pass
         totals = full.sum(axis=0)
         old_best = int(np.argmin(totals)) + 1
         assert oracle_best_expert(o) == (old_best, float(totals[old_best - 1]))
         assert (best, total) == (old_best, float(totals[old_best - 1]))
 
+    @pytest.mark.parametrize("window", [1, 7, None])
+    @pytest.mark.parametrize("spec", [
+        SPOILER, {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+        {"generator": "constant", "means": [0.5, 0.25, 0.75, 0.125, 1.0, 0.0]},
+    ], ids=["epoch-spoiler", "iid-bernoulli", "constant"])
+    def test_served_blocks_equal_the_oracle(self, monkeypatch, window, spec):
+        # in-order queries of every shape: one day, repeats of the same first
+        # day, spans across windows, jumps ahead, unsorted and repeated ids
+        _window(monkeypatch, window, 6)
+        o = make_oracle(StreamParams(6, 300, seed=3), spec)
+        stream = bench.HindsightPass(o)
+        rng = np.random.default_rng(0)
+        t0 = 1
+        while t0 <= o.T:
+            t1 = min(o.T, t0 + int(rng.integers(0, 40)))
+            for k in range(int(rng.integers(1, 4))):
+                ids = (np.arange(1, 7) if k == 0
+                       else rng.integers(1, 7, size=int(rng.integers(1, 9))))
+                got = stream.loss_block(t0, t1, ids)
+                want = o.loss_block(t0, t1, ids)
+                assert got.flags.c_contiguous and got.dtype == np.float64
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                got[:] = -1.0  # a fresh array: the windows are untouched
+            t0 += int(rng.integers(0, t1 - t0 + 2)) or 1
+        assert stream.read == o.T
+
+    def test_query_behind_the_pass_reads_the_oracle(self, monkeypatch):
+        n, T = 4, 200
+        _window(monkeypatch, 16, n)
+        o = CountingOracle(StreamParams(n, T, seed=1), np.linspace(0.2, 0.8, n))
+        stream = bench.HindsightPass(o)
+        ids = np.array([4, 1])
+        for t0, t1 in [(150, 160), (170, 175)]:
+            assert np.array_equal(stream.loss_block(t0, t1, ids), o.loss_block(t0, t1, ids))
+        cells = o.cells
+        assert np.array_equal(stream.loss_block(3, 9, ids), o.loss_block(3, 9, ids))
+        assert o.cells == cells + 2 * 7 * len(ids)  # served by the oracle itself
+        stream.finish()
+        assert np.array_equal(stream.loss_block(160, 160, ids),
+                              o.loss_block(160, 160, ids))
+
+    def test_days_outside_the_horizon_rejected(self):
+        stream = bench.HindsightPass(
+            make_oracle(StreamParams(3, 10), {"generator": "iid-bernoulli",
+                                              "mean-range": [0.2, 0.8]}))
+        for t0, t1 in [(0, 3), (5, 11), (11, 11)]:
+            with pytest.raises(IndexError):
+                stream.loss_block(t0, t1, np.array([1]))
+
+    @pytest.mark.parametrize("window", [1, 7, None])
+    @pytest.mark.parametrize("learner,checks", [
+        ("baseline", "epoch"), ("baseline", "paranoid"),
+        ("full-hierarchy", "epoch"), ("mwu-full-memory", "epoch")])
+    @pytest.mark.parametrize("stream", [
+        "iid-bernoulli", "epoch-spoiler", "csv-file", "constant"])
+    def test_trial_matches_direct_queries(self, tmp_path, monkeypatch, window,
+                                          learner, checks, stream):
+        # traces, regret and peak with the learner served from the windows
+        # equal those with every query sent to the oracle
+        n, T = 6, 300
+        spec = {"iid-bernoulli": {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+                "epoch-spoiler": SPOILER,
+                "constant": {"generator": "constant",
+                             "means": [0.5, 0.25, 0.75, 0.2, 1.0, 0.3]},
+                "csv-file": {"generator": "csv-file", "path": str(tmp_path / "s.csv")},
+                }[stream]
+        dump_stream(make_oracle(StreamParams(n, T, seed=9), SPOILER), tmp_path / "s.csv")
+
+        def run(out):
+            cfg = ExperimentConfig(learner, n, T, spec, trials=[2],
+                                   learner_params={"eps": 0.3}, checks=checks,
+                                   output=str(out))
+            (r,) = run_experiment(cfg)
+            assert r.violations == []
+            return r, Path(r.trace_path).read_bytes()
+
+        _window(monkeypatch, window, n)
+        got, got_trace = run(tmp_path / "windows")
+        monkeypatch.setattr(bench, "HindsightPass", DirectPass)
+        want, want_trace = run(tmp_path / "direct")
+        assert got_trace == want_trace
+        assert (got.regret, got.cumulative_loss, got.best_total, got.peak_words) == \
+            (want.regret, want.cumulative_loss, want.best_total, want.peak_words)
+
     def test_traced_trial_reads_the_stream_once(self, tmp_path, monkeypatch):
-        # harness cells are exactly n*T on top of the learner's own queries
-        n, T, means = 8, 1000, np.linspace(0.2, 0.8, 8)
+        # the learner's queries and the trace are served from the pass's reads
+        self._assert_reads_once(monkeypatch, "baseline", str(tmp_path))
+        # the learner's own counter is exactly the cells it reads
+        n, T = 8, 1000
+        learner = BaselineLearner(BaselineParams(n, T, eps=0.3, seed=4))
+        solo = CountingOracle(StreamParams(n, T, seed=4), np.linspace(0.2, 0.8, n))
+        learner.run(solo)
+        assert learner.queries == solo.cells > 0
+
+    @pytest.mark.parametrize("learner,output", [
+        ("baseline", None), ("full-hierarchy", None), ("full-hierarchy", "out"),
+        ("mwu-full-memory", None)])
+    def test_trial_reads_the_stream_once(self, tmp_path, monkeypatch, learner, output):
+        self._assert_reads_once(monkeypatch, learner,
+                                output and str(tmp_path / output))
+
+    def test_hierarchy_blocks_across_windows_read_once(self, monkeypatch):
+        # 12-day blocks (eps 0.3) against 5,461-day windows at n=6: a block
+        # crossing a window boundary is served to every level from the last
+        # two windows
+        assert bench._window_days(6) % 12 and 12000 > 2 * bench._window_days(6)
+        self._assert_reads_once(monkeypatch, "full-hierarchy", None, n=6, T=12000)
+
+    def _assert_reads_once(self, monkeypatch, learner, output, n=8, T=1000):
+        means = np.linspace(0.2, 0.8, n)
         oracles = []
 
         def counting(params, spec):
@@ -114,16 +237,12 @@ class TestHindsightPass:
             return oracles[-1]
 
         monkeypatch.setattr(bench, "make_oracle", counting)
-        cfg = ExperimentConfig("baseline", n, T, {"generator": "iid-bernoulli"},
+        cfg = ExperimentConfig(learner, n, T, {"generator": "iid-bernoulli"},
                                trials=[4], learner_params={"eps": 0.3},
-                               output=str(tmp_path))
+                               output=output)
         (r,) = run_experiment(cfg)
         assert r.violations == []
-        learner = BaselineLearner(BaselineParams(n, T, eps=0.3, seed=4))
-        solo = CountingOracle(StreamParams(n, T, seed=4), means)
-        learner.run(solo)
-        assert learner.queries == solo.cells
-        assert oracles[0].cells == n * T + learner.queries
+        assert oracles[0].cells == n * T
 
 
 class MatrixOracle(LossOracle):
@@ -151,7 +270,7 @@ class TestDumpStream:
     VALUES = [-0.0, 0.1, 1 / 3, 0.0, 1.0, 2.5e-7]
 
     def test_bytes_match_row_writer(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(bench, "BLOCK_DAYS", 3)
+        _window(monkeypatch, 3, 4)
         rng = np.random.default_rng(0)
         o = MatrixOracle(rng.choice(self.VALUES, size=(11, 4)))
         dump_stream(o, tmp_path / "new.csv")
@@ -162,11 +281,23 @@ class TestDumpStream:
         SPOILER, {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
     ], ids=["epoch-spoiler", "iid-bernoulli"])
     def test_generated_stream_bytes_match_row_writer(self, tmp_path, monkeypatch, spec):
-        monkeypatch.setattr(bench, "BLOCK_DAYS", 64)
+        _window(monkeypatch, 64, 6)
         o = make_oracle(StreamParams(6, 300, seed=5), spec)
         dump_stream(o, tmp_path / "new.csv")
         _dump_one_row_at_a_time(o, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_reads_one_window_at_a_time(self, tmp_path, monkeypatch):
+        _window(monkeypatch, 7, 4)
+        o = CountingOracle(StreamParams(4, 30, seed=2), np.linspace(0.2, 0.8, 4))
+        spans = []
+        serve = o.loss_block
+        monkeypatch.setattr(o, "loss_block",
+                            lambda t0, t1, ids: spans.append((t0, t1)) or serve(t0, t1, ids))
+        dump_stream(o, tmp_path / "s.csv")
+        assert spans == [(1, 7), (8, 14), (15, 21), (22, 28), (29, 30)]
+        _dump_one_row_at_a_time(o, tmp_path / "old.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_negative_zero_and_non_dyadic_round_trip(self, tmp_path):
         matrix = np.array([[-0.0, 0.1], [0.1, 0.0], [0.0, -0.0]])
@@ -300,6 +431,17 @@ class TestExperimentConfig:
     def test_unknown_generator_rejected_at_construction(self, stream):
         with pytest.raises(ValueError, match="unknown generator"):
             ExperimentConfig("baseline", 4, 10, stream)
+
+    @pytest.mark.parametrize("trials", [3, [], [1.5], ["0"], None])
+    def test_trials_must_be_a_list_of_seeds(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig("baseline", 4, 10, {"generator": "constant"}, trials=trials)
+
+    @pytest.mark.parametrize("params", [[1], "eps", 0.3])
+    def test_learner_params_must_be_an_object(self, params):
+        with pytest.raises(ValueError, match="learner-params"):
+            ExperimentConfig("baseline", 4, 10, {"generator": "constant"},
+                             learner_params=params)
 
     def test_from_dict_key_mapping(self):
         cfg = ExperimentConfig.from_dict({
@@ -603,6 +745,21 @@ class TestCli:
         })
         assert cli.main(["run", cfg]) == 1
         assert "VIOLATION: trial aborted: ValueError: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,payload", [
+        ("run", {"trials": 3}),
+        ("check", {"learner-params": [1]}),
+        ("demo-lb", {"n": 8, "eps-prime": 0.125, "rounds": 5, "learner": "equilibrium"}),
+    ], ids=["trials-int", "learner-params-list", "demo-learner-string"])
+    def test_malformed_config_shape_clean_exit(self, tmp_path, capsys, command, payload):
+        if command != "demo-lb":
+            payload = {"learner": "baseline", "n": 4, "T": 10, "trials": [0],
+                       "stream": {"generator": "constant", "means": [0.5] * 4},
+                       **payload}
+        assert cli.main([command, self._write_json(tmp_path / "m.json", payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "VIOLATION" not in captured.out
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1

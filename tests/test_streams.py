@@ -271,6 +271,22 @@ class TestEpochSpoiler:
                                base_loss=0.3, decoy_loss=0.1, epoch_length=10)
         assert np.all(o.full_matrix()[:, 1] == 0.3)
 
+    def test_decoy_memo_equals_fresh_draws(self):
+        # windows split a spoiler epoch over several blocks; its decoys are
+        # drawn once and must be what a fresh draw gives
+        params = StreamParams(9, 400, seed=6)
+        o = EpochSpoilerOracle(params, best_id=4, base_loss=0.3, decoy_loss=0.1,
+                               epoch_length=25)
+        blocks = [o.loss_block(t0, min(t0 + 6, params.T), np.arange(1, 10))
+                  for t0 in range(1, params.T + 1, 7)]
+        assert sorted(o._decoy_memo) == list(range(1, 16, 3))
+        fresh = EpochSpoilerOracle(params, best_id=4, base_loss=0.3, decoy_loss=0.1,
+                                   epoch_length=25)
+        for epoch, decoys in o._decoy_memo.items():
+            assert decoys == fresh._draw_decoys(epoch) == o._draw_decoys(epoch)
+        assert np.array_equal(np.concatenate(blocks), fresh.full_matrix())
+        assert fresh._decoy_memo == o._decoy_memo
+
     def test_rejects_decoy_above_base(self):
         with pytest.raises(ValueError):
             EpochSpoilerOracle(StreamParams(4, 10), best_id=1,
@@ -289,6 +305,18 @@ class TestCsvOracle:
         o = CsvOracle(StreamParams(2, 2), str(f))
         assert o.loss(2, 1) == 0.0
         assert o.loss(1, 1) == 0.25
+
+    def test_served_blocks_are_c_contiguous_file_values(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values = rng.random((30, 5))
+        f = tmp_path / "s.csv"
+        self._write(f, 5, [[t, *row] for t, row in enumerate(values.tolist(), 1)])
+        o = CsvOracle(StreamParams(5, 30), str(f))
+        for t0, t1, ids in [(1, 30, [1, 2, 3, 4, 5]), (4, 9, [5, 1, 1]),
+                            (30, 30, [3]), (2, 17, [2, 4])]:
+            got = o.loss_block(t0, t1, ids)
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == values[t0 - 1:t1, np.array(ids) - 1].tobytes()
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
