@@ -14,7 +14,7 @@ import numpy as np
 
 from .meter import WordMeter
 from .mwu import MwuState
-from .streams import LossOracle
+from .streams import LossOracle, check_number
 
 __all__ = [
     "BaselineParams",
@@ -52,10 +52,12 @@ class BaselineParams:
             raise ValueError(f"need T >= 1, got {self.T}")
         # the upper end is inclusive so the hierarchy's eps = n^(-delta/2)
         # is admissible at n = 4, delta = 1
+        check_number("eps", self.eps)
         if not 0.0 < self.eps <= 0.5:
             raise ValueError(f"eviction threshold must lie in (0, 1/2], got {self.eps}")
         if self.B is None:
             object.__setattr__(self, "B", default_epoch_length(self.n, self.T, self.eps))
+        check_number("B", self.B, integral=True)
         if not 1 <= self.B <= self.T:
             raise ValueError(f"epoch length {self.B} outside [1, {self.T}]")
 
@@ -223,7 +225,7 @@ class Epoch:
         self.full = full
         self.members, self.r_ids = pool.draw(rng, n, sample_size, full)
         self.ids = np.array(self.members, dtype=np.int64)
-        self.mwu = MwuState(self.members, horizon=B, eta=eta)
+        self.mwu = MwuState(len(self.members), horizon=B, eta=eta)
         self.sums = np.zeros(len(self.members))
         self.rounds = 0
         # MWU cumulative losses + constants; loss sums + fresh ids
@@ -289,10 +291,6 @@ class BaselineLearner:
     def in_epoch(self) -> bool:
         return self._epoch is not None
 
-    @property
-    def members(self) -> list[int]:
-        return self._epoch.members if self.in_epoch else []
-
     def epoch_rest(self) -> tuple[np.ndarray, int]:
         """Member ids (an int64 array) and days left of the open epoch,
         beginning one if none is open."""
@@ -307,9 +305,9 @@ class BaselineLearner:
     def advance(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Play the next ``len(losses)`` days of the current epoch.
 
-        losses has one row per day and one column per current member, in the
-        order of ``members``. Returns the realized per-day losses and the
-        expert ids played.
+        losses has one row per day and one column per member of the open
+        epoch, in the order of the ids ``epoch_rest`` returns. Returns the
+        realized per-day losses and the expert ids played.
         """
         ep = self._epoch
         days = losses.shape[0]
@@ -348,13 +346,6 @@ class BaselineLearner:
         for i, prob in zip(self._epoch.members, self._epoch.mwu.distribution()):
             p[i - 1] += prob
         return p
-
-    # -- whole-run driver ---------------------------------------------------
-
-    def run(self, oracle: LossOracle) -> None:
-        """Run the full horizon against an oblivious oracle, epoch at a time."""
-        while self.day < self.params.T:
-            self.next_block(oracle)
 
     # -- accounting ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,8 @@ from .baseline import BaselineLearner, BaselineParams, pool_potential
 from .hierarchy import HierarchyLearner, LevelState
 from .meter import WordMeter
 from .mwu import MwuState
-from .streams import GameOracle, LossOracle, StreamParams, make_oracle, stream_builder
+from .streams import (GameOracle, LossOracle, StreamParams, check_number, make_oracle,
+                      stream_builder)
 
 __all__ = [
     "ExperimentConfig",
@@ -196,10 +197,7 @@ def hierarchy_memory_cap_words(learner: HierarchyLearner) -> int:
     ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size,
     merge 4m + 1.
     """
-    lp1 = learner.level_params[0]
-    ep_len = min(lp1.episode_days, learner.T)
-    words = memory_cap_words(BaselineParams(learner.n, ep_len, learner.eps,
-                                            B=min(learner.B, ep_len)))
+    words = memory_cap_words(learner.level1_params(learner.T))
     for lp in learner.level_params[1:]:
         s_hat = lp.pool_cap + lp.sample_size
         words += 8 + s_hat * s_hat + 3 * s_hat
@@ -293,7 +291,7 @@ class ExperimentConfig:
     checks: str = "epoch"  # off | epoch | paranoid
 
     def __post_init__(self):
-        if self.learner not in {"mwu-full-memory", "baseline", "full-hierarchy"}:
+        if self.learner not in ("mwu-full-memory", "baseline", "full-hierarchy"):
             raise ValueError(f"unknown learner {self.learner!r}")
         if not (isinstance(self.trials, list) and self.trials
                 and all(isinstance(s, int) for s in self.trials)):
@@ -301,8 +299,9 @@ class ExperimentConfig:
                              f"got {self.trials!r}")
         if not isinstance(self.learner_params, dict):
             raise ValueError(f"learner-params must be an object, got {self.learner_params!r}")
-        if self.checks not in {"off", "epoch", "paranoid"}:
+        if self.checks not in ("off", "epoch", "paranoid"):
             raise ValueError(f"unknown check level {self.checks!r}")
+        StreamParams(self.n, self.T)  # the checks every trial's stream makes
         stream_builder(self.stream)
 
     @classmethod
@@ -335,7 +334,7 @@ class _FullMemoryLearner:
     ``next_block`` plays the rest of the horizon, or at most ``days`` days."""
 
     def __init__(self, n: int, T: int, seed: int):
-        self.state = MwuState(list(range(1, n + 1)), horizon=T)
+        self.state = MwuState(n, horizon=T)
         self.ids = np.arange(1, n + 1)
         self.meter = WordMeter()
         self.meter.charge("mwu", n + 4)
@@ -360,7 +359,7 @@ class _FullMemoryLearner:
         return self.state.distribution()
 
     def audit_words(self) -> int:
-        return len(self.state) + 4
+        return len(self.state.cum) + 4
 
 
 def _make_learner(config: ExperimentConfig, seed: int, violations: list[str]):
@@ -519,12 +518,14 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     plays that day (``next_block(oracle, 1)``). Reported losses are on the raw
     [0, 4] scale for direct comparison with the 1/k thresholds.
     """
+    params = StreamParams(n, rounds)
+    check_number("eps-prime", epsilon_prime)
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")
     out: list[DemoResult] = []
     for seed in seeds:
-        oracle = GameOracle(StreamParams(n, rounds, seed=seed), k=k)
+        oracle = GameOracle(replace(params, seed=seed), k=k)
         learner = make_demo_learner(learner_spec, n, rounds, seed, oracle)
         total = 0.0
         for _ in range(rounds):

@@ -6,7 +6,9 @@ Subcommands:
   dump-stream  materialize an oblivious stream as a CSV loss file
   check        re-verify invariants on a run (alias for run with checks forced on)
 
-The process exits nonzero iff any invariant or assertion fails.
+The process exits nonzero iff any invariant or assertion fails, or the input
+is bad. ``demo-lb`` checks no invariant of its own: it exits 1 only on bad
+input, and acceptance criterion 10 gates the numbers it prints.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ from .bench import (
 from .streams import StreamParams, make_oracle
 
 
+def _load_config(path: str) -> dict:
+    """The JSON object in ``path``; any other top-level value is bad input."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {config!r}")
+    return config
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        config = ExperimentConfig.from_dict(json.load(fh))
+    config = ExperimentConfig.from_dict(_load_config(args.config))
     if args.output is not None:
         config.output = args.output
     if args.checks is not None:
@@ -48,8 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_lb(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        spec = json.load(fh)
+    spec = _load_config(args.config)
     results = run_lowerbound_demo(
         n=spec["n"],
         epsilon_prime=spec["eps-prime"],
@@ -57,22 +66,17 @@ def _cmd_demo_lb(args: argparse.Namespace) -> int:
         learner_spec=spec.get("learner", {"kind": "mwu-full-memory"}),
         seeds=spec.get("seeds", [0]),
     )
-    failed = False
     for r in results:
         th = r.thresholds
         print(f"seed {r.seed}: support={r.support} "
               f"avg_raw_loss={r.avg_raw_loss:.4f} "
               f"minmax={th['minmax']:.4f} approx={th['approx']:.4f} "
               f"uncovered={th['uncovered']:.4f}")
-        if not r.avg_raw_loss >= 0.0:
-            failed = True
-            print("  VIOLATION: negative average loss")
-    return 1 if failed else 0
+    return 0
 
 
 def _cmd_dump_stream(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        spec = json.load(fh)
+    spec = _load_config(args.config)
     out = args.output or spec.get("output")
     if out is None:
         print("error: no output path (use --output or the 'output' key)",

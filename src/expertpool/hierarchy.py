@@ -14,7 +14,7 @@ import numpy as np
 
 from .baseline import BaselineLearner, BaselineParams, Epoch, Pool, PoolEntry, evict_pass
 from .meter import WordMeter
-from .streams import GameOracle, LossOracle
+from .streams import GameOracle, LossOracle, check_number
 
 __all__ = ["LevelParams", "LevelState", "HierarchyLearner", "build_levels"]
 
@@ -52,6 +52,7 @@ def build_levels(n: int, T: int, delta: float) -> tuple[float, int, list[LevelPa
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    check_number("delta", delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if T < n:
@@ -167,7 +168,7 @@ class LevelState:
 
     def _start_decision_day(self, rng: np.random.Generator) -> None:
         m = len(self._epoch.ids)
-        self._committed = self._epoch.members.index(self._epoch.mwu.sample(rng))
+        self._committed = self._epoch.mwu.sample(rng)
         self._cum_own = np.zeros(m)
         self._cum_descend = np.zeros(m)
         self._dd_sum_e = np.zeros(m)
@@ -256,8 +257,6 @@ class HierarchyLearner:
                  on_epoch_close=None):
         self.n = n
         self.T = T
-        self.delta = delta
-        self.seed = seed
         self.eps, self.K, self.level_params = build_levels(n, T, delta)
         self.B = self.level_params[0].B
         self.rng = np.random.default_rng(seed)
@@ -279,16 +278,15 @@ class HierarchyLearner:
         if lvl1 is not None:
             lvl1.pool.clear()
             self.meter.release("overhead", 8)
-        ep_len = min(self.level_params[0].episode_days, self.T - self.day)
-        params = BaselineParams(
-            self.n,
-            ep_len,
-            self.eps,
-            B=min(self.B, ep_len),
-            seed=self.seed,
-        )
-        self._lvl1 = BaselineLearner(params, meter=self.meter, rng=self.rng,
+        self._lvl1 = BaselineLearner(self.level1_params(self.T - self.day),
+                                     meter=self.meter, rng=self.rng,
                                      on_epoch_close=self.on_epoch_close)
+
+    def level1_params(self, days_left: int) -> BaselineParams:
+        """Level-1 parameters for one full episode, or the shorter tail when
+        ``days_left`` is less; level 1 draws from the hierarchy's generator."""
+        ep_len = min(self.level_params[0].episode_days, days_left)
+        return BaselineParams(self.n, ep_len, self.eps, B=min(self.B, ep_len))
 
     @property
     def pool_size(self) -> int:
@@ -316,10 +314,6 @@ class HierarchyLearner:
         self.day += L
         self.cumulative_loss += float(realized.sum())
         return t0, realized, played
-
-    def run(self, oracle: LossOracle) -> None:
-        while self.day < self.T:
-            self.next_block(oracle)
 
     def audit_words(self) -> int:
         words = sum(lvl.audit_words() for lvl in self.levels)

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["WordMeter", "MeterSnapshot"]
-
-
-@dataclass(frozen=True)
-class MeterSnapshot:
-    current: int
-    peak: int
-    breakdown: dict[str, int]
+__all__ = ["WordMeter"]
 
 
 @dataclass
@@ -43,6 +36,3 @@ class WordMeter:
             )
         self.by_category[category] = held - words
         self.current -= words
-
-    def snapshot(self) -> MeterSnapshot:
-        return MeterSnapshot(self.current, self.peak, dict(self.by_category))

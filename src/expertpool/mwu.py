@@ -8,7 +8,7 @@ so the exp arguments stay bounded.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,21 +30,15 @@ def _check_losses(losses: np.ndarray) -> None:
 
 
 class MwuState:
-    """Distribution over tracked ids with p(i) proportional to exp(-eta * cum(i))."""
+    """Distribution over positions 0..m-1 with p(i) proportional to exp(-eta * cum(i))."""
 
-    def __init__(self, ids: Sequence[Hashable], horizon: int,
-                 eta: float | None = None):
-        ids = list(ids)
-        if not ids:
-            raise ValueError("expert set must be nonempty")
-        if len(set(ids)) != len(ids):
-            raise ValueError("expert ids must be distinct")
+    def __init__(self, m: int, horizon: int, eta: float | None = None):
+        if m < 1:
+            raise ValueError(f"expert set must be nonempty, got m={m}")
         if horizon < 1:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        self.ids = ids
-        self.horizon = horizon
-        self.eta = _default_eta(len(ids), horizon) if eta is None else float(eta)
-        self.cum = np.zeros(len(ids))
+        self.eta = _default_eta(m, horizon) if eta is None else float(eta)
+        self.cum = np.zeros(m)
 
     # -- distribution -------------------------------------------------------
 
@@ -58,29 +52,29 @@ class MwuState:
     # -- updates ------------------------------------------------------------
 
     def update(self, losses: Sequence[float]) -> None:
-        """Add one round of losses (one entry per tracked id, in order, in range)."""
+        """Add one round of losses (one entry per position, in order, in range)."""
         vec = np.asarray(losses, dtype=np.float64)
         if vec.shape != self.cum.shape:
-            raise ValueError(f"expected {len(self.ids)} losses, got {vec.shape}")
+            raise ValueError(f"expected {len(self.cum)} losses, got {vec.shape}")
         _check_losses(vec)
         self.cum += vec
         self.cum -= self.cum.min()
 
-    def sample(self, rng: np.random.Generator) -> Hashable:
-        """Draw one id from the current distribution (one uniform consumed)."""
+    def sample(self, rng: np.random.Generator) -> int:
+        """Draw one position from the current distribution (one uniform consumed)."""
         cdf = np.cumsum(self.weights())
         k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        return self.ids[min(k, len(self.ids) - 1)]
+        return min(k, len(cdf) - 1)
 
     def run_block(self, losses: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample-then-update over a block of rounds in one vectorized pass.
 
-        losses has shape (rounds, len(ids)); returns the sampled column index
-        per round. Equivalent to repeated sample()/update() with one uniform
-        per round, up to floating rounding in the cumulative sums.
+        losses has shape (rounds, m); returns the sampled position per round.
+        Equivalent to repeated sample()/update() with one uniform per round,
+        up to floating rounding in the cumulative sums.
         """
         losses = np.asarray(losses, dtype=np.float64)
-        rounds, m = losses.shape[0], len(self.ids)
+        rounds, m = losses.shape[0], len(self.cum)
         if losses.shape != (rounds, m):
             raise ValueError(f"expected shape (rounds, {m})")
         if rounds == 0:
@@ -104,6 +98,3 @@ class MwuState:
         self.cum += pre[-1]
         self.cum -= self.cum.min()
         return picks
-
-    def __len__(self) -> int:
-        return len(self.ids)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -29,6 +30,7 @@ __all__ = [
     "stream_builder",
     "make_oracle",
     "count_covered_sets",
+    "check_number",
 ]
 
 _GOLD_T = np.uint64(0x9E3779B97F4A7C15)
@@ -84,6 +86,14 @@ def _uniform01(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
     return _bits53(seed, t, i) * (1.0 / (1 << 53))
 
 
+def check_number(name: str, value, integral: bool = False) -> None:
+    """ValueError unless ``value`` is a number (an integer if ``integral``) and
+    not a bool: a config's "16" or 1e3 is bad input, not a programming error."""
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StreamParams:
     """Problem dimensions shared by every oracle: expert count, horizon, seed."""
@@ -93,6 +103,8 @@ class StreamParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "T", "seed"):
+            check_number(name, getattr(self, name), integral=True)
         if self.n < 2:
             raise ValueError(f"need at least 2 experts, got n={self.n}")
         if self.T < 1:
@@ -100,7 +112,7 @@ class StreamParams:
 
 
 class LossOracle:
-    """Query access to the day-t loss of expert i, always in [0, 1].
+    """Daily expert losses in [0, 1], read only through ``loss_block``.
 
     Oblivious oracles are pure functions of (seed, t, i): query order and the
     learner's decisions never affect the returned values.
@@ -117,23 +129,9 @@ class LossOracle:
     def T(self) -> int:
         return self.params.T
 
-    def _check(self, t: int, i: int) -> None:
-        if not 1 <= t <= self.params.T:
-            raise IndexError(f"day {t} outside [1, {self.params.T}]")
-        if not 1 <= i <= self.params.n:
-            raise IndexError(f"expert {i} outside [1, {self.params.n}]")
-
-    def loss(self, t: int, i: int) -> float:
-        self._check(t, i)
-        return float(self.loss_block(t, t, np.array([i]))[0, 0])
-
     def loss_block(self, t0: int, t1: int, ids: Sequence[int]) -> np.ndarray:
         """Losses for days t0..t1 (inclusive) and the given ids, shape (days, len(ids))."""
         raise NotImplementedError
-
-    def full_matrix(self) -> np.ndarray:
-        """The entire T x n loss matrix (harness-side use only; not metered)."""
-        return self.loss_block(1, self.params.T, np.arange(1, self.params.n + 1))
 
 
 def _check_unit(values: np.ndarray, what: str) -> None:
@@ -188,6 +186,8 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
         rng = np.random.default_rng(params.seed)
         means = rng.uniform(lo, hi, size=params.n)
         for sid, m in spec.get("overrides", {}).items():
+            if not 1 <= int(sid) <= params.n:
+                raise ValueError(f"override id {sid!r} outside [1, {params.n}]")
             means[int(sid) - 1] = m
     else:
         raise ValueError("iid-bernoulli needs 'means' or 'mean-range'")
@@ -220,6 +220,10 @@ class EpochSpoilerOracle(_HashedOracle):
     def __init__(self, params: StreamParams, best_id: int, base_loss: float,
                  decoy_loss: float, epoch_length: int):
         super().__init__(params)
+        check_number("best-id", best_id, integral=True)
+        check_number("epoch-length", epoch_length, integral=True)
+        check_number("base-loss", base_loss)
+        check_number("decoy-loss", decoy_loss)
         if not 1 <= best_id <= params.n:
             raise ValueError(f"best-id {best_id} outside [1, {params.n}]")
         if not (0.0 <= decoy_loss < base_loss <= 1.0):

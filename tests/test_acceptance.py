@@ -104,8 +104,8 @@ def test_criterion_04_mwu_regret():
                   {"generator": "epoch-spoiler", "best-id": 1, "base-loss": 0.2,
                    "decoy-loss": 0.05, "epoch-length": 500})
         oracle = make_oracle(StreamParams(n, T, seed=seed), stream)
-        matrix = oracle.full_matrix()
-        state = MwuState(list(range(1, n + 1)), horizon=T)
+        matrix = oracle.loss_block(1, T, np.arange(1, n + 1))
+        state = MwuState(n, horizon=T)
         picks = state.run_block(matrix, np.random.default_rng(seed))
         regret = matrix[np.arange(T), picks].sum() - matrix.sum(axis=0).min()
         if regret > bound:

@@ -24,6 +24,12 @@ from expertpool.meter import WordMeter
 from expertpool.streams import ConstantOracle, StreamParams, make_oracle
 
 
+def play(learner, oracle):
+    """Step ``learner`` through ``next_block`` to the oracle's horizon."""
+    while learner.day < oracle.T:
+        learner.next_block(oracle)
+
+
 def entry(id, alpha, own_avg, own_count=1, cross=None):
     e = PoolEntry(id, alpha)
     e.own = IntervalAccumulator(own_avg * own_count, own_count)
@@ -272,7 +278,7 @@ class TestLearner:
         pools = []
         learner = BaselineLearner(
             params, on_epoch_close=lambda l: pools.append([e.id for e in l.entries]))
-        learner.run(oracle)
+        play(learner, oracle)
         assert pools[0] == [1]
         for snapshot in pools[1:]:
             assert snapshot == [1]
@@ -283,7 +289,7 @@ class TestLearner:
         runs = []
         for _ in range(2):
             learner = BaselineLearner(BaselineParams(8, 200, eps=0.3, seed=9))
-            learner.run(oracle)
+            play(learner, oracle)
             runs.append((learner.cumulative_loss,
                          [e.id for e in learner.entries]))
         assert runs[0] == runs[1]
@@ -292,7 +298,7 @@ class TestLearner:
         spec = {"generator": "iid-bernoulli", "mean-range": [0.1, 0.9]}
         oracle = make_oracle(StreamParams(6, 60, seed=2), spec)
         by_block = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
-        by_block.run(oracle)
+        play(by_block, oracle)
         by_day = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
         while by_day.day < 60:
             by_day.next_block(oracle, 1)
@@ -305,17 +311,18 @@ class TestLearner:
         learner = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
         t0, realized, played = learner.next_block(oracle, 2)
         assert (t0, len(realized), learner.day) == (1, 2, 2)
-        members = learner.members
+        members, days = learner.epoch_rest()
+        assert days == 3
         t0, realized, played = learner.next_block(oracle)
         assert (t0, len(realized), learner.day) == (3, 3, 5)
-        assert set(played.tolist()) <= set(members)
+        assert set(played.tolist()) <= set(members.tolist())
         assert not learner.in_epoch
 
     def test_tail_epoch_skips_retention_and_eviction(self):
         oracle = ConstantOracle(StreamParams(4, 10, seed=0),
                                 [0.1, 0.5, 0.6, 0.7])
         learner = BaselineLearner(BaselineParams(4, 10, eps=0.2, B=4, seed=0))
-        learner.run(oracle)
+        play(learner, oracle)
         # epochs: 4 + 4 + tail 2; the tail adds no pool entry and no epoch avg
         assert learner.day == 10
         for e in learner.entries:
@@ -331,7 +338,7 @@ class TestLearner:
             seen.append(tuple(alphas))
         learner = BaselineLearner(BaselineParams(10, 300, eps=0.25, B=10, seed=3),
                                   on_epoch_close=check)
-        learner.run(oracle)
+        play(learner, oracle)
         assert seen
 
     def test_query_discipline(self):
@@ -340,7 +347,7 @@ class TestLearner:
         oracle = make_oracle(StreamParams(12, 240, seed=1),
                              {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]})
         learner = BaselineLearner(params)
-        learner.run(oracle)
+        play(learner, oracle)
         assert learner.queries <= 240 * (params.pool_cap + params.sample_size)
 
     def test_commit_distribution(self):
@@ -349,7 +356,7 @@ class TestLearner:
         p = learner.commit_distribution()
         assert p.shape == (5,)
         assert abs(p.sum() - 1.0) < 1e-9
-        assert set(np.nonzero(p)[0] + 1) <= set(learner.members)
+        assert set(np.nonzero(p)[0] + 1) <= set(learner.epoch_rest()[0].tolist())
 
     def test_meter_audit_matches(self):
         spec = {"generator": "iid-bernoulli", "mean-range": [0.1, 0.9]}
@@ -359,5 +366,5 @@ class TestLearner:
             on_epoch_close=lambda l: (
                 None if l.audit_words() == l.meter.current
                 else pytest.fail("meter drifted from live state")))
-        learner.run(oracle)
+        play(learner, oracle)
         assert learner.audit_words() == learner.meter.current

@@ -77,7 +77,7 @@ class TestOracleBestExpert:
         dump_stream(o, path)
         replay = CsvOracle(params, str(path))
         assert oracle_best_expert(replay) == oracle_best_expert(o)
-        totals = replay.full_matrix().sum(axis=0)
+        totals = replay.loss_block(1, params.T, np.arange(1, params.n + 1)).sum(axis=0)
         best, total = oracle_best_expert(o)
         assert abs(totals[best - 1] - total) < 1e-9
 
@@ -110,7 +110,7 @@ class TestHindsightPass:
         _window(monkeypatch, window, params.n)
         assert window == 1 or params.T % window  # a last, shorter window
         o = make_oracle(params, spec)
-        full = o.full_matrix()
+        full = o.loss_block(1, params.T, np.arange(1, params.n + 1))
         stream = bench.HindsightPass(o)
         best, total = stream.finish()
         assert stream.best_so_far.tobytes() == full.cumsum(axis=0).min(axis=1).tobytes()
@@ -211,7 +211,8 @@ class TestHindsightPass:
         n, T = 8, 1000
         learner = BaselineLearner(BaselineParams(n, T, eps=0.3, seed=4))
         solo = CountingOracle(StreamParams(n, T, seed=4), np.linspace(0.2, 0.8, n))
-        learner.run(solo)
+        while learner.day < T:
+            learner.next_block(solo)
         assert learner.queries == solo.cells > 0
 
     @pytest.mark.parametrize("learner,output", [
@@ -258,7 +259,7 @@ class MatrixOracle(LossOracle):
 
 def _dump_one_row_at_a_time(oracle, path):
     """The row-by-row csv writer dump_stream must match byte for byte."""
-    matrix = oracle.full_matrix()
+    matrix = oracle.loss_block(1, oracle.T, np.arange(1, oracle.n + 1))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"e{i}" for i in range(1, oracle.n + 1)])
@@ -304,7 +305,7 @@ class TestDumpStream:
         path = tmp_path / "z.csv"
         dump_stream(MatrixOracle(matrix), path)
         assert path.read_text().splitlines()[1:] == ["1,-0,0.1", "2,0.1,0", "3,0,-0"]
-        replay = CsvOracle(StreamParams(2, 3), str(path)).full_matrix()
+        replay = CsvOracle(StreamParams(2, 3), str(path)).loss_block(1, 3, [1, 2])
         assert replay.tobytes() == matrix.tobytes()  # the sign of zero included
 
 
@@ -636,6 +637,8 @@ class TestLowerBoundDemo:
 
 
 class TestCli:
+    STREAM = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
+
     def _write_json(self, path, payload):
         path.write_text(json.dumps(payload))
         return str(path)
@@ -675,7 +678,7 @@ class TestCli:
         })
         assert cli.main(["dump-stream", cfg]) == 0
         replay = CsvOracle(StreamParams(3, 12, seed=2), str(out))
-        assert np.allclose(replay.full_matrix(),
+        assert np.allclose(replay.loss_block(1, 12, [1, 2, 3]),
                            np.tile([0.1, 0.2, 0.3], (12, 1)))
 
     def test_bad_config_nonzero_exit(self, tmp_path):
@@ -750,7 +753,10 @@ class TestCli:
         ("run", {"trials": 3}),
         ("check", {"learner-params": [1]}),
         ("demo-lb", {"n": 8, "eps-prime": 0.125, "rounds": 5, "learner": "equilibrium"}),
-    ], ids=["trials-int", "learner-params-list", "demo-learner-string"])
+        ("run", {"learner": []}),
+        ("run", {"checks": {}}),
+    ], ids=["trials-int", "learner-params-list", "demo-learner-string", "learner-list",
+            "checks-object"])
     def test_malformed_config_shape_clean_exit(self, tmp_path, capsys, command, payload):
         if command != "demo-lb":
             payload = {"learner": "baseline", "n": 4, "T": 10, "trials": [0],
@@ -760,6 +766,42 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "VIOLATION" not in captured.out
+
+    @pytest.mark.parametrize("command", ["run", "demo-lb", "dump-stream"])
+    def test_non_object_config_clean_exit(self, tmp_path, capsys, command):
+        assert cli.main([command, self._write_json(tmp_path / "l.json", [1])]) == 1
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("run", {"n": "16"}, "error: n must be an integer, got '16'"),
+        ("run", {"T": 1e3}, "error: T must be an integer, got 1000.0"),
+        ("run", {"learner-params": {"eps": "0.3"}},
+         "VIOLATION: trial aborted: ValueError: eps must be a number"),
+        ("run", {"learner": "full-hierarchy", "learner-params": {"delta": "1"}},
+         "VIOLATION: trial aborted: ValueError: delta must be a number"),
+        ("run", {"stream": {**SPOILER, "epoch-length": "5"}},
+         "VIOLATION: trial aborted: ValueError: epoch-length must be an integer"),
+        ("run", {"stream": {**STREAM, "overrides": {"0": 0.1}}},
+         "VIOLATION: trial aborted: ValueError: override id '0' outside [1, 4]"),
+        ("run", {"stream": {**STREAM, "overrides": {"9": 0.1}}},
+         "VIOLATION: trial aborted: ValueError: override id '9' outside [1, 4]"),
+        ("demo-lb", {"n": "8"}, "error: n must be an integer, got '8'"),
+        ("dump-stream", {"T": 40.0}, "error: T must be an integer, got 40.0"),
+        ("dump-stream", {"seed": "3"}, "error: seed must be an integer, got '3'"),
+    ], ids=["n-string", "T-float", "eps-string", "delta-string", "epoch-length-string",
+            "override-0", "override-9", "demo-n-string", "dump-T-float", "dump-seed-string"])
+    def test_malformed_value_clean_exit(self, tmp_path, capsys, command, payload, message):
+        base = {
+            "run": {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
+                    "stream": self.STREAM, "learner-params": {"eps": 0.3}},
+            "demo-lb": {"n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": [0]},
+            "dump-stream": {"n": 4, "T": 40, "seed": 3, "stream": self.STREAM,
+                            "output": str(tmp_path / "s.csv")},
+        }[command]
+        cfg = self._write_json(tmp_path / "v.json", {**base, **payload})
+        assert cli.main([command, cfg]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err + captured.out
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1

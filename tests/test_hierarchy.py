@@ -1,5 +1,6 @@
 """Tests for the multi-level merge learner."""
 
+import copy
 import math
 import warnings
 
@@ -12,6 +13,12 @@ from expertpool.hierarchy import (HierarchyLearner, LevelParams, LevelState,
 from expertpool.meter import WordMeter
 from expertpool.streams import (ConstantOracle, GameOracle, LossOracle, StreamParams,
                                 make_oracle)
+
+
+def play(learner, oracle):
+    """Step ``learner`` through ``next_block`` to the oracle's horizon."""
+    while learner.day < oracle.T:
+        learner.next_block(oracle)
 
 
 def _episode_position(lvl):
@@ -112,9 +119,9 @@ class TestDegenerateEqualsBaseline:
         assert h.K == 1
         spec = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
         oracle = make_oracle(StreamParams(n, T, seed=11), spec)
-        h.run(oracle)
+        play(h, oracle)
         b = BaselineLearner(BaselineParams(n, T, eps=h.eps, B=h.B, seed=3))
-        b.run(oracle)
+        play(b, oracle)
         assert h.cumulative_loss == b.cumulative_loss
 
 
@@ -127,14 +134,14 @@ class TestHierarchyRun:
 
     def test_truncation_floor_exact(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=0)
-        h.run(oracle)
+        play(h, oracle)
         lvl2 = h.levels[0]
         assert lvl2.min_truncated >= -lvl2.lp.width
 
     def test_identical_losses_play_common_loss(self):
         oracle = ConstantOracle(StreamParams(4, 256, seed=0), [0.4] * 4)
         h = HierarchyLearner(4, 256, delta=1.0, seed=1)
-        h.run(oracle)
+        play(h, oracle)
         assert h.cumulative_loss == pytest.approx(0.4 * 256)
         assert h.levels[0].min_truncated >= -h.levels[0].lp.width
 
@@ -153,7 +160,7 @@ class TestHierarchyRun:
         sizes = {BaselineLearner: [], LevelState: []}
         h = HierarchyLearner(4, 512, delta=1.0, seed=2,
                              on_epoch_close=lambda s: sizes[type(s)].append(len(s.entries)))
-        h.run(oracle)
+        play(h, oracle)
         # one hook sees all 128 level-1 closes (16 episodes) and 4 level-2 closes
         assert (len(sizes[BaselineLearner]), len(sizes[LevelState])) == (128, 4)
         assert max(sizes[BaselineLearner] + sizes[LevelState]) <= cap
@@ -168,12 +175,12 @@ class TestHierarchyRun:
 
     def test_next_block_rejects_adaptive_oracle(self):
         h = HierarchyLearner(4, 64, delta=1.0, seed=0)
-        before = h.meter.snapshot()
+        before = copy.deepcopy(h.meter)
         state = h.rng.bit_generator.state
         with pytest.raises(ValueError, match="oblivious streams only"):
             h.next_block(GameOracle(StreamParams(4, 64, seed=0), k=2))
         assert h.day == 0
-        assert h.meter.snapshot() == before
+        assert h.meter == before
         assert h.rng.bit_generator.state == state
 
     def test_next_block_protocol(self, oracle):
@@ -186,12 +193,12 @@ class TestHierarchyRun:
 
     def test_meter_audit(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=4)
-        h.run(oracle)
+        play(h, oracle)
         assert h.audit_words() == h.meter.current
 
     def test_width_exceedances_logged_not_fatal(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=4)
-        h.run(oracle)
+        play(h, oracle)
         assert h.levels[0].width_exceedances >= 0  # counter exists and counts
 
 
@@ -208,10 +215,10 @@ class TestHeadToHead:
                                   "base-loss": 0.3, "decoy-loss": 0.05,
                                   "epoch-length": 8})
             h = HierarchyLearner(n, T, delta=1.0, seed=seed)
-            h.run(oracle)
+            play(h, oracle)
             hier.append(h.cumulative_loss)
             b = BaselineLearner(BaselineParams(n, T, eps=0.5, seed=seed))
-            b.run(oracle)
+            play(b, oracle)
             base.append(b.cumulative_loss)
         if np.mean(hier) >= np.mean(base):
             warnings.warn(
@@ -320,7 +327,7 @@ class TestMergeRaceDifferential:
                 assert np.array_equal(getattr(lvl, name), getattr(ref, name)), (t0, name)
             assert lvl._dd_sum_base == ref._dd_sum_base
             assert lvl.cumulative_loss == ref.cumulative_loss
-            assert lvl.meter.snapshot() == ref.meter.snapshot()
+            assert lvl.meter == ref.meter
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             _assert_aligned(lvl, t0 + L - 1)
             _assert_aligned(ref, t0 + L - 1)

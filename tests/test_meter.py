@@ -42,18 +42,10 @@ class TestChargeRelease:
             m.release("pool", -1)
 
 
-class TestSnapshot:
+class TestFields:
     def test_fresh_meter_all_zero(self):
-        s = WordMeter().snapshot()
-        assert s.current == 0 and s.peak == 0 and s.breakdown == {}
-
-    def test_snapshot_is_decoupled(self):
         m = WordMeter()
-        m.charge("pool", 2)
-        s = m.snapshot()
-        m.charge("pool", 10)
-        assert s.current == 2
-        assert s.breakdown == {"pool": 2}
+        assert m.current == 0 and m.peak == 0 and m.by_category == {}
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,6 +23,11 @@ from expertpool.streams import (
 MASK64 = (1 << 64) - 1
 
 
+def matrix(o):
+    """The whole T x n loss matrix, read through ``loss_block``."""
+    return o.loss_block(1, o.T, np.arange(1, o.n + 1))
+
+
 def _splitmix64_int(x: int) -> int:
     """Reference splitmix64 finalization round on a Python int."""
     x = (x + 0x9E3779B97F4A7C15) & MASK64
@@ -40,17 +45,23 @@ class TestStreamParams:
         with pytest.raises(ValueError):
             StreamParams(4, 0)
 
+    @pytest.mark.parametrize("n,T,seed", [("16", 10, 0), (4, 1e3, 0), (4, 40.0, 0),
+                                          (4, True, 0), (4, 10, "3"), (4, 10, None)])
+    def test_rejects_non_integers(self, n, T, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StreamParams(n, T, seed=seed)
+
 
 class TestConstantOracle:
     def test_fixed_values(self):
         o = ConstantOracle(StreamParams(2, 4, seed=7), [0.0, 1.0])
         for t in range(1, 5):
-            assert o.loss(t, 1) == 0.0
-            assert o.loss(t, 2) == 1.0
+            assert o.loss_block(t, t, [1])[0, 0] == 0.0
+            assert o.loss_block(t, t, [2])[0, 0] == 1.0
 
     def test_query_at_specific_cell(self):
         o = ConstantOracle(StreamParams(2, 4), [0.0, 1.0])
-        assert o.loss(3, 2) == 1.0
+        assert o.loss_block(3, 3, [2])[0, 0] == 1.0
 
     def test_rejects_out_of_range_means(self):
         with pytest.raises(ValueError):
@@ -59,13 +70,6 @@ class TestConstantOracle:
     def test_rejects_nan_mean(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ConstantOracle(StreamParams(2, 4), [math.nan, 0.5])
-
-    def test_index_bounds(self):
-        o = ConstantOracle(StreamParams(2, 4), [0.1, 0.2])
-        with pytest.raises(IndexError):
-            o.loss(5, 1)
-        with pytest.raises(IndexError):
-            o.loss(1, 3)
 
 
 class TestDeterminism:
@@ -77,16 +81,16 @@ class TestDeterminism:
     ])
     def test_full_matrix_bit_identical(self, spec):
         params = StreamParams(3, 50, seed=11)
-        a = make_oracle(params, spec).full_matrix()
-        b = make_oracle(params, spec).full_matrix()
+        a = matrix(make_oracle(params, spec))
+        b = matrix(make_oracle(params, spec))
         assert np.array_equal(a, b)
 
     def test_query_order_independent(self):
         params = StreamParams(4, 30, seed=5)
         o = make_oracle(params, {"generator": "iid-bernoulli",
                                  "means": [0.3, 0.4, 0.5, 0.6]})
-        forward = [o.loss(t, 2) for t in range(1, 31)]
-        backward = [o.loss(t, 2) for t in range(30, 0, -1)][::-1]
+        forward = [o.loss_block(t, t, [2])[0, 0] for t in range(1, 31)]
+        backward = [o.loss_block(t, t, [2])[0, 0] for t in range(30, 0, -1)][::-1]
         assert forward == backward
 
     def test_losses_in_unit_interval(self):
@@ -96,7 +100,7 @@ class TestDeterminism:
             {"generator": "epoch-spoiler", "best-id": 2, "base-loss": 0.9,
              "decoy-loss": 0.0, "epoch-length": 3},
         ):
-            m = make_oracle(params, spec).full_matrix()
+            m = matrix(make_oracle(params, spec))
             assert m.min() >= 0.0 and m.max() <= 1.0
 
 
@@ -107,7 +111,7 @@ class TestBernoulliOracle:
         o = make_oracle(params, {"generator": "iid-bernoulli",
                                  "mean-range": [0.4, 0.6],
                                  "overrides": {"1": 0.3}})
-        totals = o.full_matrix().sum(axis=0)
+        totals = matrix(o).sum(axis=0)
         assert int(np.argmin(totals)) == 0
         slack = 3.0 * math.sqrt(params.T * 0.25 * math.log(params.T))
         assert abs(totals[0] - 0.3 * params.T) <= slack
@@ -115,15 +119,23 @@ class TestBernoulliOracle:
     def test_losses_are_binary(self):
         o = make_oracle(StreamParams(4, 100, seed=2),
                         {"generator": "iid-bernoulli", "means": [0.1, 0.5, 0.5, 0.9]})
-        m = o.full_matrix()
+        m = matrix(o)
         assert set(np.unique(m)) <= {0.0, 1.0}
 
     def test_empirical_rate_tracks_mean(self):
         o = make_oracle(StreamParams(2, 20000, seed=9),
                         {"generator": "iid-bernoulli", "means": [0.25, 0.75]})
-        m = o.full_matrix()
+        m = matrix(o)
         assert abs(m[:, 0].mean() - 0.25) < 0.02
         assert abs(m[:, 1].mean() - 0.75) < 0.02
+
+    @pytest.mark.parametrize("sid", ["0", "5", "9", "-1"])
+    def test_override_id_outside_range_rejected(self, sid):
+        # "0" would set expert 4's mean through negative indexing
+        with pytest.raises(ValueError, match=f"override id '{sid}' outside"):
+            make_oracle(StreamParams(4, 10), {"generator": "iid-bernoulli",
+                                              "mean-range": [0.2, 0.8],
+                                              "overrides": {sid: 0.1}})
 
     def test_missing_means_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -177,7 +189,7 @@ class TestHashExactness:
         days = np.arange(1, params.T + 1)[:, None]
         ids = np.arange(1, params.n + 1)[None, :]
         want = (_uniform01(params.seed, days, ids) < means).astype(np.float64)
-        assert np.array_equal(o.full_matrix(), want)
+        assert np.array_equal(matrix(o), want)
 
 
 def _spoiler_reference(o: EpochSpoilerOracle, t0: int, t1: int, ids: np.ndarray) -> np.ndarray:
@@ -247,13 +259,13 @@ class TestEpochSpoiler:
     def test_best_expert_has_constant_base_loss_outside_spoilers(self):
         o = EpochSpoilerOracle(StreamParams(8, 90, seed=4), best_id=3,
                                base_loss=0.2, decoy_loss=0.05, epoch_length=10)
-        col = o.full_matrix()[:, 2]
+        col = matrix(o)[:, 2]
         assert np.all(col == 0.2)
 
     def test_every_third_epoch_has_decoys(self):
         o = EpochSpoilerOracle(StreamParams(8, 90, seed=4), best_id=3,
                                base_loss=0.2, decoy_loss=0.05, epoch_length=10)
-        m = o.full_matrix()
+        m = matrix(o)
         for epoch in range(9):
             rows = m[epoch * 10:(epoch + 1) * 10]
             has_decoy = (rows == 0.05).any()
@@ -262,14 +274,14 @@ class TestEpochSpoiler:
     def test_field_losses_exceed_base(self):
         o = EpochSpoilerOracle(StreamParams(8, 30, seed=4), best_id=1,
                                base_loss=0.2, decoy_loss=0.0, epoch_length=10)
-        m = o.full_matrix()
+        m = matrix(o)
         field = m[:10, 1:]  # first epoch is never a spoiler
         assert field.min() >= 0.5
 
     def test_decoys_never_include_best(self):
         o = EpochSpoilerOracle(StreamParams(5, 300, seed=12), best_id=2,
                                base_loss=0.3, decoy_loss=0.1, epoch_length=10)
-        assert np.all(o.full_matrix()[:, 1] == 0.3)
+        assert np.all(matrix(o)[:, 1] == 0.3)
 
     def test_decoy_memo_equals_fresh_draws(self):
         # windows split a spoiler epoch over several blocks; its decoys are
@@ -284,7 +296,7 @@ class TestEpochSpoiler:
                                    epoch_length=25)
         for epoch, decoys in o._decoy_memo.items():
             assert decoys == fresh._draw_decoys(epoch) == o._draw_decoys(epoch)
-        assert np.array_equal(np.concatenate(blocks), fresh.full_matrix())
+        assert np.array_equal(np.concatenate(blocks), matrix(fresh))
         assert fresh._decoy_memo == o._decoy_memo
 
     def test_rejects_decoy_above_base(self):
@@ -303,8 +315,8 @@ class TestCsvOracle:
         f = tmp_path / "s.csv"
         self._write(f, 2, [[1, 0.25, 0.5], [2, 0.0, 1.0]])
         o = CsvOracle(StreamParams(2, 2), str(f))
-        assert o.loss(2, 1) == 0.0
-        assert o.loss(1, 1) == 0.25
+        assert o.loss_block(2, 2, [1])[0, 0] == 0.0
+        assert o.loss_block(1, 1, [1])[0, 0] == 0.25
 
     def test_served_blocks_are_c_contiguous_file_values(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -440,13 +452,13 @@ class TestGameOracle:
     def test_query_before_commit_errors(self):
         o = GameOracle(StreamParams(4, 10), k=2)
         with pytest.raises(RuntimeError, match="uncommitted round"):
-            o.loss(1, 1)
+            o.loss_block(1, 1, [1])
 
     def test_committed_rounds_replayable(self):
         o = GameOracle(StreamParams(4, 10), k=2)
         o.adversary_step(np.full(4, 0.25))
-        first = o.loss(1, 1)
-        assert o.loss(1, 1) == first
+        first = o.loss_block(1, 1, [1])[0, 0]
+        assert o.loss_block(1, 1, [1])[0, 0] == first
 
     def test_only_the_committed_round_is_live(self):
         o = GameOracle(StreamParams(4, 10), k=2)
