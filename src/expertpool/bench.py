@@ -19,8 +19,8 @@ from .baseline import BaselineLearner, BaselineParams, pool_potential
 from .hierarchy import HierarchyLearner, LevelState
 from .meter import WordMeter
 from .mwu import MwuState
-from .streams import (GameOracle, LossOracle, StreamParams, check_number, make_oracle,
-                      stream_builder)
+from .streams import (GameOracle, LossOracle, StreamParams, check_int_list, check_number,
+                      check_object, make_oracle, stream_builder)
 
 __all__ = [
     "ExperimentConfig",
@@ -219,6 +219,16 @@ def check_memory(learner) -> list[str]:
 # Traces
 # ---------------------------------------------------------------------------
 
+def _g12(x: np.ndarray) -> list[str]:
+    """``[f"{v:.12g}" for v in x]`` of a float column. A column of integers
+    below 1e12 in magnitude, none of them -0.0, is printed in bulk as ints:
+    ``.12g`` prints each such value as its integer."""
+    if (np.all(np.abs(x) < 1e12) and np.all(x == np.trunc(x))
+            and not np.any(np.signbit(x) & (x == 0))):
+        return list(map(str, x.astype(np.int64).tolist()))
+    return [f"{v:.12g}" for v in x.tolist()]
+
+
 class TraceWriter:
     """Per-day CSV trace with exact regret against the enumerated best expert,
     whose per-day column the trial's stream pass supplies."""
@@ -240,9 +250,9 @@ class TraceWriter:
         # the words and pool columns are read once per block, after it
         tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
         self.rows.append("".join(
-            f"{day},{a:.12g},{b:.12g},{r:.12g},{tail}"
-            for day, a, b, r in zip(range(t0, t0 + len(alg)), alg.tolist(),
-                                    best.tolist(), (alg - best).tolist())))
+            f"{day},{a},{b},{r},{tail}"
+            for day, a, b, r in zip(range(t0, t0 + len(alg)), _g12(alg), _g12(best),
+                                    _g12(alg - best))))
 
     def flush(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -268,8 +278,7 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
             window = np.ascontiguousarray(
                 oracle.loss_block(t0, min(t0 + days - 1, oracle.T), ids), dtype=np.float64)
             keys, inverse = np.unique(window.view(np.uint64), return_inverse=True)
-            table = np.array([f"{v:.12g}" for v in keys.view(np.float64).tolist()],
-                             dtype=object)
+            table = np.array(_g12(keys.view(np.float64)), dtype=object)
             cells = table[inverse.reshape(-1, oracle.n)].tolist()
             fh.write("".join(f"{t},{','.join(row)}\r\n"
                              for t, row in enumerate(cells, t0)))
@@ -293,12 +302,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.learner not in ("mwu-full-memory", "baseline", "full-hierarchy"):
             raise ValueError(f"unknown learner {self.learner!r}")
-        if not (isinstance(self.trials, list) and self.trials
-                and all(isinstance(s, int) for s in self.trials)):
-            raise ValueError(f"trials must be a nonempty list of integer seeds, "
-                             f"got {self.trials!r}")
-        if not isinstance(self.learner_params, dict):
-            raise ValueError(f"learner-params must be an object, got {self.learner_params!r}")
+        check_int_list("trials", self.trials)
+        check_object("learner-params", self.learner_params)
         if self.checks not in ("off", "epoch", "paranoid"):
             raise ValueError(f"unknown check level {self.checks!r}")
         StreamParams(self.n, self.T)  # the checks every trial's stream makes
@@ -482,16 +487,16 @@ class _FixedLearner:
 
 def make_demo_learner(spec: dict, n: int, rounds: int, seed: int,
                       game: GameOracle):
-    if not isinstance(spec, dict):
-        raise ValueError(f"demo learner must be an object with a 'kind', got {spec!r}")
+    check_object("demo learner", spec)
     kind = spec.get("kind", "mwu-full-memory")
     if kind == "mwu-full-memory":
         return _FullMemoryLearner(n, rounds, seed)
     if kind == "equilibrium":
         return _FixedLearner(game.game.equilibrium())
     if kind == "fixed-uniform-subset":
+        check_int_list("subset", spec["subset"])
         ids = np.asarray(spec["subset"])
-        if ids.dtype.kind != "i" or not np.all((ids >= 1) & (ids <= n)):
+        if not np.all((ids >= 1) & (ids <= n)):
             raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
         p = np.zeros(n)
         p[ids - 1] = 1.0 / len(ids)
@@ -520,6 +525,7 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     """
     params = StreamParams(n, rounds)
     check_number("eps-prime", epsilon_prime)
+    check_int_list("seeds", seeds)
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")

@@ -25,15 +25,14 @@ from .bench import (
     run_lowerbound_demo,
     summarize,
 )
-from .streams import StreamParams, make_oracle
+from .streams import StreamParams, check_object, make_oracle
 
 
 def _load_config(path: str) -> dict:
     """The JSON object in ``path``; any other top-level value is bad input."""
     with open(path) as fh:
         config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config must be a JSON object, got {config!r}")
+    check_object("config", config)
     return config
 
 

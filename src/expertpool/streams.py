@@ -9,6 +9,8 @@ Expert ids and day indices are 1-based throughout the public API.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -31,6 +33,8 @@ __all__ = [
     "make_oracle",
     "count_covered_sets",
     "check_number",
+    "check_int_list",
+    "check_object",
 ]
 
 _GOLD_T = np.uint64(0x9E3779B97F4A7C15)
@@ -92,6 +96,20 @@ def check_number(name: str, value, integral: bool = False) -> None:
     kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_int_list(name: str, value) -> None:
+    """ValueError unless ``value`` is a nonempty list of integers (not bools)."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    for v in value)):
+        raise ValueError(f"{name} must be a nonempty list of integers, got {value!r}")
+
+
+def check_object(name: str, value) -> None:
+    """ValueError unless ``value`` is a JSON object (a dict)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -183,9 +201,11 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
             raise ValueError(f"need {params.n} means, got {means.shape}")
     elif "mean-range" in spec:
         lo, hi = spec["mean-range"]
+        overrides = spec.get("overrides", {})
+        check_object("overrides", overrides)
         rng = np.random.default_rng(params.seed)
         means = rng.uniform(lo, hi, size=params.n)
-        for sid, m in spec.get("overrides", {}).items():
+        for sid, m in overrides.items():
             if not 1 <= int(sid) <= params.n:
                 raise ValueError(f"override id {sid!r} outside [1, {params.n}]")
             means[int(sid) - 1] = m
@@ -275,34 +295,87 @@ class EpochSpoilerOracle(_HashedOracle):
         return out
 
 
+_CHUNK = 1 << 20  # bytes per read of a loss file
+# The last loss file parsed, at most one entry: (sha256 of its bytes, n, T) ->
+# its checked (T, n + 1) matrix, day column first, read-only.
+_PARSED: dict[tuple[bytes, int, int], np.ndarray] = {}
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that feeds every byte read from it into a sha256."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sha = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self.raw.readinto(b)
+        self.sha.update(memoryview(b)[:n])
+        return n
+
+    def digest(self) -> bytes:
+        """The sha256 of all bytes read, once the rest of the file is read."""
+        chunk = bytearray(_CHUNK)
+        while self.readinto(chunk):
+            pass
+        return self.sha.digest()
+
+
+def _load_csv(path: str, params: StreamParams) -> np.ndarray:
+    """The checked (T, n + 1) matrix of a loss file, day column first, read-only.
+
+    A process parses each (content, n, T) once. The last matrix parsed is kept
+    under the sha256 of the very bytes its parse read (not those of the lookup
+    hash, should the file change in between) and served to every later oracle
+    whose file hashes the same.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        key = (_HashingReader(raw).digest(), params.n, params.T)
+        if key in _PARSED:
+            return _PARSED[key]
+        _PARSED.clear()  # free the kept matrix before parsing the next
+        raw.seek(0)
+        parsed = _HashingReader(raw)
+        with io.TextIOWrapper(io.BufferedReader(parsed, _CHUNK), newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError(f"loss file {path!r} is empty")
+            expected = ["t"] + [f"e{i}" for i in range(1, params.n + 1)]
+            if header != expected:
+                raise ValueError(f"bad header in {path!r}: {header}")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=params.T)
+            except ValueError as exc:
+                raise ValueError(f"malformed rows in {path!r}: {exc}") from exc
+            key = (parsed.digest(), params.n, params.T)
+    if data.shape[0] < params.T:
+        raise ValueError(f"loss file has {data.shape[0]} days, need {params.T}")
+    if data.shape != (params.T, params.n + 1):
+        raise ValueError(f"ragged rows in {path!r}")
+    if not np.array_equal(data[:, 0], np.arange(1, params.T + 1)):
+        raise ValueError(f"day column in {path!r} is not 1..{params.T}")
+    _check_unit(data[:, 1:], f"losses in {path!r}")
+    data.flags.writeable = False
+    _PARSED[key] = data
+    return data
+
+
 class CsvOracle(LossOracle):
-    """Losses replayed from a CSV file with header ``t,e1,...,en``."""
+    """Losses replayed from a CSV file with header ``t,e1,...,en``, parsed once
+    per distinct content, n and T in a process (see ``_load_csv``)."""
 
     def __init__(self, params: StreamParams, path: str):
         super().__init__(params)
+        if not isinstance(path, str):  # open() would take an int for a descriptor
+            raise ValueError(f"loss file path must be a string, got {path!r}")
         try:
-            with open(path, newline="") as fh:
-                header = next(csv.reader(fh), None)
-                if header is None:
-                    raise ValueError(f"loss file {path!r} is empty")
-                expected = ["t"] + [f"e{i}" for i in range(1, params.n + 1)]
-                if header != expected:
-                    raise ValueError(f"bad header in {path!r}: {header}")
-                try:
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2,
-                                      max_rows=params.T)
-                except ValueError as exc:
-                    raise ValueError(f"malformed rows in {path!r}: {exc}") from exc
+            data = _load_csv(path, params)
         except OSError as exc:
             raise FileNotFoundError(f"loss file {path!r}: {exc}") from exc
-        if data.shape[0] < params.T:
-            raise ValueError(f"loss file has {data.shape[0]} days, need {params.T}")
-        if data.shape != (params.T, params.n + 1):
-            raise ValueError(f"ragged rows in {path!r}")
-        if not np.array_equal(data[:, 0], np.arange(1, params.T + 1)):
-            raise ValueError(f"day column in {path!r} is not 1..{params.T}")
         self.matrix = data[:, 1:]  # a view: the day column stays beside it
-        _check_unit(self.matrix, f"losses in {path!r}")
 
     def loss_block(self, t0, t1, ids):
         # take, not fancy indexing: a[:, idx] comes back in Fortran order

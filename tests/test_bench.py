@@ -3,17 +3,20 @@
 import csv
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from expertpool import bench, cli
 from expertpool.baseline import BaselineLearner, BaselineParams
 from expertpool.bench import (
     TRACE_COLUMNS,
     ExperimentConfig,
+    TraceWriter,
     dump_stream,
     hierarchy_memory_cap_words,
     oracle_best_expert,
@@ -307,6 +310,62 @@ class TestDumpStream:
         assert path.read_text().splitlines()[1:] == ["1,-0,0.1", "2,0.1,0", "3,0,-0"]
         replay = CsvOracle(StreamParams(2, 3), str(path)).loss_block(1, 3, [1, 2])
         assert replay.tobytes() == matrix.tobytes()  # the sign of zero included
+
+
+def _record_one_value_at_a_time(self, t0, realized, meter, pool_size):
+    """``TraceWriter.record`` formatting every value with ``.12g``: the row
+    writer the trace must match byte for byte."""
+    alg = np.array(realized, dtype=np.float64)
+    alg[0] += self.alg_cum
+    np.cumsum(alg, out=alg)
+    self.alg_cum = float(alg[-1])
+    best = self.stream.best(t0, t0 - 1 + len(alg))
+    tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
+    self.rows.append("".join(
+        f"{day},{a:.12g},{b:.12g},{r:.12g},{tail}"
+        for day, a, b, r in zip(range(t0, t0 + len(alg)), alg.tolist(),
+                                best.tolist(), (alg - best).tolist())))
+
+
+# integers on both sides of the 1e12 cut-over to exponent notation, -0.0, 2^53
+_EDGES = [0.0, -0.0, 1e12 - 1, -(1e12 - 1), 1e12, -1e12, 2.0**53, -7.0,
+          0.5, -2.5e-7, math.nan, math.inf, -math.inf]
+_INTEGRAL = st.integers(-(10**12), 10**12).map(float)
+
+
+class TestTraceFormat:
+    @given(st.lists(_INTEGRAL, max_size=8)
+           | st.lists(_INTEGRAL | st.sampled_from(_EDGES) | st.floats(), max_size=8))
+    @example([-0.0])
+    @example([3.0, -0.0, -7.0])
+    @example([1e12 - 1, -(1e12 - 1), 0.0])
+    @example([-1e12, 1.0])
+    @example([2.0**53])
+    @example([-7.0, 0.5])
+    @example([math.nan, 1.0])
+    @example([-math.inf, -2.0])
+    def test_g12_equals_per_value_format(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert bench._g12(x) == [f"{v:.12g}" for v in x.tolist()]
+
+    def test_trace_bytes_match_per_value_writer(self, tmp_path, monkeypatch):
+        # best-so-far is 0.5 t: integral on even days, not on odd ones, so
+        # paranoid one-day blocks alternate between the two ways a column is printed
+        stream = {"generator": "constant", "means": [0.5, 1.0]}
+        integral = []
+        g12 = bench._g12
+        monkeypatch.setattr(bench, "_g12", lambda x: integral.append(
+            bool(np.all(x == np.trunc(x)))) or g12(x))
+
+        def trace(out):
+            cfg = ExperimentConfig("baseline", 2, 41, stream, trials=[1], checks="paranoid",
+                                   learner_params={"eps": 0.3}, output=str(out))
+            return Path(run_experiment(cfg)[0].trace_path).read_bytes()
+
+        new = trace(tmp_path / "new")
+        monkeypatch.setattr(TraceWriter, "record", _record_one_value_at_a_time)
+        assert new == trace(tmp_path / "old")
+        assert set(integral) == {True, False}  # whether each column printed was integral
 
 
 class TestHierarchyMemoryCap:
@@ -755,8 +814,11 @@ class TestCli:
         ("demo-lb", {"n": 8, "eps-prime": 0.125, "rounds": 5, "learner": "equilibrium"}),
         ("run", {"learner": []}),
         ("run", {"checks": {}}),
+        ("demo-lb", {"n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": 3}),
+        ("demo-lb", {"n": 8, "eps-prime": 0.125, "rounds": 5,
+                     "learner": {"kind": "fixed-uniform-subset", "subset": 3}}),
     ], ids=["trials-int", "learner-params-list", "demo-learner-string", "learner-list",
-            "checks-object"])
+            "checks-object", "demo-seeds-int", "demo-subset-int"])
     def test_malformed_config_shape_clean_exit(self, tmp_path, capsys, command, payload):
         if command != "demo-lb":
             payload = {"learner": "baseline", "n": 4, "T": 10, "trials": [0],
@@ -785,11 +847,14 @@ class TestCli:
          "VIOLATION: trial aborted: ValueError: override id '0' outside [1, 4]"),
         ("run", {"stream": {**STREAM, "overrides": {"9": 0.1}}},
          "VIOLATION: trial aborted: ValueError: override id '9' outside [1, 4]"),
+        ("run", {"stream": {**STREAM, "overrides": [1]}},
+         "VIOLATION: trial aborted: ValueError: overrides must be a JSON object, got [1]"),
         ("demo-lb", {"n": "8"}, "error: n must be an integer, got '8'"),
         ("dump-stream", {"T": 40.0}, "error: T must be an integer, got 40.0"),
         ("dump-stream", {"seed": "3"}, "error: seed must be an integer, got '3'"),
     ], ids=["n-string", "T-float", "eps-string", "delta-string", "epoch-length-string",
-            "override-0", "override-9", "demo-n-string", "dump-T-float", "dump-seed-string"])
+            "override-0", "override-9", "overrides-list", "demo-n-string", "dump-T-float",
+            "dump-seed-string"])
     def test_malformed_value_clean_exit(self, tmp_path, capsys, command, payload, message):
         base = {
             "run": {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
@@ -802,6 +867,22 @@ class TestCli:
         assert cli.main([command, cfg]) == 1
         captured = capsys.readouterr()
         assert message in captured.err + captured.out
+
+    def test_descriptor_path_rejected_and_left_open(self, tmp_path, capsys):
+        r, w = os.pipe()
+        os.close(w)  # a read of r sees end of file at once, never blocks
+        try:
+            cfg = self._write_json(tmp_path / "p.json", {
+                "learner": "baseline", "n": 4, "T": 40, "trials": [0],
+                "stream": {"generator": "csv-file", "path": r}})
+            assert cli.main(["run", cfg]) == 1
+            os.fstat(r)  # raises if the run closed the descriptor
+        finally:
+            os.close(r)
+        captured = capsys.readouterr()
+        assert (f"VIOLATION: trial aborted: ValueError: loss file path must be a string, "
+                f"got {r}") in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1

@@ -1,11 +1,13 @@
 """Tests for the loss-stream oracles and the zero-sum game adversary."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expertpool import streams
 from expertpool.streams import (
     BernoulliOracle,
     ConstantOracle,
@@ -306,10 +308,121 @@ class TestEpochSpoiler:
 
 
 class TestCsvOracle:
+    @pytest.fixture(autouse=True)
+    def _no_kept_parse(self):
+        streams._PARSED.clear()
+        yield
+        streams._PARSED.clear()
+
     def _write(self, path, n, rows):
         lines = ["t," + ",".join(f"e{i}" for i in range(1, n + 1))]
         lines += [",".join(str(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
+
+    def _write_values(self, path, values):
+        self._write(path, values.shape[1], [[t, *row] for t, row in enumerate(values.tolist(), 1)])
+
+    def _count_parses(self, monkeypatch):
+        """The number of kept matrices at each ``np.loadtxt`` call, one entry a call."""
+        kept_at_parse = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            kept_at_parse.append(len(streams._PARSED))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        return kept_at_parse
+
+    def test_same_content_parses_once(self, tmp_path, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        values = np.random.default_rng(2).random((12, 3))
+        for name in ("a.csv", "b.csv"):
+            self._write_values(tmp_path / name, values)
+        a = CsvOracle(StreamParams(3, 12, seed=1), str(tmp_path / "a.csv"))
+        b = CsvOracle(StreamParams(3, 12, seed=2), str(tmp_path / "b.csv"))
+        assert len(parses) == 1
+        assert matrix(a).tobytes() == matrix(b).tobytes() == values.tobytes()
+
+    def test_rewritten_file_serves_new_values(self, tmp_path, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        f = tmp_path / "s.csv"
+        old, new = np.random.default_rng(3).random((2, 10, 2))
+        self._write_values(f, old)
+        assert matrix(CsvOracle(StreamParams(2, 10), str(f))).tobytes() == old.tobytes()
+        self._write_values(f, new)
+        assert matrix(CsvOracle(StreamParams(2, 10), str(f))).tobytes() == new.tobytes()
+        assert len(parses) == 2
+
+    def test_other_n_or_T_parses_again(self, tmp_path, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        f = tmp_path / "s.csv"
+        values = np.random.default_rng(4).random((10, 2))
+        self._write_values(f, values)
+        assert CsvOracle(StreamParams(2, 10), str(f)).matrix.shape == (10, 2)
+        assert CsvOracle(StreamParams(2, 6), str(f)).matrix.shape == (6, 2)
+        assert len(parses) == 2
+        with pytest.raises(ValueError, match="header"):  # read again, not served
+            CsvOracle(StreamParams(3, 6), str(f))
+
+    def test_malformed_file_raises_on_every_construction(self, tmp_path, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        f = tmp_path / "s.csv"
+        self._write(f, 2, [[1, 0.1, 0.2], [3, 0.1, 0.2]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="day column"):
+                CsvOracle(StreamParams(2, 2), str(f))
+        assert len(parses) == 2 and not streams._PARSED
+
+    def test_kept_matrix_is_read_only_and_blocks_are_fresh(self, tmp_path):
+        f = tmp_path / "s.csv"
+        values = np.random.default_rng(5).random((8, 3))
+        self._write_values(f, values)
+        o = CsvOracle(StreamParams(3, 8), str(f))
+        assert not o.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            o.matrix[0, 0] = 1.0
+        block = o.loss_block(2, 5, [3, 1])
+        assert block.flags.c_contiguous and block.flags.owndata and block.flags.writeable
+        block[:] = -1.0
+        again = CsvOracle(StreamParams(3, 8), str(f)).loss_block(2, 5, [3, 1])
+        assert again.tobytes() == values[1:5][:, [2, 0]].tobytes()
+
+    def test_file_changed_after_hashing_is_kept_under_the_parsed_bytes(
+            self, tmp_path, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        f = tmp_path / "s.csv"
+        old, new = np.random.default_rng(6).random((2, 10, 2))
+        self._write_values(f, old)
+        digest = streams._HashingReader.digest
+        hashed = []
+
+        def rewrite_after_first_hash(reader):
+            out = digest(reader)
+            if not hashed:  # the lookup hash of the first oracle
+                self._write_values(f, new)
+            hashed.append(out)
+            return out
+
+        monkeypatch.setattr(streams._HashingReader, "digest", rewrite_after_first_hash)
+        assert matrix(CsvOracle(StreamParams(2, 10), str(f))).tobytes() == new.tobytes()
+        # kept under the digest of the bytes parsed, not of the bytes first hashed
+        assert list(streams._PARSED) == [(hashlib.sha256(f.read_bytes()).digest(), 2, 10)]
+        self._write_values(f, old)
+        assert matrix(CsvOracle(StreamParams(2, 10), str(f))).tobytes() == old.tobytes()
+        assert len(parses) == 2
+
+    def test_only_the_last_parsed_file_is_kept(self, tmp_path, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        rng = np.random.default_rng(7)
+        oracles = []
+        for name in ("a.csv", "b.csv", "c.csv"):
+            self._write_values(tmp_path / name, rng.random((6, 2)))
+            oracles.append(CsvOracle(StreamParams(2, 6), str(tmp_path / name)))
+        # the kept matrix is dropped before the next parse starts
+        assert parses == [0, 0, 0]
+        (kept,) = streams._PARSED.values()
+        assert oracles[-1].matrix.base is kept
 
     def test_replays_file_values(self, tmp_path):
         f = tmp_path / "s.csv"
