@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .hierarchy import HierarchyLearner, LevelState
 from .meter import WordMeter
 from .mwu import MwuState
 from .streams import (GameOracle, LossOracle, StreamParams, check_int_list, check_number,
-                      check_object, make_oracle, stream_builder)
+                      check_object, check_path, make_oracle, stream_builder)
 
 __all__ = [
     "ExperimentConfig",
@@ -41,6 +42,7 @@ TRACE_COLUMNS = ["day", "alg_loss_cum", "best_loss_cum", "regret",
 
 ENUMERATION_GUARD = 10**9
 WINDOW_CELLS = 2**15  # cells per window of the stream pass and of dump_stream
+TRACE_ROWS = 2**12  # trace rows formatted per write
 
 
 def _window_days(n: int) -> int:
@@ -231,13 +233,21 @@ def _g12(x: np.ndarray) -> list[str]:
 
 class TraceWriter:
     """Per-day CSV trace with exact regret against the enumerated best expert,
-    whose per-day column the trial's stream pass supplies."""
+    whose per-day column the trial's stream pass supplies.
+
+    Rows are written as they are recorded, to a temporary file beside
+    ``path``; ``flush`` renames it to ``path`` and ``discard`` deletes it.
+    """
 
     def __init__(self, path: Path, stream: HindsightPass):
         self.stream = stream
-        self.rows: list[str] = []  # one string of csv lines per recorded block
         self.path = path
         self.alg_cum = 0.0
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.partial = path.with_name(path.name + ".tmp")
+        self.out = open(self.partial, "w", newline="")
+        # record() ends each row in "\r\n", the csv writer's terminator
+        csv.writer(self.out).writerow(TRACE_COLUMNS)
 
     def record(self, t0: int, realized: np.ndarray, meter: WordMeter,
                pool_size: int) -> None:
@@ -249,17 +259,23 @@ class TraceWriter:
         best = self.stream.best(t0, t0 - 1 + len(alg))
         # the words and pool columns are read once per block, after it
         tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
-        self.rows.append("".join(
-            f"{day},{a},{b},{r},{tail}"
-            for day, a, b, r in zip(range(t0, t0 + len(alg)), _g12(alg), _g12(best),
-                                    _g12(alg - best))))
+        # a slice at a time: a block can be the whole horizon (mwu-full-memory)
+        for s in range(0, len(alg), TRACE_ROWS):
+            a, b = alg[s:s + TRACE_ROWS], best[s:s + TRACE_ROWS]
+            self.out.write("".join(
+                f"{day},{x},{y},{r},{tail}"
+                for day, x, y, r in zip(range(t0 + s, t0 + s + len(a)), _g12(a), _g12(b),
+                                        _g12(a - b))))
 
     def flush(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", newline="") as fh:
-            # record() ends each row in "\r\n", the csv writer's terminator
-            csv.writer(fh).writerow(TRACE_COLUMNS)
-            fh.writelines(self.rows)
+        """Close the trace and move it to ``path``."""
+        self.out.close()
+        os.replace(self.partial, self.path)
+
+    def discard(self) -> None:
+        """Close the trace and delete it, unless ``flush`` has moved it."""
+        self.out.close()
+        self.partial.unlink(missing_ok=True)
 
 
 def dump_stream(oracle: LossOracle, path: Path) -> None:
@@ -304,6 +320,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         check_int_list("trials", self.trials)
         check_object("learner-params", self.learner_params)
+        if self.output is not None:
+            check_path("output", self.output)
         if self.checks not in ("off", "epoch", "paranoid"):
             raise ValueError(f"unknown check level {self.checks!r}")
         StreamParams(self.n, self.T)  # the checks every trial's stream makes
@@ -420,26 +438,28 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     Each trial reads its stream once, through one ``HindsightPass`` that
     serves the learner's queries, the trace's best column and the regret.
     An input error aborts only its own trial; any other error propagates.
+    A trial's trace is written as it runs and kept only if the trial ends.
     """
     results: list[TrialResult] = []
     for seed in config.trials:
         trace = None
-        trace_path = None
         try:
             params = StreamParams(config.n, config.T, seed=seed)
             stream = HindsightPass(make_oracle(params, config.stream))
             if config.output is not None:
-                trace_path = Path(config.output) / f"trace_seed{seed}.csv"
-                trace = TraceWriter(trace_path, stream)
+                trace = TraceWriter(Path(config.output) / f"trace_seed{seed}.csv", stream)
             loss, peak, violations = _run_trial(config, seed, stream, trace)
             _, best_total = stream.finish()
+            if trace is not None:
+                trace.flush()
         except (ValueError, KeyError, OSError) as exc:  # one bad trial must not sink the rest
             results.append(TrialResult(
                 seed, math.nan, math.nan, math.nan, 0,
                 [f"trial aborted: {type(exc).__name__}: {exc}"]))
             continue
-        if trace is not None:
-            trace.flush()
+        finally:
+            if trace is not None:
+                trace.discard()  # a no-op once flushed
         results.append(TrialResult(
             seed=seed,
             regret=loss - best_total,
@@ -447,7 +467,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
             best_total=best_total,
             peak_words=peak,
             violations=violations,
-            trace_path=str(trace_path) if trace_path else None,
+            trace_path=None if trace is None else str(trace.path),
         ))
     return results
 

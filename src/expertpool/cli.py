@@ -25,7 +25,7 @@ from .bench import (
     run_lowerbound_demo,
     summarize,
 )
-from .streams import StreamParams, check_object, make_oracle
+from .streams import StreamParams, check_object, check_path, make_oracle
 
 
 def _load_config(path: str) -> dict:
@@ -81,6 +81,7 @@ def _cmd_dump_stream(args: argparse.Namespace) -> int:
         print("error: no output path (use --output or the 'output' key)",
               file=sys.stderr)
         return 1
+    check_path("output", out)
     params = StreamParams(spec["n"], spec["T"], seed=spec.get("seed", 0))
     dump_stream(make_oracle(params, spec["stream"]), Path(out))
     print(f"wrote {params.T} days x {params.n} experts to {out}")

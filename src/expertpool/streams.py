@@ -13,6 +13,9 @@ import hashlib
 import io
 import math
 import numbers
+import os
+import re
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -35,6 +38,7 @@ __all__ = [
     "check_number",
     "check_int_list",
     "check_object",
+    "check_path",
 ]
 
 _GOLD_T = np.uint64(0x9E3779B97F4A7C15)
@@ -110,6 +114,13 @@ def check_object(name: str, value) -> None:
     """ValueError unless ``value`` is a JSON object (a dict)."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
+
+
+def check_path(name: str, value) -> None:
+    """ValueError unless ``value`` is a path, a string or ``os.PathLike``:
+    ``open()`` would take a config's 3 for a file descriptor."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +211,12 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
         if means.shape != (params.n,):
             raise ValueError(f"need {params.n} means, got {means.shape}")
     elif "mean-range" in spec:
-        lo, hi = spec["mean-range"]
+        bounds = spec["mean-range"]
+        if not (isinstance(bounds, list) and len(bounds) == 2):
+            raise ValueError(f"mean-range must be a list of two numbers, got {bounds!r}")
+        for bound in bounds:
+            check_number("mean-range", bound)
+        lo, hi = bounds
         overrides = spec.get("overrides", {})
         check_object("overrides", overrides)
         rng = np.random.default_rng(params.seed)
@@ -296,9 +312,10 @@ class EpochSpoilerOracle(_HashedOracle):
 
 
 _CHUNK = 1 << 20  # bytes per read of a loss file
+_PARSE_CELLS = 2**17  # cells per chunk of rows parsed from a loss file, day column included
 # The last loss file parsed, at most one entry: (sha256 of its bytes, n, T) ->
-# its checked (T, n + 1) matrix, day column first, read-only.
-_PARSED: dict[tuple[bytes, int, int], np.ndarray] = {}
+# its checked losses as read-only (codes, table), see ``_read_losses``.
+_PARSED: dict[tuple[bytes, int, int], tuple[np.ndarray, np.ndarray | None]] = {}
 
 
 class _HashingReader(io.RawIOBase):
@@ -324,10 +341,116 @@ class _HashingReader(io.RawIOBase):
         return self.sha.digest()
 
 
-def _load_csv(path: str, params: StreamParams) -> np.ndarray:
-    """The checked (T, n + 1) matrix of a loss file, day column first, read-only.
+_SCAN_VALUES = 16  # up to this many values, a pass per value beats a binary search
 
-    A process parses each (content, n, T) once. The last matrix parsed is kept
+
+def _lookup(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> bool:
+    """Write into ``out`` the position in ``table`` of each float64 bit
+    pattern in ``bits``, matched by bits so that -0.0 and 0.0 differ; False
+    if one is not in the table."""
+    keys = table.view(np.uint64)
+    if len(keys) <= _SCAN_VALUES:
+        out.fill(0)
+        found = np.zeros(bits.shape, bool)
+        mask = np.empty(bits.shape, bool)
+        for code, key in enumerate(keys):
+            np.equal(bits, key, out=mask)
+            found |= mask
+            out += mask.view(np.uint8) * np.uint8(code)  # 15x faster than copyto(where=)
+        return bool(found.all())
+    order = np.argsort(keys)
+    codes = order.take(np.searchsorted(keys, bits, sorter=order), mode="clip")
+    if np.any(keys.take(codes) != bits):
+        return False
+    np.copyto(out, codes, casting="unsafe")  # every code is below 256
+    return True
+
+
+def _encode(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """``_lookup`` into ``table`` extended by the values of ``bits`` it lacks,
+    so that a code never changes once given; that table, or None if it would
+    hold more than 256 values."""
+    if _lookup(table, bits, out):
+        return table
+    new = np.setdiff1d(bits, table.view(np.uint64))  # only chunks with new values pay
+    if len(table) + len(new) > 256:
+        return None
+    table = np.concatenate([table, new.view(np.float64)])
+    _lookup(table, bits, out)
+    return table
+
+
+def _read_losses(fh, path: str, params: StreamParams) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checked losses in the rows after a loss file's header, parsed
+    ``_PARSE_CELLS`` cells at a time, as read-only (codes, table): one byte per
+    cell indexing the table of the file's distinct values or, once more than
+    256 show up, the float64 losses themselves and no table. The day column is
+    checked, not kept.
+
+    The checks and messages are those of one read of all T rows: malformed
+    rows anywhere come first, then a short file, then ragged rows, the day
+    column and the range.
+    """
+    n, T = params.n, params.T
+    rows = max(1, _PARSE_CELLS // (n + 1))
+    table = np.empty(0)  # the distinct values in code order; None past 256 of them
+    codes = np.empty((T, n), np.uint8)  # a page is resident only once written
+    t = 0  # rows read
+    cols = None  # the column count of the first row
+    late = None  # a ragged-row or day-column error, raised once every row is read
+    while t < T:
+        with warnings.catch_warnings():
+            if t:  # a file ending with a chunk is short, which is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                chunk = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=min(rows, T - t))
+            except ValueError as exc:  # numpy counts rows from the chunk's first
+                detail = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + t), str(exc),
+                                count=1)
+                raise ValueError(f"malformed rows in {path!r}: {detail}") from exc
+        if not len(chunk):
+            break
+        if cols is None:
+            cols = chunk.shape[1]
+        elif chunk.shape[1] != cols:  # in words of numpy's message for one read
+            raise ValueError(f"malformed rows in {path!r}: the number of columns changed "
+                             f"from {cols} to {chunk.shape[1]} at row {t + 1}; use `usecols` "
+                             f"to select a subset and avoid this error")
+        r = len(chunk)
+        if late is None:
+            if cols != n + 1:
+                late = f"ragged rows in {path!r}"
+            elif not np.array_equal(chunk[:, 0], np.arange(t + 1, t + r + 1)):
+                late = f"day column in {path!r} is not 1..{T}"
+            else:
+                losses = chunk[:, 1:]
+                if table is not None:
+                    grown = _encode(table, losses.view(np.uint64), codes[t:t + r])
+                    if grown is None:  # float64 cells from here on
+                        cells = np.empty((T, n))
+                        for s in range(0, t, rows):  # decoded a chunk at a time
+                            table.take(codes[s:s + rows], out=cells[s:s + rows])
+                        codes = cells
+                    table = grown
+                if table is None:
+                    codes[t:t + r] = losses
+        t += r
+    if t < T:
+        raise ValueError(f"loss file has {t} days, need {T}")
+    if late is not None:
+        raise ValueError(late)
+    _check_unit(codes if table is None else table, f"losses in {path!r}")
+    for a in (codes, table):
+        if a is not None:
+            a.flags.writeable = False
+    return codes, table
+
+
+def _load_csv(path: str, params: StreamParams) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checked losses of a loss file as read-only (codes, table), see
+    ``_read_losses``.
+
+    A process parses each (content, n, T) once. The last file parsed is kept
     under the sha256 of the very bytes its parse read (not those of the lookup
     hash, should the file change in between) and served to every later oracle
     whose file hashes the same.
@@ -336,7 +459,7 @@ def _load_csv(path: str, params: StreamParams) -> np.ndarray:
         key = (_HashingReader(raw).digest(), params.n, params.T)
         if key in _PARSED:
             return _PARSED[key]
-        _PARSED.clear()  # free the kept matrix before parsing the next
+        _PARSED.clear()  # free the kept losses before parsing the next
         raw.seek(0)
         parsed = _HashingReader(raw)
         with io.TextIOWrapper(io.BufferedReader(parsed, _CHUNK), newline="") as fh:
@@ -346,41 +469,35 @@ def _load_csv(path: str, params: StreamParams) -> np.ndarray:
             expected = ["t"] + [f"e{i}" for i in range(1, params.n + 1)]
             if header != expected:
                 raise ValueError(f"bad header in {path!r}: {header}")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=params.T)
-            except ValueError as exc:
-                raise ValueError(f"malformed rows in {path!r}: {exc}") from exc
+            losses = _read_losses(fh, path, params)
             key = (parsed.digest(), params.n, params.T)
-    if data.shape[0] < params.T:
-        raise ValueError(f"loss file has {data.shape[0]} days, need {params.T}")
-    if data.shape != (params.T, params.n + 1):
-        raise ValueError(f"ragged rows in {path!r}")
-    if not np.array_equal(data[:, 0], np.arange(1, params.T + 1)):
-        raise ValueError(f"day column in {path!r} is not 1..{params.T}")
-    _check_unit(data[:, 1:], f"losses in {path!r}")
-    data.flags.writeable = False
-    _PARSED[key] = data
-    return data
+    _PARSED[key] = losses
+    return losses
 
 
 class CsvOracle(LossOracle):
     """Losses replayed from a CSV file with header ``t,e1,...,en``, parsed once
-    per distinct content, n and T in a process (see ``_load_csv``)."""
+    per distinct content, n and T in a process (see ``_load_csv``).
+
+    A file of at most 256 distinct values is kept in one byte per cell:
+    ``codes`` index ``table``. Otherwise ``codes`` holds the float64 losses
+    and ``table`` is None.
+    """
 
     def __init__(self, params: StreamParams, path: str):
         super().__init__(params)
-        if not isinstance(path, str):  # open() would take an int for a descriptor
-            raise ValueError(f"loss file path must be a string, got {path!r}")
+        check_path("loss file path", path)
         try:
-            data = _load_csv(path, params)
+            self.codes, self.table = _load_csv(path, params)
         except OSError as exc:
             raise FileNotFoundError(f"loss file {path!r}: {exc}") from exc
-        self.matrix = data[:, 1:]  # a view: the day column stays beside it
 
     def loss_block(self, t0, t1, ids):
         # take, not fancy indexing: a[:, idx] comes back in Fortran order
         ids = np.asarray(ids, dtype=np.int64)
-        return np.take(self.matrix[t0 - 1:t1], ids - 1, axis=1)
+        block = np.take(self.codes[t0 - 1:t1], ids - 1, axis=1)
+        # indexing by uint8 codes: a third faster here than take, which casts them
+        return block if self.table is None else self.table[block]
 
 
 # ---------------------------------------------------------------------------

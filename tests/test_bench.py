@@ -321,7 +321,7 @@ def _record_one_value_at_a_time(self, t0, realized, meter, pool_size):
     self.alg_cum = float(alg[-1])
     best = self.stream.best(t0, t0 - 1 + len(alg))
     tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
-    self.rows.append("".join(
+    self.out.write("".join(
         f"{day},{a:.12g},{b:.12g},{r:.12g},{tail}"
         for day, a, b, r in zip(range(t0, t0 + len(alg)), alg.tolist(),
                                 best.tolist(), (alg - best).tolist())))
@@ -366,6 +366,101 @@ class TestTraceFormat:
         monkeypatch.setattr(TraceWriter, "record", _record_one_value_at_a_time)
         assert new == trace(tmp_path / "old")
         assert set(integral) == {True, False}  # whether each column printed was integral
+
+
+class TestTraceWriter:
+    STREAM = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
+
+    def _config(self, out, **kwargs):
+        return ExperimentConfig("baseline", 4, 200, kwargs.pop("stream", self.STREAM),
+                                trials=[0], learner_params={"eps": 0.3}, output=str(out),
+                                **kwargs)
+
+    def _spy_record(self, monkeypatch):
+        """The trace's size on disk after each ``record``, its buffer flushed."""
+        sizes = []
+        record = TraceWriter.record
+
+        def spy(self, *args):
+            record(self, *args)
+            self.out.flush()
+            sizes.append(self.partial.stat().st_size)
+            assert not self.path.exists()  # moved there only when the trial ends
+
+        monkeypatch.setattr(TraceWriter, "record", spy)
+        return sizes
+
+    def test_rows_are_written_as_recorded(self, tmp_path, monkeypatch):
+        sizes = self._spy_record(monkeypatch)
+        (r,) = run_experiment(self._config(tmp_path))
+        assert len(sizes) > 1 and all(a < b for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] == Path(r.trace_path).stat().st_size
+        assert [p.name for p in tmp_path.iterdir()] == ["trace_seed0.csv"]
+
+    def test_one_block_trial_is_written_a_slice_at_a_time(self, tmp_path, monkeypatch):
+        # mwu-full-memory plays the whole horizon as one block
+        peaks = []
+        for output in (None, tmp_path / "new"):
+            cfg = ExperimentConfig("mwu-full-memory", 4, 50_000, self.STREAM,
+                                   output=output and str(output))
+            tracemalloc.start()
+            try:
+                (r,) = run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        new = Path(r.trace_path).read_bytes()
+        assert peaks[1] - peaks[0] < len(new) / 4
+        monkeypatch.setattr(TraceWriter, "record", _record_one_value_at_a_time)
+        cfg.output = str(tmp_path / "old")
+        assert Path(run_experiment(cfg)[0].trace_path).read_bytes() == new
+
+    @pytest.mark.parametrize("error", [ValueError("bad day"), RuntimeError("broken")],
+                             ids=["input-error", "programming-error"])
+    def test_trial_failing_mid_run_leaves_no_file(self, tmp_path, monkeypatch, error):
+        _window(monkeypatch, 50, 4)
+
+        def failing(params, spec):
+            oracle = make_oracle(params, spec)
+            serve = oracle.loss_block
+
+            def loss_block(t0, t1, ids):
+                if t1 > 120:
+                    raise error
+                return serve(t0, t1, ids)
+
+            oracle.loss_block = loss_block
+            return oracle
+
+        monkeypatch.setattr(bench, "make_oracle", failing)
+        sizes = self._spy_record(monkeypatch)
+        if isinstance(error, ValueError):
+            (r,) = run_experiment(self._config(tmp_path / "out"))
+            assert r.violations == ["trial aborted: ValueError: bad day"]
+            assert r.trace_path is None
+        else:
+            with pytest.raises(RuntimeError, match="broken"):
+                run_experiment(self._config(tmp_path / "out"))
+        assert sizes  # rows were on disk before the failure
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_short_replay_file_leaves_no_trace(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("t,e1,e2,e3,e4\n" + "".join(f"{t},0,1,0,1\n" for t in range(1, 101)))
+        cfg = self._config(tmp_path / "out", stream={"generator": "csv-file", "path": str(f)})
+        (r,) = run_experiment(cfg)
+        assert r.violations == ["trial aborted: ValueError: loss file has 100 days, need 200"]
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_failed_trial_keeps_an_earlier_trace(self, tmp_path):
+        (ok,) = run_experiment(self._config(tmp_path))
+        before = Path(ok.trace_path).read_bytes()
+        bad = {**self.STREAM, "mean-range": [0.2, "0.8"]}
+        (r,) = run_experiment(self._config(tmp_path, stream=bad))
+        assert r.violations == ["trial aborted: ValueError: mean-range must be a number, "
+                                "got '0.8'"]
+        assert Path(ok.trace_path).read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace_seed0.csv"]
 
 
 class TestHierarchyMemoryCap:
@@ -852,9 +947,19 @@ class TestCli:
         ("demo-lb", {"n": "8"}, "error: n must be an integer, got '8'"),
         ("dump-stream", {"T": 40.0}, "error: T must be an integer, got 40.0"),
         ("dump-stream", {"seed": "3"}, "error: seed must be an integer, got '3'"),
+        ("run", {"output": 3}, "error: output must be a string, got 3"),
+        ("dump-stream", {"output": 3}, "error: output must be a string, got 3"),
+        ("run", {"stream": {**STREAM, "mean-range": 3}},
+         "VIOLATION: trial aborted: ValueError: mean-range must be a list of two numbers, "
+         "got 3"),
+        ("run", {"stream": {**STREAM, "mean-range": [0.2, None]}},
+         "VIOLATION: trial aborted: ValueError: mean-range must be a number, got None"),
+        ("dump-stream", {"stream": {**STREAM, "mean-range": [0.2, 0.5, 0.8]}},
+         "error: mean-range must be a list of two numbers, got [0.2, 0.5, 0.8]"),
     ], ids=["n-string", "T-float", "eps-string", "delta-string", "epoch-length-string",
             "override-0", "override-9", "overrides-list", "demo-n-string", "dump-T-float",
-            "dump-seed-string"])
+            "dump-seed-string", "output-int", "dump-output-int", "mean-range-int",
+            "mean-range-null", "dump-mean-range-three"])
     def test_malformed_value_clean_exit(self, tmp_path, capsys, command, payload, message):
         base = {
             "run": {"learner": "baseline", "n": 4, "T": 40, "trials": [0],

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,8 +360,8 @@ class TestCsvOracle:
         f = tmp_path / "s.csv"
         values = np.random.default_rng(4).random((10, 2))
         self._write_values(f, values)
-        assert CsvOracle(StreamParams(2, 10), str(f)).matrix.shape == (10, 2)
-        assert CsvOracle(StreamParams(2, 6), str(f)).matrix.shape == (6, 2)
+        assert CsvOracle(StreamParams(2, 10), str(f)).codes.shape == (10, 2)
+        assert CsvOracle(StreamParams(2, 6), str(f)).codes.shape == (6, 2)
         assert len(parses) == 2
         with pytest.raises(ValueError, match="header"):  # read again, not served
             CsvOracle(StreamParams(3, 6), str(f))
@@ -379,9 +380,10 @@ class TestCsvOracle:
         values = np.random.default_rng(5).random((8, 3))
         self._write_values(f, values)
         o = CsvOracle(StreamParams(3, 8), str(f))
-        assert not o.matrix.flags.writeable
-        with pytest.raises(ValueError):
-            o.matrix[0, 0] = 1.0
+        for kept in (o.codes, o.table):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 1
         block = o.loss_block(2, 5, [3, 1])
         assert block.flags.c_contiguous and block.flags.owndata and block.flags.writeable
         block[:] = -1.0
@@ -419,10 +421,10 @@ class TestCsvOracle:
         for name in ("a.csv", "b.csv", "c.csv"):
             self._write_values(tmp_path / name, rng.random((6, 2)))
             oracles.append(CsvOracle(StreamParams(2, 6), str(tmp_path / name)))
-        # the kept matrix is dropped before the next parse starts
+        # the kept losses are dropped before the next parse starts
         assert parses == [0, 0, 0]
-        (kept,) = streams._PARSED.values()
-        assert oracles[-1].matrix.base is kept
+        ((codes, table),) = streams._PARSED.values()
+        assert oracles[-1].codes is codes and oracles[-1].table is table
 
     def test_replays_file_values(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -476,6 +478,115 @@ class TestCsvOracle:
         self._write(f, 2, [[5, 0.1, 0.2]])
         with pytest.raises(ValueError, match="day column"):
             CsvOracle(StreamParams(2, 1), str(f))
+
+    @pytest.fixture
+    def rows_per_chunk(self, monkeypatch):
+        """Set the parse to read this many rows of n + 1 cells a chunk."""
+        return lambda rows, n: monkeypatch.setattr(streams, "_PARSE_CELLS", rows * (n + 1))
+
+    def test_zero_one_file_keeps_one_byte_a_cell(self, tmp_path, rows_per_chunk):
+        rows_per_chunk(7, 4)
+        values = np.random.default_rng(8).integers(0, 2, (50, 4)).astype(np.float64)
+        self._write_values(tmp_path / "s.csv", values)
+        o = CsvOracle(StreamParams(4, 50), str(tmp_path / "s.csv"))
+        assert o.codes.dtype == np.uint8 and o.codes.nbytes == 50 * 4
+        assert sorted(o.table.tolist()) == [0.0, 1.0]
+        assert matrix(o).tobytes() == values.tobytes()
+
+    def test_signed_zeros_replay_bit_exactly(self, tmp_path, rows_per_chunk):
+        rows_per_chunk(2, 2)
+        values = np.array([[0.0, 1.0], [0.5, 0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, -0.0]])
+        self._write_values(tmp_path / "s.csv", values)
+        o = CsvOracle(StreamParams(2, 5), str(tmp_path / "s.csv"))
+        assert len(o.table) == 4  # -0.0 has a code of its own
+        assert matrix(o).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 9, 1000])
+    @pytest.mark.parametrize("distinct", [1, 2, 16, 17, 256, 257])
+    def test_distinct_values_replay_bit_exactly(self, tmp_path, rows_per_chunk, rows,
+                                                distinct):
+        # few values take a pass per value, more a binary search; past 256
+        # the file is kept as float64, decoding what chunks before coded
+        rows_per_chunk(rows, 3)
+        rng = np.random.default_rng(distinct)
+        pool = rng.random(distinct)
+        picks = np.concatenate([rng.permutation(distinct), rng.integers(0, distinct, 300)])
+        values = pool[picks[:300]].reshape(100, 3)
+        values.flat[rng.permutation(300)[:distinct]] = pool  # every value shows
+        self._write_values(tmp_path / "s.csv", values)
+        o = CsvOracle(StreamParams(3, 100), str(tmp_path / "s.csv"))
+        if distinct <= 256:
+            assert o.codes.dtype == np.uint8 and len(o.table) == distinct
+        else:
+            assert o.codes.dtype == np.float64 and o.table is None
+        assert not o.codes.flags.writeable
+        assert matrix(o).tobytes() == values.tobytes()
+        assert o.loss_block(40, 62, [3, 1]).tobytes() == values[39:62][:, [2, 0]].tobytes()
+
+    def _lines(self, n, T, fault=None):
+        """The lines of a 0/1 loss file of T days, with ``fault`` lines
+        replacing those from day 8 on."""
+        row = [",".join("0" * n), ",".join(str(i % 2) for i in range(1, n + 1))]
+        lines = [f"{t},{row[t % 2]}" for t in range(1, T + 1)]
+        return lines if fault is None else lines[:7] + fault
+
+    # faults from day 8 on in a 2-expert file of 12 days: in the third chunk of
+    # three rows, in the eighth of one row, or in the one chunk of all rows
+    FAULTS = {
+        "bad-value": ["8,x,0"],
+        "bad-value-after-blank-lines": ["", "# note", "8,1,x"],
+        "columns-change-in-chunk": ["8,0,1", "9,0"],
+        "columns-change-at-chunk-start": ["8,0,1", "9,0,1", "10,0", "11,0"],
+        "short-at-chunk-end": ["8,0,1", "9,0,1"],
+        "short-in-chunk": ["8,0,1"],
+        "day-column": ["8,0,1", "10,0,1", "11,0,0", "12,0,0"],
+        "nan": ["8,0,nan", "9,0,1", "10,0,1", "11,0,0", "12,0,0"],
+        "out-of-range": ["8,0,1", "9,0,1.5", "10,0,1", "11,0,0", "12,0,0"],
+        "day-column-then-bad-value": ["8,0,1", "10,0,1", "11,x,0"],
+        "day-column-then-short": ["8,0,1", "10,0,1"],
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_faults_in_later_chunks_raise_as_one_read(self, tmp_path, rows_per_chunk,
+                                                       fault):
+        f = tmp_path / "s.csv"
+        f.write_text("t,e1,e2\n" + "\n".join(self._lines(2, 12, self.FAULTS[fault])) + "\n")
+        messages = []
+        for rows in (100, 3, 1):
+            rows_per_chunk(rows, 2)
+            with pytest.raises(ValueError) as exc:
+                CsvOracle(StreamParams(2, 12), str(f))
+            messages.append(str(exc.value))
+        assert messages[1] == messages[2] == messages[0]
+        assert not streams._PARSED
+
+    @pytest.mark.parametrize("lines,message", [
+        (["1,0,1,0"] * 12, "ragged rows"),
+        (["1,0,1,0"] * 8, "loss file has 8 days, need 12"),
+        (["1,0,1", "2,0,1", "3,0"], "malformed rows .* the number of columns changed "
+                                    "from 3 to 2 at row 3"),
+    ], ids=["ragged", "ragged-and-short", "columns-change"])
+    def test_whole_file_faults_keep_their_messages(self, tmp_path, rows_per_chunk, lines,
+                                                   message):
+        rows_per_chunk(2, 2)
+        f = tmp_path / "s.csv"
+        f.write_text("t,e1,e2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            CsvOracle(StreamParams(2, 12), str(f))
+
+    def test_zero_one_parse_peak_is_two_bytes_a_cell_and_a_chunk(self, tmp_path):
+        # the cells' second byte covers the read buffers and first-call costs
+        n, T = 200, 30_000
+        f = tmp_path / "s.csv"
+        f.write_text("t," + ",".join(f"e{i}" for i in range(1, n + 1)) + "\n"
+                     + "\n".join(self._lines(n, T)) + "\n")
+        tracemalloc.start()
+        try:
+            CsvOracle(StreamParams(n, T), str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * T + 8 * streams._PARSE_CELLS
 
 
 class TestGameInstance:
