@@ -59,12 +59,15 @@ class HindsightPass(LossOracle):
     loss so far: the totals are carried into its first row before its cumsum,
     so every sum is the same sequence of additions as one cumsum over the
     whole matrix. A query is answered by ``take``-ing from the kept windows
-    and the ones it makes the pass read, always as a fresh C-contiguous
-    array. The last two windows read are kept, so repeated queries for the
-    same days (the hierarchy's levels each ask for their bottom block) are
-    served from them as long as those days span at most two windows; a query
-    for days before them goes straight to the oracle. Memory is O(n + T)
-    beyond those two windows and the answer.
+    and the ones it makes the pass read into one C-contiguous answer buffer,
+    which the next query overwrites: every learner consumes a block before
+    its next query, and a fresh megabyte-sized answer per block left glibc
+    trimming and re-faulting the heap top every block. The last two windows
+    read are kept, so repeated queries for the same days (the hierarchy's
+    levels each ask for their bottom block) are served from them as long as
+    those days span at most two windows; a query for days before them goes
+    straight to the oracle. Memory is O(n + T) beyond those two windows and
+    the largest answer.
     """
 
     def __init__(self, oracle: LossOracle):
@@ -82,6 +85,7 @@ class HindsightPass(LossOracle):
         self._cum = np.empty((min(self._days, self.T), self.n))
         # (first day, window) of the last two windows read, oldest first
         self._kept = [(1, np.empty((0, self.n)))]
+        self._answer = np.empty(0)  # grown to the largest query
 
     def _read(self) -> None:
         """Read the next window and fold it into the totals and best column."""
@@ -100,7 +104,10 @@ class HindsightPass(LossOracle):
         if not self._kept[0][0] <= t0 <= t1 <= self.T:  # behind the pass, or out of range
             return self.oracle.loss_block(t0, t1, ids)
         cols = np.subtract(ids, 1)
-        out = np.empty((t1 - t0 + 1, len(cols)))
+        size = (t1 - t0 + 1) * len(cols)
+        if len(self._answer) < size:
+            self._answer = np.empty(size)
+        out = self._answer[:size].reshape(t1 - t0 + 1, len(cols))
         t = t0  # the first day not yet served
         # each window is served as soon as it is read, while it is in cache
         while True:

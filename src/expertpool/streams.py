@@ -15,9 +15,8 @@ import math
 import numbers
 import os
 import re
-import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -341,28 +340,16 @@ class _HashingReader(io.RawIOBase):
         return self.sha.digest()
 
 
-_SCAN_VALUES = 16  # up to this many values, a pass per value beats a binary search
-
-
 def _lookup(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> bool:
     """Write into ``out`` the position in ``table`` of each float64 bit
     pattern in ``bits``, matched by bits so that -0.0 and 0.0 differ; False
     if one is not in the table."""
-    keys = table.view(np.uint64)
-    if len(keys) <= _SCAN_VALUES:
-        out.fill(0)
-        found = np.zeros(bits.shape, bool)
-        mask = np.empty(bits.shape, bool)
-        for code, key in enumerate(keys):
-            np.equal(bits, key, out=mask)
-            found |= mask
-            out += mask.view(np.uint8) * np.uint8(code)  # 15x faster than copyto(where=)
-        return bool(found.all())
-    order = np.argsort(keys)
-    codes = order.take(np.searchsorted(keys, bits, sorter=order), mode="clip")
-    if np.any(keys.take(codes) != bits):
+    order = np.argsort(table.view(np.uint64))
+    keys = table.view(np.uint64)[order]
+    at = np.searchsorted(keys, np.ascontiguousarray(bits))  # a third faster than strided
+    if np.any(keys.take(at, mode="clip") != bits):
         return False
-    np.copyto(out, codes, casting="unsafe")  # every code is below 256
+    order.astype(np.uint8).take(at, out=out)  # every code is below 256
     return True
 
 
@@ -370,7 +357,7 @@ def _encode(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray 
     """``_lookup`` into ``table`` extended by the values of ``bits`` it lacks,
     so that a code never changes once given; that table, or None if it would
     hold more than 256 values."""
-    if _lookup(table, bits, out):
+    if len(table) and _lookup(table, bits, out):
         return table
     new = np.setdiff1d(bits, table.view(np.uint64))  # only chunks with new values pay
     if len(table) + len(new) > 256:
@@ -380,45 +367,46 @@ def _encode(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray 
     return table
 
 
-def _read_losses(fh, path: str, params: StreamParams) -> tuple[np.ndarray, np.ndarray | None]:
-    """The checked losses in the rows after a loss file's header, parsed
-    ``_PARSE_CELLS`` cells at a time, as read-only (codes, table): one byte per
-    cell indexing the table of the file's distinct values or, once more than
-    256 show up, the float64 losses themselves and no table. The day column is
-    checked, not kept.
+def _read_losses(fh, path: str, params: StreamParams,
+                 size: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checked losses in the rows after the header of a loss file of
+    ``size`` bytes, parsed ``_PARSE_CELLS`` cells at a time, as read-only
+    (codes, table): one byte per cell indexing the table of the file's
+    distinct values or, once more than 256 show up, the float64 losses
+    themselves and no table. The day column is checked, not kept.
 
     The checks and messages are those of one read of all T rows: malformed
     rows anywhere come first, then a short file, then ragged rows, the day
-    column and the range.
+    column and the range. Each chunk after the first is parsed behind a pad
+    line as wide as the first row, so numpy itself reports a change of column
+    count at the chunk's first row, in row order with any bad value after it.
     """
     n, T = params.n, params.T
     rows = max(1, _PARSE_CELLS // (n + 1))
+    # a row of n + 1 cells takes at least 2(n + 1) bytes, the last one's
+    # newline aside: the store is never larger than the file can fill
+    days = min(T, (size + 1) // (2 * (n + 1)))
     table = np.empty(0)  # the distinct values in code order; None past 256 of them
-    codes = np.empty((T, n), np.uint8)  # a page is resident only once written
+    codes = np.empty((days, n), np.uint8)  # a page is resident only once written
     t = 0  # rows read
-    cols = None  # the column count of the first row
+    pad = None  # a line of zeros as wide as the first row
     late = None  # a ragged-row or day-column error, raised once every row is read
-    while t < T:
-        with warnings.catch_warnings():
-            if t:  # a file ending with a chunk is short, which is reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                chunk = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=min(rows, T - t))
-            except ValueError as exc:  # numpy counts rows from the chunk's first
-                detail = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + t), str(exc),
-                                count=1)
-                raise ValueError(f"malformed rows in {path!r}: {detail}") from exc
+    while t < days:
+        skip = pad is not None
+        try:
+            chunk = np.loadtxt(chain([pad], fh) if skip else fh, delimiter=",", ndmin=2,
+                               max_rows=min(rows, days - t) + skip)[skip:]
+        except ValueError as exc:  # numpy counts rows from the chunk's first line
+            detail = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + t - skip), str(exc),
+                            count=1)
+            raise ValueError(f"malformed rows in {path!r}: {detail}") from exc
         if not len(chunk):
             break
-        if cols is None:
-            cols = chunk.shape[1]
-        elif chunk.shape[1] != cols:  # in words of numpy's message for one read
-            raise ValueError(f"malformed rows in {path!r}: the number of columns changed "
-                             f"from {cols} to {chunk.shape[1]} at row {t + 1}; use `usecols` "
-                             f"to select a subset and avoid this error")
+        if pad is None:
+            pad = ",".join("0" * chunk.shape[1]) + "\n"
         r = len(chunk)
         if late is None:
-            if cols != n + 1:
+            if chunk.shape[1] != n + 1:
                 late = f"ragged rows in {path!r}"
             elif not np.array_equal(chunk[:, 0], np.arange(t + 1, t + r + 1)):
                 late = f"day column in {path!r} is not 1..{T}"
@@ -427,7 +415,7 @@ def _read_losses(fh, path: str, params: StreamParams) -> tuple[np.ndarray, np.nd
                 if table is not None:
                     grown = _encode(table, losses.view(np.uint64), codes[t:t + r])
                     if grown is None:  # float64 cells from here on
-                        cells = np.empty((T, n))
+                        cells = np.empty((days, n))
                         for s in range(0, t, rows):  # decoded a chunk at a time
                             table.take(codes[s:s + rows], out=cells[s:s + rows])
                         codes = cells
@@ -460,6 +448,7 @@ def _load_csv(path: str, params: StreamParams) -> tuple[np.ndarray, np.ndarray |
         if key in _PARSED:
             return _PARSED[key]
         _PARSED.clear()  # free the kept losses before parsing the next
+        size = raw.seek(0, os.SEEK_END)
         raw.seek(0)
         parsed = _HashingReader(raw)
         with io.TextIOWrapper(io.BufferedReader(parsed, _CHUNK), newline="") as fh:
@@ -469,7 +458,7 @@ def _load_csv(path: str, params: StreamParams) -> tuple[np.ndarray, np.ndarray |
             expected = ["t"] + [f"e{i}" for i in range(1, params.n + 1)]
             if header != expected:
                 raise ValueError(f"bad header in {path!r}: {header}")
-            losses = _read_losses(fh, path, params)
+            losses = _read_losses(fh, path, params, size)
             key = (parsed.digest(), params.n, params.T)
     _PARSED[key] = losses
     return losses
@@ -496,8 +485,9 @@ class CsvOracle(LossOracle):
         # take, not fancy indexing: a[:, idx] comes back in Fortran order
         ids = np.asarray(ids, dtype=np.int64)
         block = np.take(self.codes[t0 - 1:t1], ids - 1, axis=1)
-        # indexing by uint8 codes: a third faster here than take, which casts them
-        return block if self.table is None else self.table[block]
+        # every code indexes the table, so "clip" only skips numpy's bounds
+        # checks: 2.3x faster here than indexing by the uint8 codes
+        return block if self.table is None else self.table.take(block, mode="clip")
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ class TestHindsightPass:
                 want = o.loss_block(t0, t1, ids)
                 assert got.flags.c_contiguous and got.dtype == np.float64
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                got[:] = -1.0  # a fresh array: the windows are untouched
+                got[:] = -1.0  # the pass's answer buffer: the windows are untouched
             t0 += int(rng.integers(0, t1 - t0 + 2)) or 1
         assert stream.read == o.T
 
@@ -163,6 +163,21 @@ class TestHindsightPass:
         stream.finish()
         assert np.array_equal(stream.loss_block(160, 160, ids),
                               o.loss_block(160, 160, ids))
+
+    def test_answers_reuse_one_buffer(self, monkeypatch):
+        # each answer is overwritten by the next query; the buffer grows only
+        # for a larger query
+        _window(monkeypatch, 16, 4)
+        o = make_oracle(StreamParams(4, 200, seed=2), {"generator": "iid-bernoulli",
+                                                       "mean-range": [0.2, 0.8]})
+        stream = bench.HindsightPass(o)
+        first = stream.loss_block(1, 30, [1, 2, 3])
+        second = stream.loss_block(31, 40, [4, 2])
+        assert np.shares_memory(first, second)
+        assert second.tobytes() == o.loss_block(31, 40, [4, 2]).tobytes()
+        larger = stream.loss_block(41, 100, [1, 2, 3, 4])
+        assert not np.shares_memory(second, larger)
+        assert larger.tobytes() == o.loss_block(41, 100, [1, 2, 3, 4]).tobytes()
 
     def test_days_outside_the_horizon_rejected(self):
         stream = bench.HindsightPass(
@@ -987,6 +1002,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert (f"VIOLATION: trial aborted: ValueError: loss file path must be a string, "
                 f"got {r}") in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_huge_horizon_short_file_clean_exit(self, tmp_path, capsys):
+        # nothing is sized by T before the file's rows are read
+        f = tmp_path / "s.csv"
+        f.write_text("t,e1,e2,e3,e4\n1,0,1,0,1\n2,1,0,1,0\n")
+        cfg = self._write_json(tmp_path / "h.json", {
+            "learner": "baseline", "n": 4, "T": 10**12, "trials": [0],
+            "stream": {"generator": "csv-file", "path": str(f)},
+            "learner-params": {"eps": 0.3}})
+        assert cli.main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert ("VIOLATION: trial aborted: ValueError: loss file has 2 days, "
+                "need 1000000000000") in captured.out
         assert "Traceback" not in captured.out + captured.err
 
     def test_missing_config_nonzero_exit(self):

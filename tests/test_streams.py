@@ -505,8 +505,8 @@ class TestCsvOracle:
     @pytest.mark.parametrize("distinct", [1, 2, 16, 17, 256, 257])
     def test_distinct_values_replay_bit_exactly(self, tmp_path, rows_per_chunk, rows,
                                                 distinct):
-        # few values take a pass per value, more a binary search; past 256
-        # the file is kept as float64, decoding what chunks before coded
+        # past 256 values the file is kept as float64, decoding what chunks
+        # before coded
         rows_per_chunk(rows, 3)
         rng = np.random.default_rng(distinct)
         pool = rng.random(distinct)
@@ -537,6 +537,7 @@ class TestCsvOracle:
         "bad-value-after-blank-lines": ["", "# note", "8,1,x"],
         "columns-change-in-chunk": ["8,0,1", "9,0"],
         "columns-change-at-chunk-start": ["8,0,1", "9,0,1", "10,0", "11,0"],
+        "columns-change-at-chunk-start-then-bad-value": ["8,0,1", "9,0,1", "10,0", "11,x"],
         "short-at-chunk-end": ["8,0,1", "9,0,1"],
         "short-in-chunk": ["8,0,1"],
         "day-column": ["8,0,1", "10,0,1", "11,0,0", "12,0,0"],
