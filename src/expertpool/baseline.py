@@ -70,6 +70,12 @@ class BaselineParams:
         """Post-eviction bound on the persistent pool size."""
         return math.ceil(4.0 / self.eps * math.log(self.T))
 
+    @property
+    def word_cap(self) -> int:
+        """Word budget 2*S^2 + 4*S + 4*m + 16 with S the during-epoch pool bound."""
+        s_hat = self.pool_cap + self.sample_size
+        return 2 * s_hat * s_hat + 4 * s_hat + 4 * self.sample_size + 16
+
 
 @dataclass
 class IntervalAccumulator:
@@ -271,7 +277,6 @@ class BaselineLearner:
         self.pool = Pool(self.meter)
         self.day = 0  # days completed
         self.epoch = 0  # current epoch index once begun
-        self.cumulative_loss = 0.0
         self.queries = 0
         self._epoch: Epoch | None = None
         self._epoch_len = 0
@@ -284,6 +289,10 @@ class BaselineLearner:
     @property
     def pool_size(self) -> int:
         return len(self.pool.entries)
+
+    @property
+    def word_cap(self) -> int:
+        return self.params.word_cap
 
     # -- epoch lifecycle ----------------------------------------------------
 
@@ -318,7 +327,6 @@ class BaselineLearner:
         played = ep.ids[picks]
         ep.add(losses.sum(axis=0), days)
         self.day += days
-        self.cumulative_loss += float(realized.sum())
         self.queries += days * len(ep.members)
         if ep.rounds == self._epoch_len:
             ep.close(self.epoch, evict_pass, self.params.eps)
@@ -326,6 +334,11 @@ class BaselineLearner:
             if self.on_epoch_close is not None:
                 self.on_epoch_close(self)
         return realized, played
+
+    def close(self) -> None:
+        """Release every word once the horizon is played: the pool, then 8 own."""
+        self.pool.clear()
+        self.meter.release("overhead", 8)
 
     def next_block(self, oracle: LossOracle, days: int | None = None
                    ) -> tuple[int, np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "run_lowerbound_demo",
     "check_pool",
     "check_memory",
-    "hierarchy_memory_cap_words",
     "dump_stream",
     "TRACE_COLUMNS",
 ]
@@ -189,31 +189,6 @@ def check_pool(entries, threshold: float, cap: int,
     return bad
 
 
-def memory_cap_words(params: BaselineParams) -> int:
-    """Word budget 2*S^2 + 4*S + 4*m + 16 with S the during-epoch pool bound."""
-    m = params.sample_size
-    s_hat = params.pool_cap + m
-    return 2 * s_hat * s_hat + 4 * s_hat + 4 * m + 16
-
-
-def hierarchy_memory_cap_words(learner: HierarchyLearner) -> int:
-    """Word budget of the whole hierarchy, from its level parameters.
-
-    Level 1 gets the baseline's ``memory_cap_words`` for one full level-1
-    episode. Each level k >= 2 gets its 8 level words, a pool of at most
-    S = pool_cap + sample_size entries (S^2 + 3S words: 4 per entry and 2 per
-    younger entry's accumulator) and, for at most S epoch members m, the words
-    ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size,
-    merge 4m + 1.
-    """
-    words = memory_cap_words(learner.level1_params(learner.T))
-    for lp in learner.level_params[1:]:
-        s_hat = lp.pool_cap + lp.sample_size
-        words += 8 + s_hat * s_hat + 3 * s_hat
-        words += (s_hat + 4) + (s_hat + lp.sample_size) + 4 * s_hat + 1
-    return words
-
-
 def check_memory(learner) -> list[str]:
     """Meter audit of any learner: its metered words against the words
     ``audit_words`` recomputes from live state."""
@@ -311,9 +286,16 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _check_keys(what: str, d: dict, allowed) -> None:
+    """ValueError on a key outside ``allowed``, which would run its default."""
+    unknown = [k for k in d if k not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; allowed: {list(allowed)}")
+
+
 @dataclass
 class ExperimentConfig:
-    learner: str  # mwu-full-memory | baseline | full-hierarchy
+    learner: str  # a key of LEARNER_KEYS
     n: int
     T: int
     stream: dict
@@ -323,10 +305,12 @@ class ExperimentConfig:
     checks: str = "epoch"  # off | epoch | paranoid
 
     def __post_init__(self):
-        if self.learner not in ("mwu-full-memory", "baseline", "full-hierarchy"):
+        if self.learner not in list(LEARNER_KEYS):  # list(): a JSON list is unhashable
             raise ValueError(f"unknown learner {self.learner!r}")
         check_int_list("trials", self.trials)
         check_object("learner-params", self.learner_params)
+        _check_keys(f"{self.learner} learner-params", self.learner_params,
+                    LEARNER_KEYS[self.learner])
         if self.output is not None:
             check_path("output", self.output)
         if self.checks not in ("off", "epoch", "paranoid"):
@@ -336,16 +320,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            learner=d["learner"],
-            n=d["n"],
-            T=d["T"],
-            stream=d["stream"],
-            trials=d.get("trials", [0]),
-            learner_params=d.get("learner-params", {}),
-            output=d.get("output"),
-            checks=d.get("checks", "epoch"),
-        )
+        """The config whose keys are the field names, with "-" for "_"."""
+        names = {f.name.replace("_", "-"): f.name for f in fields(cls)}
+        _check_keys("config keys", d, names)
+        missing = [k for k in ("learner", "n", "T", "stream") if k not in d]
+        if missing:
+            raise ValueError(f"config lacks {missing}")
+        return cls(**{names[k]: v for k, v in d.items()})
 
 
 @dataclass
@@ -372,7 +353,6 @@ class _FullMemoryLearner:
         self.T = T
         self.pool_size = n
         self.day = 0
-        self.cumulative_loss = 0.0
 
     def next_block(self, oracle: LossOracle, days: int | None = None
                    ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -382,7 +362,6 @@ class _FullMemoryLearner:
         picks = self.state.run_block(losses, self.rng)
         realized = losses[np.arange(len(losses)), picks]
         self.day = t1
-        self.cumulative_loss += float(realized.sum())
         return t0, realized, picks + 1
 
     def commit_distribution(self) -> np.ndarray:
@@ -391,52 +370,70 @@ class _FullMemoryLearner:
     def audit_words(self) -> int:
         return len(self.state.cum) + 4
 
-
-def _make_learner(config: ExperimentConfig, seed: int, violations: list[str]):
-    """The configured learner and its word cap; with checks on, every pool's
-    epoch close (the baseline's, or each hierarchy level's) runs ``check_pool``."""
-    lp = config.learner_params
-
-    def on_close(level) -> None:
-        if isinstance(level, LevelState):
-            violations.extend(check_pool(level.entries, level.lp.theta,
-                                         level.lp.pool_cap, potential=False))
-        else:
-            p = level.params
-            violations.extend(check_pool(level.entries, p.eps, p.pool_cap,
-                                         dichotomy_eps=p.eps))
-
-    hook = on_close if config.checks != "off" else None
-    if config.learner == "baseline":
-        params = BaselineParams(config.n, config.T, eps=lp.get("eps", 0.1),
-                                B=lp.get("B"), seed=seed)
-        return BaselineLearner(params, on_epoch_close=hook), memory_cap_words(params)
-    if config.learner == "full-hierarchy":
-        learner = HierarchyLearner(config.n, config.T, delta=lp.get("delta", 1.0),
-                                   seed=seed, on_epoch_close=hook)
-        return learner, hierarchy_memory_cap_words(learner)
-    return _FullMemoryLearner(config.n, config.T, seed), config.n + 4
+    @property
+    def word_cap(self) -> int:
+        return len(self.ids) + 4
 
 
-def _run_trial(config: ExperimentConfig, seed: int, oracle: LossOracle,
-               trace: TraceWriter | None) -> tuple[float, int, list[str]]:
-    """Play blocks to the horizon. With checks on, the meter is audited after
-    every block and the peak is checked against the word cap at the end;
-    paranoid checks play the baseline in one-day blocks."""
-    violations: list[str] = []
-    learner, cap = _make_learner(config, seed, violations)
+# learner kinds and the parameters each takes: those trials and the demo build, and
+# the demo's fixed strategies (whose spec also holds "kind")
+LEARNER_KEYS = {"mwu-full-memory": (), "baseline": ("eps", "B"), "full-hierarchy": ("delta",)}
+DEMO_KEYS = {"equilibrium": (), "fixed-uniform-subset": ("subset",)}
+
+
+def _make_learner(kind: str, params: dict, n: int, T: int, seed: int, on_epoch_close=None):
+    """A ``kind`` learner over n experts and T days, reading only the ``params``
+    keys ``LEARNER_KEYS[kind]`` names; every pool gets ``on_epoch_close``."""
+    if kind == "baseline":
+        p = BaselineParams(n, T, params.get("eps", 0.1), params.get("B"), seed)
+        return BaselineLearner(p, on_epoch_close=on_epoch_close)
+    if kind == "full-hierarchy":
+        return HierarchyLearner(n, T, params.get("delta", 1.0), seed, on_epoch_close)
+    return _FullMemoryLearner(n, T, seed)
+
+
+def _check_closed_pool(violations: list[str], level) -> None:
+    """``check_pool`` after an epoch close of any pool (the baseline's, or a
+    hierarchy level's), into ``violations``."""
+    if isinstance(level, LevelState):
+        violations.extend(check_pool(level.entries, level.lp.theta,
+                                     level.lp.pool_cap, potential=False))
+    else:
+        p = level.params
+        violations.extend(check_pool(level.entries, p.eps, p.pool_cap,
+                                     dichotomy_eps=p.eps))
+
+
+def _run_trial(config: ExperimentConfig, seed: int, learner, stream: HindsightPass,
+               trace: TraceWriter | None, violations: list[str]) -> TrialResult:
+    """Play blocks to the horizon, totalling the realized losses block by
+    block, then keep the trace. With checks on, the meter is audited after
+    every block and the peak is checked against the learner's word cap at the
+    end; paranoid checks play the baseline in one-day blocks."""
     checks = config.checks != "off"
     one_day = config.checks == "paranoid" and config.learner == "baseline"
+    loss = 0.0
     while learner.day < config.T:
-        t0, realized, _ = (learner.next_block(oracle, 1) if one_day
-                           else learner.next_block(oracle))
+        t0, realized, _ = (learner.next_block(stream, 1) if one_day
+                           else learner.next_block(stream))
+        loss += float(realized.sum())
         if checks:
             violations.extend(check_memory(learner))
         if trace is not None:
             trace.record(t0, realized, learner.meter, learner.pool_size)
-    if checks and learner.meter.peak > cap:
-        violations.append(f"metered peak of {learner.meter.peak} words exceeds cap {cap}")
-    return learner.cumulative_loss, learner.meter.peak, violations
+    if checks and learner.meter.peak > learner.word_cap:
+        violations.append(f"metered peak of {learner.meter.peak} words exceeds cap "
+                          f"{learner.word_cap}")
+    _, best_total = stream.finish()
+    if trace is not None:
+        trace.flush()
+    return TrialResult(seed, loss - best_total, loss, best_total, learner.meter.peak,
+                       violations, None if trace is None else str(trace.path))
+
+
+def _aborted(seed: int, exc: Exception) -> TrialResult:
+    return TrialResult(seed, math.nan, math.nan, math.nan, 0,
+                       [f"trial aborted: {type(exc).__name__}: {exc}"])
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
@@ -444,38 +441,31 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
 
     Each trial reads its stream once, through one ``HindsightPass`` that
     serves the learner's queries, the trace's best column and the regret.
-    An input error aborts only its own trial; any other error propagates.
+    Only an input error met while a trial is built, or an I/O error of its
+    trace, aborts the trial; the others run on, and any other error propagates.
     A trial's trace is written as it runs and kept only if the trial ends.
     """
     results: list[TrialResult] = []
     for seed in config.trials:
-        trace = None
-        try:
-            params = StreamParams(config.n, config.T, seed=seed)
-            stream = HindsightPass(make_oracle(params, config.stream))
-            if config.output is not None:
-                trace = TraceWriter(Path(config.output) / f"trace_seed{seed}.csv", stream)
-            loss, peak, violations = _run_trial(config, seed, stream, trace)
-            _, best_total = stream.finish()
-            if trace is not None:
-                trace.flush()
-        except (ValueError, KeyError, OSError) as exc:  # one bad trial must not sink the rest
-            results.append(TrialResult(
-                seed, math.nan, math.nan, math.nan, 0,
-                [f"trial aborted: {type(exc).__name__}: {exc}"]))
+        violations: list[str] = []
+        hook = partial(_check_closed_pool, violations) if config.checks != "off" else None
+        try:  # one bad trial must not sink the rest
+            stream = HindsightPass(make_oracle(StreamParams(config.n, config.T, seed=seed),
+                                               config.stream))
+            learner = _make_learner(config.learner, config.learner_params, config.n,
+                                    config.T, seed, hook)
+            trace = (None if config.output is None else
+                     TraceWriter(Path(config.output) / f"trace_seed{seed}.csv", stream))
+        except (ValueError, KeyError, OSError) as exc:
+            results.append(_aborted(seed, exc))
             continue
+        try:
+            results.append(_run_trial(config, seed, learner, stream, trace, violations))
+        except OSError as exc:  # the trace's writes or rename
+            results.append(_aborted(seed, exc))
         finally:
             if trace is not None:
                 trace.discard()  # a no-op once flushed
-        results.append(TrialResult(
-            seed=seed,
-            regret=loss - best_total,
-            cumulative_loss=loss,
-            best_total=best_total,
-            peak_words=peak,
-            violations=violations,
-            trace_path=None if trace is None else str(trace.path),
-        ))
     return results
 
 
@@ -512,25 +502,17 @@ class _FixedLearner:
         pass
 
 
-def make_demo_learner(spec: dict, n: int, rounds: int, seed: int,
-                      game: GameOracle):
-    check_object("demo learner", spec)
-    kind = spec.get("kind", "mwu-full-memory")
-    if kind == "mwu-full-memory":
-        return _FullMemoryLearner(n, rounds, seed)
-    if kind == "equilibrium":
+def make_demo_learner(spec: dict, n: int, game: GameOracle) -> _FixedLearner:
+    """The fixed strategy of an ``equilibrium`` or ``fixed-uniform-subset`` spec."""
+    if spec["kind"] == "equilibrium":
         return _FixedLearner(game.game.equilibrium())
-    if kind == "fixed-uniform-subset":
-        check_int_list("subset", spec["subset"])
-        ids = np.asarray(spec["subset"])
-        if not np.all((ids >= 1) & (ids <= n)):
-            raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
-        p = np.zeros(n)
-        p[ids - 1] = 1.0 / len(ids)
-        return _FixedLearner(p)
-    if kind == "baseline":
-        return BaselineLearner(BaselineParams(n, rounds, spec.get("eps", 0.1), seed=seed))
-    raise ValueError(f"unknown demo learner {kind!r}")
+    check_int_list("subset", spec["subset"])
+    ids = np.asarray(spec["subset"])
+    if not np.all((ids >= 1) & (ids <= n)):
+        raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
+    p = np.zeros(n)
+    p[ids - 1] = 1.0 / len(ids)
+    return _FixedLearner(p)
 
 
 @dataclass
@@ -553,13 +535,23 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     params = StreamParams(n, rounds)
     check_number("eps-prime", epsilon_prime)
     check_int_list("seeds", seeds)
+    check_object("demo learner", learner_spec)
+    kind = learner_spec.get("kind", "mwu-full-memory")
+    if kind == "full-hierarchy":
+        raise ValueError("demo-lb cannot play full-hierarchy: it reads a whole bottom "
+                         "epoch ahead and commits no distribution")
+    kinds = {**LEARNER_KEYS, **DEMO_KEYS}
+    if kind not in list(kinds):  # list(): a JSON list is unhashable
+        raise ValueError(f"unknown demo learner {kind!r}")
+    _check_keys(f"{kind} demo learner keys", learner_spec, ("kind", *kinds[kind]))
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")
     out: list[DemoResult] = []
     for seed in seeds:
         oracle = GameOracle(replace(params, seed=seed), k=k)
-        learner = make_demo_learner(learner_spec, n, rounds, seed, oracle)
+        learner = (make_demo_learner(learner_spec, n, oracle) if kind in DEMO_KEYS
+                   else _make_learner(kind, learner_spec, n, rounds, seed))
         total = 0.0
         for _ in range(rounds):
             p = learner.commit_distribution()

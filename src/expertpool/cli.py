@@ -78,9 +78,7 @@ def _cmd_dump_stream(args: argparse.Namespace) -> int:
     spec = _load_config(args.config)
     out = args.output or spec.get("output")
     if out is None:
-        print("error: no output path (use --output or the 'output' key)",
-              file=sys.stderr)
-        return 1
+        raise ValueError("no output path (use --output or the 'output' key)")
     check_path("output", out)
     params = StreamParams(spec["n"], spec["T"], seed=spec.get("seed", 0))
     dump_stream(make_oracle(params, spec["stream"]), Path(out))

@@ -135,7 +135,6 @@ class LevelState:
         self.epoch_in_episode = 0
         self.epoch_count = 0
         self.day_in_dd = 0
-        self.cumulative_loss = 0.0
         self.queries = 0
         self.width_exceedances = 0
         self.min_truncated = math.inf  # most negative truncated loss seen
@@ -209,7 +208,6 @@ class LevelState:
         self._dd_sum_e += realized_e.sum(axis=0)
         self._dd_sum_base += float(base_sum)
         self.day_in_dd += L
-        self.cumulative_loss += float(realized.sum())
         if self.day_in_dd == lp.day_span:
             self._close_decision_day()
         return realized, played
@@ -262,7 +260,6 @@ class HierarchyLearner:
         self.rng = np.random.default_rng(seed)
         self.meter = WordMeter()
         self.day = 0
-        self.cumulative_loss = 0.0
         self.on_epoch_close = on_epoch_close
         self.levels = [
             LevelState(lp, n, T, self.meter, on_epoch_close)
@@ -272,21 +269,37 @@ class HierarchyLearner:
 
     def _ensure_level1(self) -> None:
         """Start a level-1 episode once the previous one has played out."""
-        lvl1 = self._lvl1
-        if lvl1 is not None and lvl1.day < lvl1.params.T:
-            return
-        if lvl1 is not None:
-            lvl1.pool.clear()
-            self.meter.release("overhead", 8)
-        self._lvl1 = BaselineLearner(self.level1_params(self.T - self.day),
+        if self._lvl1 is not None:
+            if self._lvl1.day < self._lvl1.params.T:
+                return
+            self._lvl1.close()
+        self._lvl1 = BaselineLearner(self._level1_params(self.T - self.day),
                                      meter=self.meter, rng=self.rng,
                                      on_epoch_close=self.on_epoch_close)
 
-    def level1_params(self, days_left: int) -> BaselineParams:
+    def _level1_params(self, days_left: int) -> BaselineParams:
         """Level-1 parameters for one full episode, or the shorter tail when
         ``days_left`` is less; level 1 draws from the hierarchy's generator."""
         ep_len = min(self.level_params[0].episode_days, days_left)
         return BaselineParams(self.n, ep_len, self.eps, B=min(self.B, ep_len))
+
+    @property
+    def word_cap(self) -> int:
+        """Word budget of the whole hierarchy, from its level parameters.
+
+        Level 1 gets the baseline's ``word_cap`` for one full level-1 episode.
+        Each level k >= 2 gets its 8 level words, a pool of at most
+        S = pool_cap + sample_size entries (S^2 + 3S words: 4 per entry and 2 per
+        younger entry's accumulator) and, for at most S epoch members m, the words
+        ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size,
+        merge 4m + 1.
+        """
+        words = self._level1_params(self.T).word_cap
+        for lp in self.level_params[1:]:
+            s_hat = lp.pool_cap + lp.sample_size
+            words += 8 + s_hat * s_hat + 3 * s_hat
+            words += (s_hat + 4) + (s_hat + lp.sample_size) + 4 * s_hat + 1
+        return words
 
     @property
     def pool_size(self) -> int:
@@ -312,7 +325,6 @@ class HierarchyLearner:
                 oracle, t0, L, realized, played, self.rng
             )
         self.day += L
-        self.cumulative_loss += float(realized.sum())
         return t0, realized, played
 
     def audit_words(self) -> int:

@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Sequence
@@ -394,8 +395,10 @@ def _read_losses(fh, path: str, params: StreamParams,
     while t < days:
         skip = pad is not None
         try:
-            chunk = np.loadtxt(chain([pad], fh) if skip else fh, delimiter=",", ndmin=2,
-                               max_rows=min(rows, days - t) + skip)[skip:]
+            with warnings.catch_warnings():  # numpy's blank-line notes count from the chunk
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                chunk = np.loadtxt(chain([pad], fh) if skip else fh, delimiter=",", ndmin=2,
+                                   max_rows=min(rows, days - t) + skip)[skip:]
         except ValueError as exc:  # numpy counts rows from the chunk's first line
             detail = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + t - skip), str(exc),
                             count=1)

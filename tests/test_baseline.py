@@ -25,9 +25,12 @@ from expertpool.streams import ConstantOracle, StreamParams, make_oracle
 
 
 def play(learner, oracle):
-    """Step ``learner`` through ``next_block`` to the oracle's horizon."""
+    """Step ``learner`` through ``next_block`` to the oracle's horizon; the
+    total realized loss, summed block by block as the harness sums it."""
+    loss = 0.0
     while learner.day < oracle.T:
-        learner.next_block(oracle)
+        loss += float(learner.next_block(oracle)[1].sum())
+    return loss
 
 
 def entry(id, alpha, own_avg, own_count=1, cross=None):
@@ -289,20 +292,19 @@ class TestLearner:
         runs = []
         for _ in range(2):
             learner = BaselineLearner(BaselineParams(8, 200, eps=0.3, seed=9))
-            play(learner, oracle)
-            runs.append((learner.cumulative_loss,
-                         [e.id for e in learner.entries]))
+            runs.append((play(learner, oracle), [e.id for e in learner.entries]))
         assert runs[0] == runs[1]
 
     def test_day_step_equals_block_run(self):
         spec = {"generator": "iid-bernoulli", "mean-range": [0.1, 0.9]}
         oracle = make_oracle(StreamParams(6, 60, seed=2), spec)
         by_block = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
-        play(by_block, oracle)
+        block_loss = play(by_block, oracle)
         by_day = BaselineLearner(BaselineParams(6, 60, eps=0.3, B=5, seed=4))
+        day_loss = 0.0
         while by_day.day < 60:
-            by_day.next_block(oracle, 1)
-        assert by_day.cumulative_loss == by_block.cumulative_loss
+            day_loss += float(by_day.next_block(oracle, 1)[1].sum())
+        assert day_loss == block_loss
         assert [e.id for e in by_day.entries] == [e.id for e in by_block.entries]
 
     def test_next_block_plays_rest_of_epoch(self):

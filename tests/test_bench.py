@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from expertpool import bench, cli
-from expertpool.baseline import BaselineLearner, BaselineParams
+from expertpool.baseline import BaselineLearner, BaselineParams, IntervalAccumulator, PoolEntry
 from expertpool.bench import (
     TRACE_COLUMNS,
     ExperimentConfig,
     TraceWriter,
+    check_pool,
     dump_stream,
-    hierarchy_memory_cap_words,
     oracle_best_expert,
     run_experiment,
     run_lowerbound_demo,
@@ -208,8 +208,8 @@ class TestHindsightPass:
 
         def run(out):
             cfg = ExperimentConfig(learner, n, T, spec, trials=[2],
-                                   learner_params={"eps": 0.3}, checks=checks,
-                                   output=str(out))
+                                   learner_params={"eps": 0.3} if learner == "baseline" else {},
+                                   checks=checks, output=str(out))
             (r,) = run_experiment(cfg)
             assert r.violations == []
             return r, Path(r.trace_path).read_bytes()
@@ -241,10 +241,11 @@ class TestHindsightPass:
                                 output and str(tmp_path / output))
 
     def test_hierarchy_blocks_across_windows_read_once(self, monkeypatch):
-        # 12-day blocks (eps 0.3) against 5,461-day windows at n=6: a block
+        # B-day blocks (6 at n=6, delta 1) against 5,461-day windows: a block
         # crossing a window boundary is served to every level from the last
         # two windows
-        assert bench._window_days(6) % 12 and 12000 > 2 * bench._window_days(6)
+        B = HierarchyLearner(6, 12000, delta=1.0).B
+        assert bench._window_days(6) % B and 12000 > 2 * bench._window_days(6)
         self._assert_reads_once(monkeypatch, "full-hierarchy", None, n=6, T=12000)
 
     def _assert_reads_once(self, monkeypatch, learner, output, n=8, T=1000):
@@ -256,8 +257,8 @@ class TestHindsightPass:
             return oracles[-1]
 
         monkeypatch.setattr(bench, "make_oracle", counting)
-        cfg = ExperimentConfig(learner, n, T, {"generator": "iid-bernoulli"},
-                               trials=[4], learner_params={"eps": 0.3},
+        cfg = ExperimentConfig(learner, n, T, {"generator": "iid-bernoulli"}, trials=[4],
+                               learner_params={"eps": 0.3} if learner == "baseline" else {},
                                output=output)
         (r,) = run_experiment(cfg)
         assert r.violations == []
@@ -433,6 +434,8 @@ class TestTraceWriter:
     @pytest.mark.parametrize("error", [ValueError("bad day"), RuntimeError("broken")],
                              ids=["input-error", "programming-error"])
     def test_trial_failing_mid_run_leaves_no_file(self, tmp_path, monkeypatch, error):
+        # an error raised while the trial is played is not bad input: it
+        # propagates, whatever its type
         _window(monkeypatch, 50, 4)
 
         def failing(params, spec):
@@ -449,15 +452,28 @@ class TestTraceWriter:
 
         monkeypatch.setattr(bench, "make_oracle", failing)
         sizes = self._spy_record(monkeypatch)
-        if isinstance(error, ValueError):
-            (r,) = run_experiment(self._config(tmp_path / "out"))
-            assert r.violations == ["trial aborted: ValueError: bad day"]
-            assert r.trace_path is None
-        else:
-            with pytest.raises(RuntimeError, match="broken"):
-                run_experiment(self._config(tmp_path / "out"))
+        with pytest.raises(type(error), match=str(error)):
+            run_experiment(self._config(tmp_path / "out"))
         assert sizes  # rows were on disk before the failure
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_trace_write_error_aborts_only_its_trial(self, tmp_path, monkeypatch):
+        # an I/O error of the trace (here its final rename) is not a program
+        # fault: that trial aborts, leaves no file, and the next one runs
+        replace = os.replace
+
+        def failing(src, dst):
+            if str(dst).endswith("trace_seed0.csv"):
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(bench.os, "replace", failing)
+        cfg = self._config(tmp_path / "out")
+        cfg.trials = [0, 1]
+        bad, ok = run_experiment(cfg)
+        assert bad.violations == ["trial aborted: OSError: disk full"]
+        assert bad.trace_path is None and ok.violations == []
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["trace_seed1.csv"]
 
     def test_short_replay_file_leaves_no_trace(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -482,26 +498,27 @@ class TestHierarchyMemoryCap:
     STREAM = {"generator": "iid-bernoulli", "mean-range": [0.3, 0.7],
               "overrides": {"1": 0.2}}
 
-    @pytest.mark.parametrize("n,T", [(4, 256), (16, 65536)])
-    def test_criterion_7_configs_stay_under_cap(self, n, T):
+    # the caps these configs had when the harness computed them
+    @pytest.mark.parametrize("n,T,cap", [(4, 256, 11711), (16, 65536, 173855)],
+                             ids=["4-256", "16-65536"])
+    def test_criterion_7_configs_stay_under_cap(self, n, T, cap):
         cfg = ExperimentConfig("full-hierarchy", n, T, self.STREAM, trials=[5],
                                learner_params={"delta": 1.0}, checks="epoch")
         (r,) = run_experiment(cfg)
         assert r.violations == []
-        cap = hierarchy_memory_cap_words(HierarchyLearner(n, T, delta=1.0))
+        assert HierarchyLearner(n, T, delta=1.0).word_cap == cap
         assert 0 < r.peak_words <= cap
 
     def test_cap_below_peak_is_flagged(self, monkeypatch):
         cfg = ExperimentConfig("full-hierarchy", 4, 256, self.STREAM, trials=[5])
         (clean,) = run_experiment(cfg)
-        monkeypatch.setattr(bench, "hierarchy_memory_cap_words",
-                            lambda learner: clean.peak_words - 1)
+        monkeypatch.setattr(HierarchyLearner, "word_cap", clean.peak_words - 1)
         (r,) = run_experiment(cfg)
         assert len(r.violations) == 1  # the first crossing, reported once
         assert f"peak of {clean.peak_words} words exceeds cap" in r.violations[0]
 
     def test_cap_unchecked_when_checks_off(self, monkeypatch):
-        monkeypatch.setattr(bench, "hierarchy_memory_cap_words", lambda learner: 0)
+        monkeypatch.setattr(HierarchyLearner, "word_cap", 0)
         cfg = ExperimentConfig("full-hierarchy", 4, 256, self.STREAM, trials=[5],
                                checks="off")
         assert run_experiment(cfg)[0].violations == []
@@ -512,12 +529,12 @@ class TestHierarchyMemoryCap:
         assert one.K == 1 and two.K == 2
         lvl1 = BaselineParams(16, min(one.level_params[0].episode_days, 4096),
                               one.eps, B=one.B)
-        assert hierarchy_memory_cap_words(one) == bench.memory_cap_words(lvl1)
+        assert one.word_cap == lvl1.word_cap == 32846
         lp = two.level_params[1]
         s_hat = lp.pool_cap + lp.sample_size
         lvl1 = BaselineParams(4, two.level_params[0].episode_days, two.eps, B=two.B)
-        assert hierarchy_memory_cap_words(two) == (
-            bench.memory_cap_words(lvl1) + s_hat * s_hat + 9 * s_hat + lp.sample_size + 13)
+        assert two.word_cap == (
+            lvl1.word_cap + s_hat * s_hat + 9 * s_hat + lp.sample_size + 13) == 13977
 
 
 class TestMemoryAudit:
@@ -531,8 +548,8 @@ class TestMemoryAudit:
                "mwu-full-memory": bench._FullMemoryLearner}
 
     def _config(self, learner, checks):
-        return ExperimentConfig(learner, 8, 400, SPOILER, trials=[3],
-                                learner_params={"eps": 0.3}, checks=checks)
+        return ExperimentConfig(learner, 8, 400, SPOILER, trials=[3], checks=checks,
+                                learner_params={"eps": 0.3} if learner == "baseline" else {})
 
     @pytest.mark.parametrize("learner,checks", CONFIGS)
     def test_audit_drift_flagged(self, monkeypatch, learner, checks):
@@ -547,25 +564,21 @@ class TestMemoryAudit:
     def test_cap_below_peak_flagged_once(self, monkeypatch, learner, checks):
         (clean,) = run_experiment(self._config(learner, checks))
         assert clean.violations == []
-        make = bench._make_learner
-
-        def tight(config, seed, violations):
-            return make(config, seed, violations)[0], clean.peak_words - 1
-
-        monkeypatch.setattr(bench, "_make_learner", tight)
+        monkeypatch.setattr(self.AUDITED[learner], "word_cap", clean.peak_words - 1)
         (r,) = run_experiment(self._config(learner, checks))
         assert len(r.violations) == 1
         assert r.violations[0].startswith("metered")
         assert f"peak of {clean.peak_words} words exceeds cap" in r.violations[0]
 
     def test_learner_caps(self):
-        for learner, want in (
-            ("baseline", bench.memory_cap_words(BaselineParams(8, 400, 0.3))),
-            ("full-hierarchy", hierarchy_memory_cap_words(HierarchyLearner(8, 400, 1.0))),
-            ("mwu-full-memory", 8 + 4),
+        # the caps these learners had when the harness computed them
+        for learner, params, want in (
+            ("baseline", {"eps": 0.3}, 15888),
+            ("full-hierarchy", {"delta": 1.0}, 9568),
+            ("mwu-full-memory", {}, 8 + 4),
         ):
-            _, cap = bench._make_learner(self._config(learner, "epoch"), 3, [])
-            assert cap == want
+            assert bench._make_learner(learner, params, 8, 400, 3).word_cap == want
+        assert BaselineLearner(BaselineParams(8, 400, 0.3)).word_cap == 15888
 
     @pytest.mark.parametrize("learner,checks,calls", [
         ("full-hierarchy", "epoch", 132), ("baseline", "epoch", 6),
@@ -577,10 +590,33 @@ class TestMemoryAudit:
         check = bench.check_pool
         monkeypatch.setattr(bench, "check_pool",
                             lambda *a, **k: seen.append(1) or check(*a, **k))
-        cfg = ExperimentConfig(learner, n, T, stream, trials=[3],
-                               learner_params={"eps": 0.3}, checks=checks)
+        cfg = ExperimentConfig(learner, n, T, stream, trials=[3], checks=checks,
+                               learner_params={"eps": 0.3} if learner == "baseline" else {})
         assert run_experiment(cfg)[0].violations == []
         assert len(seen) == calls
+
+
+def _entry(id, alpha, own_avg, own_count, cross=None):
+    e = PoolEntry(id, alpha, IntervalAccumulator(own_avg * own_count, own_count))
+    for younger, (avg, count) in (cross or {}).items():
+        e.cross[younger] = IntervalAccumulator(avg * count, count)
+    return e
+
+
+class TestCheckPool:
+    # each pool breaks exactly one invariant at eps = threshold = 1/2: expert 1
+    # averages 0.9 over expert 2's interval, above 0.3 + 1/2, and its potential
+    # is 2 ln(count ratio) + 0.2 above expert 2's
+    @pytest.mark.parametrize("entries,cap,message", [
+        ([_entry(1, 1, 0.5, 1)], 0, "pool size 1 exceeds cap 0"),
+        ([_entry(1, 1, 0.5, 6, {2: (0.9, 1)}), _entry(2, 1, 0.3, 4)], 10,
+         "duplicate entry epochs [1, 1]"),
+        # 0.5 < 0.3 + 1/4 and 5 < 4 (1 + 1/3): neither loss nor length gap
+        ([_entry(1, 1, 0.5, 5, {2: (0.9, 1)}), _entry(2, 2, 0.3, 4)], 10,
+         "dichotomy: experts (1, 2) violate both loss and length conditions"),
+    ], ids=["size-cap", "duplicate-epochs", "dichotomy"])
+    def test_one_violation_each(self, entries, cap, message):
+        assert check_pool(entries, 0.5, cap, dichotomy_eps=0.5) == [message]
 
 
 class TestExperimentConfig:
@@ -613,6 +649,25 @@ class TestExperimentConfig:
             ExperimentConfig("baseline", 4, 10, {"generator": "constant"},
                              learner_params=params)
 
+    @pytest.mark.parametrize("learner,params", [
+        ("baseline", {"epsilon": 0.3}), ("baseline", {"eps": 0.3, "delta": 0.5}),
+        ("full-hierarchy", {"detla": 0.5}), ("full-hierarchy", {"eps": 0.3}),
+        ("mwu-full-memory", {"eps": 0.3})])
+    def test_learner_params_the_learner_does_not_take(self, learner, params):
+        with pytest.raises(ValueError, match=f"unknown {learner} learner-params"):
+            ExperimentConfig(learner, 4, 10, {"generator": "constant"},
+                             learner_params=params)
+
+    @pytest.mark.parametrize("d,message", [
+        ({"learner_params": {"eps": 0.3}}, r"unknown config keys \['learner_params'\]"),
+        ({"stream": None}, r"config lacks \['stream'\]"),
+    ])
+    def test_from_dict_rejects_unknown_and_missing_keys(self, d, message):
+        base = {"learner": "baseline", "n": 4, "T": 16, "stream": {"generator": "constant"}}
+        d = {k: v for k, v in {**base, **d}.items() if v is not None}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(d)
+
     def test_from_dict_key_mapping(self):
         cfg = ExperimentConfig.from_dict({
             "learner": "baseline", "n": 4, "T": 16,
@@ -621,6 +676,7 @@ class TestExperimentConfig:
         })
         assert cfg.learner_params == {"eps": 0.3}
         assert cfg.trials == [5]
+        assert (cfg.output, cfg.checks) == (None, "epoch")
 
 
 class TestRunExperiment:
@@ -712,6 +768,25 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="not an input error"):
             run_experiment(cfg)
 
+    def test_learner_error_while_played_propagates(self, monkeypatch):
+        # a KeyError raised inside the learner on its third block is a program
+        # fault, not bad input: it is not relabelled "trial aborted"
+        advance = BaselineLearner.advance
+        calls = []
+
+        def broken(self, losses):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyError(42)
+            return advance(self, losses)
+
+        monkeypatch.setattr(BaselineLearner, "advance", broken)
+        cfg = ExperimentConfig("baseline", 6, 200, self.STREAM, trials=[0, 1],
+                               learner_params={"eps": 0.3, "B": 10})
+        with pytest.raises(KeyError, match="42"):
+            run_experiment(cfg)
+        assert len(calls) == 3  # the next seed never ran
+
     def test_adaptive_stream_rejected(self):
         with pytest.raises(ValueError, match="unknown generator 'adaptive-game'"):
             ExperimentConfig("baseline", 4, 20,
@@ -787,7 +862,7 @@ class TestLowerBoundDemo:
 
     @pytest.mark.parametrize("kind,n,eps_prime,rounds", list(DEMO_REFERENCE))
     def test_demo_learners_match_reference(self, kind, n, eps_prime, rounds):
-        spec = {"kind": kind, "eps": 0.3}
+        spec = {"kind": kind, "eps": 0.3} if kind == "baseline" else {"kind": kind}
         res = run_lowerbound_demo(n, eps_prime, rounds, spec, [0, 1, 2])
         assert [r.avg_raw_loss for r in res] == \
             self.DEMO_REFERENCE[kind, n, eps_prime, rounds]
@@ -802,7 +877,34 @@ class TestLowerBoundDemo:
         assert [t0 for t0, _, _ in steps] == list(range(1, 51))
         assert np.array_equal(np.concatenate([p for _, _, p in steps]), played)
         assert by_day.day == whole.day == 50
-        assert by_day.cumulative_loss == pytest.approx(whole.cumulative_loss)
+        day_loss = sum(float(r.sum()) for _, r, _ in steps)
+        assert day_loss == pytest.approx(float(realized.sum()))
+
+    def test_demo_baseline_takes_epoch_length(self, monkeypatch):
+        built = []
+
+        def spy(params, **kwargs):
+            built.append(params)
+            return BaselineLearner(params, **kwargs)
+
+        monkeypatch.setattr(bench, "BaselineLearner", spy)
+        run_lowerbound_demo(6, 1 / 4, 40, {"kind": "baseline", "eps": 0.3, "B": 7}, [0])
+        assert [(p.eps, p.B) for p in built] == [(0.3, 7)]
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "full-hierarchy"}, "commits no distribution"),
+        ({"kind": "baseline", "epsilon": 0.3},
+         r"unknown baseline demo learner keys \['epsilon'\]"),
+        ({"kind": "mwu-full-memory", "eps": 0.3}, "unknown mwu-full-memory demo learner keys"),
+        ({"eps": 0.3}, "unknown mwu-full-memory demo learner keys"),
+        ({"kind": "equilibrium", "subset": [1]}, "unknown equilibrium demo learner keys"),
+        ({"kind": "fixed-uniform-subset", "subset": [1], "ids": [2]},
+         "unknown fixed-uniform-subset demo learner keys"),
+        ({"kind": "nope"}, "unknown demo learner 'nope'"),
+    ])
+    def test_bad_learner_spec_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            run_lowerbound_demo(8, 1 / 8, 10, spec, [0])
 
 
 class TestCli:
@@ -1017,6 +1119,38 @@ class TestCli:
         assert ("VIOLATION: trial aborted: ValueError: loss file has 2 days, "
                 "need 1000000000000") in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("run", {"learner-params": {"epsilon": 0.3}},
+         "error: unknown baseline learner-params ['epsilon']"),
+        ("run", {"learner": "full-hierarchy", "learner-params": {"detla": 0.5}},
+         "error: unknown full-hierarchy learner-params ['detla']"),
+        ("check", {"learner_params": {"eps": 0.3}},
+         "error: unknown config keys ['learner_params']"),
+        ("demo-lb", {"learner": {"kind": "baseline", "epsilon": 0.3}},
+         "error: unknown baseline demo learner keys ['epsilon']"),
+        ("demo-lb", {"learner": {"kind": "full-hierarchy"}},
+         "error: demo-lb cannot play full-hierarchy"),
+    ], ids=["baseline-epsilon", "hierarchy-detla", "top-level-underscore", "demo-epsilon",
+            "demo-hierarchy"])
+    def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys, command,
+                                                   payload, message):
+        base = ({"n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": [0]} if command == "demo-lb"
+                else {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
+                      "stream": self.STREAM, "learner-params": {"eps": 0.3}})
+        payload = {**base, **payload}
+        if "learner_params" in payload:
+            del payload["learner-params"]
+        assert cli.main([command, self._write_json(tmp_path / "k.json", payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""  # no trial started
+
+    def test_dump_stream_without_output_clean_exit(self, tmp_path, capsys):
+        cfg = self._write_json(tmp_path / "s.json", {"n": 3, "T": 12, "stream": self.STREAM})
+        assert cli.main(["dump-stream", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: no output path (use --output or the 'output' key)\n")
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1

@@ -49,7 +49,8 @@ GOLDEN = [
 @pytest.mark.parametrize("learner,n,T,stream,checks,digest", GOLDEN)
 def test_trace_sha256(tmp_path, learner, n, T, stream, checks, digest):
     cfg = ExperimentConfig(learner, n, T, stream, trials=[3],
-                           learner_params={"eps": 0.3}, output=str(tmp_path),
+                           learner_params={"eps": 0.3} if learner == "baseline" else {},
+                           output=str(tmp_path),
                            checks=checks)
     result = run_experiment(cfg)[0]
     assert result.violations == []

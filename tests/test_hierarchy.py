@@ -16,9 +16,12 @@ from expertpool.streams import (ConstantOracle, GameOracle, LossOracle, StreamPa
 
 
 def play(learner, oracle):
-    """Step ``learner`` through ``next_block`` to the oracle's horizon."""
+    """Step ``learner`` through ``next_block`` to the oracle's horizon; the
+    total realized loss, summed block by block as the harness sums it."""
+    loss = 0.0
     while learner.day < oracle.T:
-        learner.next_block(oracle)
+        loss += float(learner.next_block(oracle)[1].sum())
+    return loss
 
 
 def _episode_position(lvl):
@@ -38,16 +41,18 @@ def _assert_aligned(lvl, day):
 
 def run_aligned(h, oracle):
     """Step ``h`` to its horizon, checking every level's alignment (level 1's
-    too) after every block. Returns (day, pool size per level k >= 2) per block."""
+    too) after every block. Returns (day, pool size per level k >= 2) per block
+    and the total realized loss."""
     episode1 = h.level_params[0].episode_days
     log = []
+    loss = 0.0
     while h.day < h.T:
-        h.next_block(oracle)
+        loss += float(h.next_block(oracle)[1].sum())
         assert h._lvl1.day % episode1 == h.day % episode1
         for lvl in h.levels:
             _assert_aligned(lvl, h.day)
         log.append((h.day, tuple(len(lvl.entries) for lvl in h.levels)))
-    return log
+    return log, loss
 
 
 class TestBuildLevels:
@@ -119,10 +124,8 @@ class TestDegenerateEqualsBaseline:
         assert h.K == 1
         spec = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
         oracle = make_oracle(StreamParams(n, T, seed=11), spec)
-        play(h, oracle)
         b = BaselineLearner(BaselineParams(n, T, eps=h.eps, B=h.B, seed=3))
-        play(b, oracle)
-        assert h.cumulative_loss == b.cumulative_loss
+        assert play(h, oracle) == play(b, oracle)
 
 
 class TestHierarchyRun:
@@ -141,13 +144,12 @@ class TestHierarchyRun:
     def test_identical_losses_play_common_loss(self):
         oracle = ConstantOracle(StreamParams(4, 256, seed=0), [0.4] * 4)
         h = HierarchyLearner(4, 256, delta=1.0, seed=1)
-        play(h, oracle)
-        assert h.cumulative_loss == pytest.approx(0.4 * 256)
+        assert play(h, oracle) == pytest.approx(0.4 * 256)
         assert h.levels[0].min_truncated >= -h.levels[0].lp.width
 
     def test_decision_day_alignment(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=2)
-        sizes = dict(run_aligned(h, oracle))
+        sizes = dict(run_aligned(h, oracle)[0])
         lvl2 = h.levels[0]
         assert (lvl2.lp.day_span, lvl2.lp.episode_days) == (32, 256)
         assert any(size for day, (size,) in sizes.items() if day < 256)
@@ -169,8 +171,8 @@ class TestHierarchyRun:
         results = []
         for _ in range(2):
             h = HierarchyLearner(4, 512, delta=1.0, seed=5)
-            log = run_aligned(h, oracle)
-            results.append((h.cumulative_loss, h.meter.peak, tuple(log)))
+            log, loss = run_aligned(h, oracle)
+            results.append((loss, h.meter.peak, tuple(log)))
         assert results[0] == results[1]
 
     def test_next_block_rejects_adaptive_oracle(self):
@@ -189,7 +191,8 @@ class TestHierarchyRun:
         assert t0 == 1
         assert len(realized) == len(played) == h.day == h.B
         assert set(played.tolist()) <= {1, 2, 3, 4}
-        assert h.cumulative_loss == pytest.approx(realized.sum())
+        # each day's realized loss is the played expert's loss that day
+        assert np.array_equal(realized, oracle.loss_block(1, h.B, played).diagonal())
 
     def test_meter_audit(self, oracle):
         h = HierarchyLearner(4, 512, delta=1.0, seed=4)
@@ -215,11 +218,9 @@ class TestHeadToHead:
                                   "base-loss": 0.3, "decoy-loss": 0.05,
                                   "epoch-length": 8})
             h = HierarchyLearner(n, T, delta=1.0, seed=seed)
-            play(h, oracle)
-            hier.append(h.cumulative_loss)
+            hier.append(play(h, oracle))
             b = BaselineLearner(BaselineParams(n, T, eps=0.5, seed=seed))
-            play(b, oracle)
-            base.append(b.cumulative_loss)
+            base.append(play(b, oracle))
         if np.mean(hier) >= np.mean(base):
             warnings.warn(
                 f"hierarchy mean loss {np.mean(hier):.1f} not below "
@@ -276,7 +277,6 @@ def _reference_process_block(lvl, oracle, t0, L, base_realized, base_played, rng
     lvl._dd_sum_e += realized_e.sum(axis=0)
     lvl._dd_sum_base += float(base_realized.sum())
     lvl.day_in_dd += L
-    lvl.cumulative_loss += float(realized.sum())
     if lvl.day_in_dd == lp.day_span:
         lvl._close_decision_day()
     return realized, played
@@ -315,6 +315,7 @@ class TestMergeRaceDifferential:
         base_played = data.integers(1, n + 1, size=T)
         lvl, ref = LevelState(lp, n, T, WordMeter()), LevelState(lp, n, T, WordMeter())
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        loss = ref_loss = 0.0  # the realized totals, summed block by block
         for t0 in range(1, T + 1, L):
             days = slice(t0 - 1, t0 - 1 + L)
             got = lvl.process_block(oracle, t0, L, base_realized[days],
@@ -323,10 +324,12 @@ class TestMergeRaceDifferential:
                                             base_played[days], ref_rng)
             assert np.array_equal(got[0], want[0]), t0
             assert np.array_equal(got[1], want[1]), t0
+            loss += float(got[0].sum())
+            ref_loss += float(want[0].sum())
             for name in ("_cum_own", "_cum_descend", "_dd_sum_e"):
                 assert np.array_equal(getattr(lvl, name), getattr(ref, name)), (t0, name)
             assert lvl._dd_sum_base == ref._dd_sum_base
-            assert lvl.cumulative_loss == ref.cumulative_loss
+            assert loss == ref_loss
             assert lvl.meter == ref.meter
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             _assert_aligned(lvl, t0 + L - 1)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -560,6 +561,22 @@ class TestCsvOracle:
             messages.append(str(exc.value))
         assert messages[1] == messages[2] == messages[0]
         assert not streams._PARSED
+
+    @pytest.mark.parametrize("rows", [1, 3, 1000])
+    def test_blank_and_comment_lines_parse_without_warnings(self, tmp_path, rows_per_chunk,
+                                                             rows):
+        # numpy notes each chunk's first line without data, counted from the
+        # chunk's own input; the parse counts the rows itself, so no note shows
+        rows_per_chunk(rows, 2)
+        lines = self._lines(2, 12)
+        f = tmp_path / "s.csv"
+        f.write_text("t,e1,e2\n" + "\n".join(
+            ["", "# head"] + lines[:4] + ["", "# note", ""] + lines[4:9] + ["#", ""]
+            + lines[9:]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            o = CsvOracle(StreamParams(2, 12), str(f))
+        assert matrix(o).tolist() == [[t % 2, 0] for t in range(1, 13)]
 
     @pytest.mark.parametrize("lines,message", [
         (["1,0,1,0"] * 12, "ragged rows"),
