@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +62,11 @@ class BaselineParams:
         if not 1 <= self.B <= self.T:
             raise ValueError(f"epoch length {self.B} outside [1, {self.T}]")
 
-    @property
+    @cached_property
     def sample_size(self) -> int:
         return min(math.ceil(self.eps**-2), self.n)
 
-    @property
+    @cached_property
     def pool_cap(self) -> int:
         """Post-eviction bound on the persistent pool size."""
         return math.ceil(4.0 / self.eps * math.log(self.T))
@@ -77,7 +78,7 @@ class BaselineParams:
         return 2 * s_hat * s_hat + 4 * s_hat + 4 * self.sample_size + 16
 
 
-@dataclass
+@dataclass(slots=True)
 class IntervalAccumulator:
     """Running sum and count of per-epoch average losses."""
 
@@ -95,7 +96,7 @@ class IntervalAccumulator:
         return self.sum / self.count
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolEntry:
     """A persistent pool member and its triangular loss table.
 
@@ -108,17 +109,12 @@ class PoolEntry:
     own: IntervalAccumulator = field(default_factory=IntervalAccumulator)
     cross: dict[int, IntervalAccumulator] = field(default_factory=dict)
 
-    @property
-    def words(self) -> int:
-        # id + entry epoch + own (sum, count) + 2 per cross accumulator
-        return 4 + 2 * len(self.cross)
-
 
 def best_of_sample(epoch_avgs: dict[int, float]) -> int:
     """The sampled expert with minimum epoch-average loss, ties to lowest id."""
     if not epoch_avgs:
         raise ValueError("empty sample")
-    return min(epoch_avgs, key=lambda i: (epoch_avgs[i], i))
+    return min(zip(epoch_avgs.values(), epoch_avgs))[1]
 
 
 def evict_pass(entries: list[PoolEntry], threshold: float) -> tuple[list[PoolEntry], list[PoolEntry]]:
@@ -133,13 +129,13 @@ def evict_pass(entries: list[PoolEntry], threshold: float) -> tuple[list[PoolEnt
     survivors: list[PoolEntry] = []
     evicted: list[PoolEntry] = []
     for idx, entry in enumerate(entries):
-        doomed = False
         own_avg = entry.own.average
         for older in entries[:idx]:
             if own_avg >= older.cross[entry.id].average - threshold - EVICT_GUARD:
-                doomed = True
+                evicted.append(entry)
                 break
-        (evicted if doomed else survivors).append(entry)
+        else:
+            survivors.append(entry)
     if evicted:
         gone = {e.id for e in evicted}
         for entry in survivors:
@@ -167,49 +163,53 @@ class Pool:
 
     @property
     def words(self) -> int:
-        return sum(e.words for e in self.entries)
+        """Per entry: id, entry epoch and own (sum, count), and 2 per cross
+        accumulator; recomputed from the live tables."""
+        return 4 * len(self.entries) + 2 * sum([len(e.cross) for e in self.entries])
 
     def draw(self, rng: np.random.Generator, n: int, size: int,
              full: bool) -> tuple[list[int], list[int]]:
         """An epoch's members and fresh ids, sampled for full epochs or an empty
         pool; the pool copy wins on collisions."""
         pool_ids = [e.id for e in self.entries]
-        r_ids = []
-        if full or not pool_ids:
-            drawn = (rng.choice(n, size=size, replace=False) + 1).tolist()
-            in_pool = set(pool_ids)
-            r_ids = [i for i in drawn if i not in in_pool]
+        if not (full or not pool_ids):
+            return pool_ids, []
+        in_pool = set(pool_ids)
+        r_ids = [i + 1 for i in rng.choice(n, size=size, replace=False).tolist()
+                 if i + 1 not in in_pool]
         return pool_ids + r_ids, r_ids
 
     def admit(self, by_id: dict[int, float], r_ids: list[int], alpha: int) -> None:
         """Add the best of the sample as the youngest entry."""
         survivor = best_of_sample({i: by_id[i] for i in r_ids})
-        fresh = PoolEntry(survivor, alpha=alpha)
-        fresh.own.add(by_id[survivor])
+        fresh = PoolEntry(survivor, alpha, IntervalAccumulator(by_id[survivor], 1))
         for older in self.entries:
             older.cross[survivor] = IntervalAccumulator(by_id[older.id], 1)
         self.meter.charge("pool", 4 + 2 * len(self.entries))
         self.entries.append(fresh)
 
     def settle(self, evict, threshold: float) -> list[PoolEntry]:
-        """Run ``evict(entries, threshold)`` and release the words it frees."""
-        before = self.words
+        """Run ``evict(entries, threshold)`` and release the words it frees.
+        Every cross table holds each younger entry (``admit`` adds them and
+        ``evict_pass`` prunes them), so s entries hold 4s + 2 * s(s-1)/2 words."""
+        s = len(self.entries)
         self.entries, evicted = evict(self.entries, threshold)
         if evicted:
-            self.meter.release("pool", before - self.words)
+            k = len(self.entries)
+            self.meter.release("pool", s * (s + 3) - k * (k + 3))
         return evicted
 
-    def close_epoch(self, members: list[int], avgs: np.ndarray, r_ids: list[int],
+    def close_epoch(self, members: list[int], avgs: list[float], r_ids: list[int],
                     alpha: int, evict, threshold: float) -> None:
         """Fold one full epoch's averages, admit, then ``evict`` (the caller's
-        ``evict_pass``, so each module's passes go through its own name)."""
-        by_id = dict(zip(members, avgs.tolist()))
-        for entry in self.entries:
-            entry.own.add(by_id[entry.id])
+        ``evict_pass``, so each module's passes go through its own name).
+        ``members`` are the epoch's: the pool's ids in entry order, then ``r_ids``."""
+        for entry, avg in zip(self.entries, avgs):
+            entry.own.add(avg)
             for acc in entry.cross.values():
-                acc.add(by_id[entry.id])
+                acc.add(avg)
         if r_ids:
-            self.admit(by_id, r_ids, alpha)
+            self.admit(dict(zip(members, avgs)), r_ids, alpha)
         self.settle(evict, threshold)
 
     def clear(self) -> None:
@@ -235,14 +235,14 @@ class Epoch:
         self.sums = np.zeros(len(self.members))
         self.rounds = 0
         # MWU cumulative losses + constants; loss sums + fresh ids
-        self._words = {"mwu": len(self.members) + 4,
-                       "epoch": len(self.members) + len(self.r_ids)}
-        for category, words in self._words.items():
-            pool.meter.charge(category, words)
+        self.mwu_words = len(self.members) + 4
+        self.epoch_words = len(self.members) + len(self.r_ids)
+        pool.meter.charge("mwu", self.mwu_words)
+        pool.meter.charge("epoch", self.epoch_words)
 
     @property
     def words(self) -> int:
-        return sum(self._words.values())
+        return self.mwu_words + self.epoch_words
 
     def add(self, sums: np.ndarray, rounds: int) -> None:
         """Count ``rounds`` more rounds whose per-member losses sum to ``sums``."""
@@ -253,10 +253,10 @@ class Epoch:
         """Fold a full epoch's average losses into the pool (a shorter tail
         epoch skips retention, eviction and bookkeeping), then release."""
         if self.full:
-            self.pool.close_epoch(self.members, self.sums / self.rounds, self.r_ids,
-                                  alpha, evict, threshold)
-        for category, words in self._words.items():
-            self.pool.meter.release(category, words)
+            avgs = [s / self.rounds for s in self.sums.tolist()]
+            self.pool.close_epoch(self.members, avgs, self.r_ids, alpha, evict, threshold)
+        self.pool.meter.release("mwu", self.mwu_words)
+        self.pool.meter.release("epoch", self.epoch_words)
 
 
 class BaselineLearner:
@@ -303,7 +303,7 @@ class BaselineLearner:
     def epoch_rest(self) -> tuple[np.ndarray, int]:
         """Member ids (an int64 array) and days left of the open epoch,
         beginning one if none is open."""
-        if not self.in_epoch:
+        if self._epoch is None:
             p = self.params
             self.epoch += 1
             self._epoch_len = min(p.B, p.T - self.day)
@@ -319,15 +319,17 @@ class BaselineLearner:
         realized per-day losses and the expert ids played.
         """
         ep = self._epoch
-        days = losses.shape[0]
+        days, m = losses.shape
         if ep.rounds + days > self._epoch_len:
             raise ValueError("block crosses an epoch boundary")
         picks = ep.mwu.run_block(losses, self.rng)
-        realized = losses[np.arange(days), picks]
-        played = ep.ids[picks]
-        ep.add(losses.sum(axis=0), days)
+        flat = np.arange(0, days * m, m)  # each day's first cell
+        flat += picks
+        realized = losses.take(flat)
+        played = ep.ids.take(picks)
+        ep.add(np.add.reduce(losses, axis=0), days)
         self.day += days
-        self.queries += days * len(ep.members)
+        self.queries += days * m
         if ep.rounds == self._epoch_len:
             ep.close(self.epoch, evict_pass, self.params.eps)
             self._epoch = None
@@ -364,4 +366,7 @@ class BaselineLearner:
 
     def audit_words(self) -> int:
         """Recompute the metered word count from live state."""
-        return 8 + self.pool.words + (self._epoch.words if self.in_epoch else 0)
+        words = 8 + self.pool.words
+        if self._epoch is not None:
+            words += self._epoch.words
+        return words

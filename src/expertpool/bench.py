@@ -58,11 +58,13 @@ class HindsightPass(LossOracle):
     window is folded into the running totals and the per-day best cumulative
     loss so far: the totals are carried into its first row before its cumsum,
     so every sum is the same sequence of additions as one cumsum over the
-    whole matrix. A query is answered by ``take``-ing from the kept windows
-    and the ones it makes the pass read into one C-contiguous answer buffer,
-    which the next query overwrites: every learner consumes a block before
-    its next query, and a fresh megabyte-sized answer per block left glibc
-    trimming and re-faulting the heap top every block. The last two windows
+    whole matrix. A query that lies inside the last window read is answered
+    by one ``take`` into a fresh array of its own, at most one window in size.
+    Any other query is answered by ``take``-ing from the kept windows and the
+    ones it makes the pass read into one C-contiguous answer buffer, which the
+    next such query overwrites: every learner consumes a block before its next
+    query, and a fresh megabyte-sized answer per block left glibc trimming and
+    re-faulting the heap top every block. The last two windows
     read are kept, so repeated queries for the same days (the hierarchy's
     levels each ask for their bottom block) are served from them as long as
     those days span at most two windows; a query for days before them goes
@@ -101,6 +103,9 @@ class HindsightPass(LossOracle):
         self._run[:] = cum[-1]
 
     def loss_block(self, t0, t1, ids):
+        w0, win = self._kept[-1]
+        if w0 <= t0 <= t1 < w0 + len(win):
+            return win[t0 - w0:t1 - w0 + 1].take(np.subtract(ids, 1), axis=1)
         if not self._kept[0][0] <= t0 <= t1 <= self.T:  # behind the pass, or out of range
             return self.oracle.loss_block(t0, t1, ids)
         cols = np.subtract(ids, 1)
@@ -159,11 +164,14 @@ def check_pool(entries, threshold: float, cap: int,
     alphas = [e.alpha for e in entries]
     if len(set(alphas)) != len(alphas):
         bad.append(f"duplicate entry epochs {alphas}")
-    for yi in range(len(entries)):
+    if len(entries) < 2:  # every other check is over pairs of entries
+        return bad
+    for yi in range(1, len(entries)):
         young = entries[yi]
+        bar = young.own.average + threshold
         for older in entries[:yi]:
             cross = older.cross[young.id].average
-            if not cross > young.own.average + threshold:
+            if not cross > bar:
                 bad.append(
                     f"domination: expert {older.id} over expert {young.id}'s "
                     f"interval averages {cross:.6g} <= {young.own.average:.6g} + {threshold:.6g}"
@@ -176,12 +184,12 @@ def check_pool(entries, threshold: float, cap: int,
     if dichotomy_eps is not None:
         half = dichotomy_eps / 2.0
         growth = 1.0 + half / (1.0 - half)
-        for yi in range(len(entries)):
+        for yi in range(1, len(entries)):
             young = entries[yi]
+            loss_bar = young.own.average + half - 1e-9
+            length_bar = growth * young.own.count - 1e-9
             for older in entries[:yi]:
-                loss_gap = older.own.average >= young.own.average + half - 1e-9
-                length_gap = older.own.count >= growth * young.own.count - 1e-9
-                if not (loss_gap or length_gap):
+                if not (older.own.average >= loss_bar or older.own.count >= length_bar):
                     bad.append(
                         f"dichotomy: experts ({older.id}, {young.id}) violate "
                         f"both loss and length conditions"
@@ -416,7 +424,7 @@ def _run_trial(config: ExperimentConfig, seed: int, learner, stream: HindsightPa
     while learner.day < config.T:
         t0, realized, _ = (learner.next_block(stream, 1) if one_day
                            else learner.next_block(stream))
-        loss += float(realized.sum())
+        loss += float(np.add.reduce(realized))
         if checks:
             violations.extend(check_memory(learner))
         if trace is not None:

@@ -102,12 +102,10 @@ def _follow_own_probability(block: np.ndarray, base_realized: np.ndarray,
     losses.
     """
     L, m = block.shape
-    own = np.empty((L, m))
-    own[0] = 0.0
+    own = np.zeros((L, m))
     np.add.accumulate(block[:-1], axis=0, out=own[1:])
     own += cum_own
-    shifted = np.empty(L)
-    shifted[0] = 0.0
+    shifted = np.zeros(L)
     np.add.accumulate(base_realized[:-1], out=shifted[1:])
     x = np.add(shifted[:, None], cum_descend)
     x -= own
@@ -196,16 +194,13 @@ class LevelState:
                                         self._cum_descend, self.merge_eta)
         follow_own = rng.random((L, m)) < p_own
         realized_e = np.where(follow_own, block, base_realized[:, None])
-        base_sum = base_realized.sum()
-        self._cum_own += block.sum(axis=0)
+        base_sum = np.add.reduce(base_realized)
+        self._cum_own += np.add.reduce(block, axis=0)
         self._cum_descend += base_sum
-        realized = realized_e[:, self._committed].copy()
-        played = np.where(
-            follow_own[:, self._committed],
-            ids[self._committed],
-            base_played,
-        )
-        self._dd_sum_e += realized_e.sum(axis=0)
+        c = self._committed
+        realized = realized_e[:, c]  # a column of this block's scratch
+        played = np.where(follow_own[:, c], ids[c], base_played)
+        self._dd_sum_e += np.add.reduce(realized_e, axis=0)
         self._dd_sum_base += float(base_sum)
         self.day_in_dd += L
         if self.day_in_dd == lp.day_span:
@@ -267,16 +262,6 @@ class HierarchyLearner:
         ]
         self._lvl1: BaselineLearner | None = None
 
-    def _ensure_level1(self) -> None:
-        """Start a level-1 episode once the previous one has played out."""
-        if self._lvl1 is not None:
-            if self._lvl1.day < self._lvl1.params.T:
-                return
-            self._lvl1.close()
-        self._lvl1 = BaselineLearner(self._level1_params(self.T - self.day),
-                                     meter=self.meter, rng=self.rng,
-                                     on_epoch_close=self.on_epoch_close)
-
     def _level1_params(self, days_left: int) -> BaselineParams:
         """Level-1 parameters for one full episode, or the shorter tail when
         ``days_left`` is less; level 1 draws from the hierarchy's generator."""
@@ -315,11 +300,18 @@ class HierarchyLearner:
         if isinstance(oracle, GameOracle):
             raise ValueError("the hierarchy reads a whole bottom epoch ahead; "
                              "oblivious streams only")
-        self._ensure_level1()
+        lvl1 = self._lvl1
+        if lvl1 is None or lvl1.day == lvl1.params.T:
+            # a level-1 episode starts once the previous one has played out
+            if lvl1 is not None:
+                lvl1.close()
+            lvl1 = self._lvl1 = BaselineLearner(self._level1_params(self.T - self.day),
+                                                meter=self.meter, rng=self.rng,
+                                                on_epoch_close=self.on_epoch_close)
         # level 1 counts days within its own episode; the oracle is global
-        ids, L = self._lvl1.epoch_rest()
+        ids, L = lvl1.epoch_rest()
         t0 = self.day + 1
-        realized, played = self._lvl1.advance(oracle.loss_block(t0, t0 + L - 1, ids))
+        realized, played = lvl1.advance(oracle.loss_block(t0, t0 + L - 1, ids))
         for lvl in self.levels:
             realized, played = lvl.process_block(
                 oracle, t0, L, realized, played, self.rng
@@ -328,7 +320,7 @@ class HierarchyLearner:
         return t0, realized, played
 
     def audit_words(self) -> int:
-        words = sum(lvl.audit_words() for lvl in self.levels)
-        if self._lvl1 is not None:
-            words += self._lvl1.audit_words()
+        words = 0 if self._lvl1 is None else self._lvl1.audit_words()
+        for lvl in self.levels:
+            words += lvl.audit_words()
         return words

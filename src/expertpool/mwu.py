@@ -25,7 +25,8 @@ def _default_eta(m: int, horizon: int) -> float:
 def _check_losses(losses: np.ndarray) -> None:
     """Reject losses outside [0, 1] (within 1e-12), NaN included: ``min`` and
     ``max`` return NaN for an array holding one, and NaN fails both comparisons."""
-    if not (losses.min() >= -1e-12 and losses.max() <= 1.0 + 1e-12):
+    if not (np.minimum.reduce(losses, axis=None) >= -1e-12
+            and np.maximum.reduce(losses, axis=None) <= 1.0 + 1e-12):
         raise ValueError("loss outside range [0, 1]")
 
 
@@ -58,7 +59,7 @@ class MwuState:
             raise ValueError(f"expected {len(self.cum)} losses, got {vec.shape}")
         _check_losses(vec)
         self.cum += vec
-        self.cum -= self.cum.min()
+        self.cum -= np.minimum.reduce(self.cum)
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one position from the current distribution (one uniform consumed)."""
@@ -87,14 +88,14 @@ class MwuState:
         np.add.accumulate(losses, axis=0, out=pre[1:])
         w = pre[:-1]
         w += self.cum
-        w -= w.min(axis=1, keepdims=True)
+        w -= np.minimum.reduce(w, axis=1, keepdims=True)
         w *= -self.eta
         np.exp(w, out=w)
         cdf = np.add.accumulate(w, axis=1, out=w)
         u = rng.random(rounds)
         u *= cdf[:, -1]
-        picks = (cdf < u[:, None]).sum(axis=1)
-        np.minimum(picks, m - 1, out=picks)
+        # the steps rise, so counting over the first m-1 is min(count(cdf < u), m-1)
+        picks = np.add.reduce(cdf[:, :-1] < u[:, None], axis=1)
         self.cum += pre[-1]
-        self.cum -= self.cum.min()
+        self.cum -= np.minimum.reduce(self.cum)
         return picks

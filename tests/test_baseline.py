@@ -154,7 +154,7 @@ class TestPool:
     def test_close_epoch_folds_before_admitting(self):
         pool = Pool(WordMeter())
         pool.admit({1: 0.4}, [1], alpha=1)
-        pool.close_epoch([1, 2, 3], np.array([0.6, 0.3, 0.1]), [2, 3], 2,
+        pool.close_epoch([1, 2, 3], [0.6, 0.3, 0.1], [2, 3], 2,
                          evict_pass, 0.05)
         old, young = pool.entries
         assert (old.own.count, old.own.average) == (2, pytest.approx(0.5))

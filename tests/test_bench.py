@@ -1131,13 +1131,20 @@ class TestCli:
          "error: unknown baseline demo learner keys ['epsilon']"),
         ("demo-lb", {"learner": {"kind": "full-hierarchy"}},
          "error: demo-lb cannot play full-hierarchy"),
+        ("demo-lb", {"round": 50, "seeds": [3]},
+         "error: unknown demo-lb config keys ['round']"),
+        ("dump-stream", {"sed": 3},
+         "error: unknown dump-stream config keys ['sed']"),
     ], ids=["baseline-epsilon", "hierarchy-detla", "top-level-underscore", "demo-epsilon",
-            "demo-hierarchy"])
+            "demo-hierarchy", "demo-round", "dump-sed"])
     def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys, command,
                                                    payload, message):
-        base = ({"n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": [0]} if command == "demo-lb"
-                else {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
-                      "stream": self.STREAM, "learner-params": {"eps": 0.3}})
+        base = {
+            "demo-lb": {"n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": [0]},
+            "dump-stream": {"n": 4, "T": 40, "stream": self.STREAM,
+                            "output": str(tmp_path / "s.csv")},
+        }.get(command, {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
+                        "stream": self.STREAM, "learner-params": {"eps": 0.3}})
         payload = {**base, **payload}
         if "learner_params" in payload:
             del payload["learner-params"]
@@ -1145,6 +1152,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
         assert captured.out == ""  # no trial started
+        assert not (tmp_path / "s.csv").exists()  # no stream dumped
 
     def test_dump_stream_without_output_clean_exit(self, tmp_path, capsys):
         cfg = self._write_json(tmp_path / "s.json", {"n": 3, "T": 12, "stream": self.STREAM})

@@ -16,9 +16,12 @@ SPOILER = {"generator": "epoch-spoiler", "best-id": 2, "base-loss": 0.3,
 BERNOULLI = {"generator": "iid-bernoulli", "mean-range": [0.3, 0.7]}
 
 
-def golden(learner, n, T, stream, checks, digest, tag=""):
-    """One pinned trace, named learner-n-T-checks plus an optional tag."""
-    return pytest.param(learner, n, T, stream, checks, digest,
+def golden(learner, n, T, stream, checks, digest, tag="", params=None):
+    """One pinned trace, named learner-n-T-checks plus an optional tag. The
+    learner params default to eps 0.3 for the baseline and to none otherwise."""
+    if params is None:
+        params = {"eps": 0.3} if learner == "baseline" else {}
+    return pytest.param(learner, n, T, stream, checks, params, digest,
                         id=f"{learner}-n{n}-T{T}-{checks}{tag}")
 
 
@@ -43,13 +46,17 @@ GOLDEN = [
     golden("full-hierarchy", 4, 512, SPOILER, "epoch",
            "a34751083d4d2a549a5e1c6aeff25c3d1e0c33744275b13aeec50b117d89b41c",
            tag="-spoiler"),
+    # the benchmark's ladder (K=2, B=4) on non-integer losses: 4,096 blocks
+    # through level 1 and the level-2 merge race
+    golden("full-hierarchy", 16, 16384, SPOILER, "epoch",
+           "ce74596582dcabe5171d3cad868b8cf8523b147817f477e117928d572142c02e",
+           tag="-delta0.5-spoiler", params={"delta": 0.5}),
 ]
 
 
-@pytest.mark.parametrize("learner,n,T,stream,checks,digest", GOLDEN)
-def test_trace_sha256(tmp_path, learner, n, T, stream, checks, digest):
-    cfg = ExperimentConfig(learner, n, T, stream, trials=[3],
-                           learner_params={"eps": 0.3} if learner == "baseline" else {},
+@pytest.mark.parametrize("learner,n,T,stream,checks,params,digest", GOLDEN)
+def test_trace_sha256(tmp_path, learner, n, T, stream, checks, params, digest):
+    cfg = ExperimentConfig(learner, n, T, stream, trials=[3], learner_params=params,
                            output=str(tmp_path),
                            checks=checks)
     result = run_experiment(cfg)[0]

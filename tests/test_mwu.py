@@ -164,6 +164,36 @@ class TestRunBlock:
             assert np.array_equal(state.cum, ref_cum)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("cum,losses,uniforms", [
+        # random weights and uniforms
+        (np.random.default_rng(5).random(6) * 3, np.random.default_rng(6).random((5, 6)),
+         np.random.default_rng(7).random(5)),
+        # tied weights, with u landing exactly on each step of the cdf
+        (np.zeros(4), np.zeros((5, 4)), [0.0, 0.25, 0.5, 0.75, 0.999]),
+        # trailing weights that underflow to 0: the cdf is flat over them
+        ([0.0, 0.5, 900.0, 1000.0], np.zeros((4, 4)), [0.0, 0.5, 0.999999, 1 - 2**-53]),
+        # u equal to the row total: never a zero-weight expert
+        ([0.0, 0.5, 900.0, 1000.0], np.zeros((2, 4)), [1.0, 1.0]),
+        ([0.0, 0.0], np.zeros((3, 2)), [1.0, 1.0, 1.0]),
+    ], ids=["random", "tied", "underflow", "u-at-total", "u-at-total-tied"])
+    def test_pick_rule(self, cum, losses, uniforms):
+        # the pick is min(count(cdf < u), m-1) for the row's u = uniform * total
+        class Uniforms:
+            def random(self, size):
+                assert size == len(uniforms)
+                return np.array(uniforms, dtype=np.float64)
+
+        m = len(cum)
+        state = MwuState(m, horizon=10, eta=1.0)
+        state.cum[:] = cum
+        pre = state.cum + np.vstack([np.zeros(m), np.cumsum(losses, axis=0)[:-1]])
+        cdf = np.cumsum(np.exp(-(pre - pre.min(axis=1, keepdims=True))), axis=1)
+        u = np.array(uniforms) * cdf[:, -1]
+        want = np.minimum((cdf < u[:, None]).sum(axis=1), m - 1)
+        got = state.run_block(np.asarray(losses, dtype=np.float64), Uniforms())
+        assert got.tolist() == want.tolist()
+        assert np.all(np.exp(-(pre - pre.min(axis=1, keepdims=True)))[np.arange(len(got)), got] > 0)
+
     def test_empty_block(self):
         s = MwuState(2, horizon=5)
         assert s.run_block(np.empty((0, 2)), np.random.default_rng(0)).size == 0
