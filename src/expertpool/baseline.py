@@ -172,7 +172,7 @@ class Pool:
         """An epoch's members and fresh ids, sampled for full epochs or an empty
         pool; the pool copy wins on collisions."""
         pool_ids = [e.id for e in self.entries]
-        if not (full or not pool_ids):
+        if pool_ids and not full:
             return pool_ids, []
         in_pool = set(pool_ids)
         r_ids = [i + 1 for i in rng.choice(n, size=size, replace=False).tolist()

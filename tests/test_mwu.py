@@ -187,12 +187,13 @@ class TestRunBlock:
         state = MwuState(m, horizon=10, eta=1.0)
         state.cum[:] = cum
         pre = state.cum + np.vstack([np.zeros(m), np.cumsum(losses, axis=0)[:-1]])
-        cdf = np.cumsum(np.exp(-(pre - pre.min(axis=1, keepdims=True))), axis=1)
+        w = np.exp(-(pre - pre.min(axis=1, keepdims=True)))
+        cdf = np.cumsum(w, axis=1)
         u = np.array(uniforms) * cdf[:, -1]
         want = np.minimum((cdf < u[:, None]).sum(axis=1), m - 1)
         got = state.run_block(np.asarray(losses, dtype=np.float64), Uniforms())
         assert got.tolist() == want.tolist()
-        assert np.all(np.exp(-(pre - pre.min(axis=1, keepdims=True)))[np.arange(len(got)), got] > 0)
+        assert np.all(w[np.arange(len(got)), got] > 0)  # never a zero-weight expert
 
     def test_empty_block(self):
         s = MwuState(2, horizon=5)
