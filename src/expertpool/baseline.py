@@ -1,7 +1,7 @@
 """Epoch-structured pool learner: uniform sampling of fresh experts, a
 per-epoch exponential-weights run over the pool, best-of-sample retention and
 the age-respecting domination eviction rule, with triangular interval-loss
-bookkeeping (each older entry tracks its average over every younger entry's
+bookkeeping (each older entry keeps its loss sum over every younger entry's
 residence interval).
 """
 
@@ -19,7 +19,6 @@ from .streams import LossOracle, check_number
 
 __all__ = [
     "BaselineParams",
-    "IntervalAccumulator",
     "PoolEntry",
     "Pool",
     "Epoch",
@@ -79,42 +78,34 @@ class BaselineParams:
 
 
 @dataclass(slots=True)
-class IntervalAccumulator:
-    """Running sum and count of per-epoch average losses."""
-
-    sum: float = 0.0
-    count: int = 0
-
-    def add(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-
-    @property
-    def average(self) -> float:
-        if self.count == 0:
-            raise ValueError("average of an empty interval")
-        return self.sum / self.count
-
-
-@dataclass(slots=True)
 class PoolEntry:
     """A persistent pool member and its triangular loss table.
 
-    ``cross`` holds this (older) expert's accumulator over the residence
-    interval of each strictly younger pool member, keyed by that member's id.
+    ``sum`` totals this expert's per-epoch average losses over its residence
+    interval of ``count`` full epochs. ``cross`` maps the id of each strictly
+    younger pool member to this (older) expert's sum over that member's
+    interval, whose length is the younger member's own ``count``.
     """
 
     id: int
     alpha: int
-    own: IntervalAccumulator = field(default_factory=IntervalAccumulator)
-    cross: dict[int, IntervalAccumulator] = field(default_factory=dict)
+    sum: float
+    count: int
+    cross: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def average(self) -> float:
+        return self.sum / self.count
+
+    def average_over(self, young: PoolEntry) -> float:
+        """This expert's average over ``young``'s residence interval."""
+        return self.cross[young.id] / young.count
 
 
-def best_of_sample(epoch_avgs: dict[int, float]) -> int:
-    """The sampled expert with minimum epoch-average loss, ties to lowest id."""
-    if not epoch_avgs:
-        raise ValueError("empty sample")
-    return min(zip(epoch_avgs.values(), epoch_avgs))[1]
+def best_of_sample(ids: list[int], avgs: list[float]) -> tuple[float, int]:
+    """The minimum (epoch-average loss, id) pair of a sample: ties go to the
+    lowest id; an empty sample raises ValueError."""
+    return min(zip(avgs, ids))
 
 
 def evict_pass(entries: list[PoolEntry], threshold: float) -> tuple[list[PoolEntry], list[PoolEntry]]:
@@ -129,9 +120,9 @@ def evict_pass(entries: list[PoolEntry], threshold: float) -> tuple[list[PoolEnt
     survivors: list[PoolEntry] = []
     evicted: list[PoolEntry] = []
     for idx, entry in enumerate(entries):
-        own_avg = entry.own.average
+        own_avg = entry.average
         for older in entries[:idx]:
-            if own_avg >= older.cross[entry.id].average - threshold - EVICT_GUARD:
+            if own_avg >= older.average_over(entry) - threshold - EVICT_GUARD:
                 evicted.append(entry)
                 break
         else:
@@ -150,7 +141,7 @@ def pool_potential(entries: list[PoolEntry]) -> list[float]:
     Consecutive differences are at least the eviction threshold for any pool
     that survived an eviction pass.
     """
-    return [2.0 * math.log(e.own.count) + e.own.average for e in reversed(entries)]
+    return [2.0 * math.log(e.count) + e.average for e in reversed(entries)]
 
 
 class Pool:
@@ -163,8 +154,8 @@ class Pool:
 
     @property
     def words(self) -> int:
-        """Per entry: id, entry epoch and own (sum, count), and 2 per cross
-        accumulator; recomputed from the live tables."""
+        """Per entry: id, entry epoch, sum and count, and 2 per cross cell (the
+        younger id and the sum); recomputed from the live tables."""
         return 4 * len(self.entries) + 2 * sum([len(e.cross) for e in self.entries])
 
     def draw(self, rng: np.random.Generator, n: int, size: int,
@@ -179,14 +170,15 @@ class Pool:
                  if i + 1 not in in_pool]
         return pool_ids + r_ids, r_ids
 
-    def admit(self, by_id: dict[int, float], r_ids: list[int], alpha: int) -> None:
-        """Add the best of the sample as the youngest entry."""
-        survivor = best_of_sample({i: by_id[i] for i in r_ids})
-        fresh = PoolEntry(survivor, alpha, IntervalAccumulator(by_id[survivor], 1))
-        for older in self.entries:
-            older.cross[survivor] = IntervalAccumulator(by_id[older.id], 1)
-        self.meter.charge("pool", 4 + 2 * len(self.entries))
-        self.entries.append(fresh)
+    def admit(self, avgs: list[float], r_ids: list[int], alpha: int) -> None:
+        """Add the best of the sample as the youngest entry. ``avgs`` are the
+        epoch's: the pool's entries in order, then ``r_ids``."""
+        s = len(self.entries)
+        avg, survivor = best_of_sample(r_ids, avgs[s:])
+        for older, older_avg in zip(self.entries, avgs):
+            older.cross[survivor] = older_avg
+        self.meter.charge("pool", 4 + 2 * s)
+        self.entries.append(PoolEntry(survivor, alpha, avg, 1))
 
     def settle(self, evict, threshold: float) -> list[PoolEntry]:
         """Run ``evict(entries, threshold)`` and release the words it frees.
@@ -199,17 +191,19 @@ class Pool:
             self.meter.release("pool", s * (s + 3) - k * (k + 3))
         return evicted
 
-    def close_epoch(self, members: list[int], avgs: list[float], r_ids: list[int],
-                    alpha: int, evict, threshold: float) -> None:
-        """Fold one full epoch's averages, admit, then ``evict`` (the caller's
-        ``evict_pass``, so each module's passes go through its own name).
-        ``members`` are the epoch's: the pool's ids in entry order, then ``r_ids``."""
+    def close_epoch(self, avgs: list[float], r_ids: list[int], alpha: int,
+                    evict, threshold: float) -> None:
+        """Fold one full epoch's averages (the pool's entries in order, then
+        ``r_ids``), admit, then ``evict`` (the caller's ``evict_pass``, so
+        each module's passes go through its own name)."""
         for entry, avg in zip(self.entries, avgs):
-            entry.own.add(avg)
-            for acc in entry.cross.values():
-                acc.add(avg)
+            entry.sum += avg
+            entry.count += 1
+            cross = entry.cross
+            for young in cross:
+                cross[young] += avg
         if r_ids:
-            self.admit(dict(zip(members, avgs)), r_ids, alpha)
+            self.admit(avgs, r_ids, alpha)
         self.settle(evict, threshold)
 
     def clear(self) -> None:
@@ -220,7 +214,7 @@ class Pool:
 
 class Epoch:
     """An open epoch of the baseline or of any hierarchy level: its members
-    (pool copies, then fresh ids; ``ids`` holds them as an int64 array),
+    ``ids`` (an int64 array of pool copies, then the fresh ``r_ids``),
     exponential weights over them, per-member loss sums and the round count.
     Its ``mwu`` and ``epoch`` words are charged on opening and released by
     ``close``."""
@@ -229,14 +223,15 @@ class Epoch:
                  sample_size: int, B: int, full: bool, eta: float | None = None):
         self.pool = pool
         self.full = full
-        self.members, self.r_ids = pool.draw(rng, n, sample_size, full)
-        self.ids = np.array(self.members, dtype=np.int64)
-        self.mwu = MwuState(len(self.members), horizon=B, eta=eta)
-        self.sums = np.zeros(len(self.members))
+        members, self.r_ids = pool.draw(rng, n, sample_size, full)
+        m = len(members)
+        self.ids = np.array(members, dtype=np.int64)
+        self.mwu = MwuState(m, horizon=B, eta=eta)
+        self.sums = np.zeros(m)
         self.rounds = 0
         # MWU cumulative losses + constants; loss sums + fresh ids
-        self.mwu_words = len(self.members) + 4
-        self.epoch_words = len(self.members) + len(self.r_ids)
+        self.mwu_words = m + 4
+        self.epoch_words = m + len(self.r_ids)
         pool.meter.charge("mwu", self.mwu_words)
         pool.meter.charge("epoch", self.epoch_words)
 
@@ -254,7 +249,7 @@ class Epoch:
         epoch skips retention, eviction and bookkeeping), then release."""
         if self.full:
             avgs = [s / self.rounds for s in self.sums.tolist()]
-            self.pool.close_epoch(self.members, avgs, self.r_ids, alpha, evict, threshold)
+            self.pool.close_epoch(avgs, self.r_ids, alpha, evict, threshold)
         self.pool.meter.release("mwu", self.mwu_words)
         self.pool.meter.release("epoch", self.epoch_words)
 
@@ -295,10 +290,6 @@ class BaselineLearner:
         return self.params.word_cap
 
     # -- epoch lifecycle ----------------------------------------------------
-
-    @property
-    def in_epoch(self) -> bool:
-        return self._epoch is not None
 
     def epoch_rest(self) -> tuple[np.ndarray, int]:
         """Member ids (an int64 array) and days left of the open epoch,
@@ -358,8 +349,7 @@ class BaselineLearner:
         """Exact current mixed strategy mapped onto [n] (zero off-pool mass)."""
         self.epoch_rest()
         p = np.zeros(self.params.n)
-        for i, prob in zip(self._epoch.members, self._epoch.mwu.distribution()):
-            p[i - 1] += prob
+        p[self._epoch.ids - 1] += self._epoch.mwu.distribution()
         return p
 
     # -- accounting ---------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -148,15 +148,14 @@ def oracle_best_expert(oracle: LossOracle) -> tuple[int, float]:
 # Invariant checks
 # ---------------------------------------------------------------------------
 
-def check_pool(entries, threshold: float, cap: int,
-               dichotomy_eps: float | None = None,
-               potential: bool = True) -> list[str]:
+def check_pool(entries, threshold: float, cap: int, raw: bool = True) -> list[str]:
     """Post-eviction pool invariants; returns human-readable violations.
 
-    Checks the size cap, pairwise domination-freedom, the potential increase
-    (``potential=False`` skips it for truncated-loss pools whose averages are
-    not on the raw [0, 1] scale), and, when ``dichotomy_eps`` is given, the
-    loss-vs-length dichotomy at alpha = eps/2.
+    Checks the size cap and pairwise domination-freedom. When the averages are
+    on the raw [0, 1] scale (``raw``, the baseline's pool, whose threshold is
+    its eps), it also checks the potential increase and the loss-vs-length
+    dichotomy at alpha = eps/2; a hierarchy level's truncated-loss pool passes
+    ``raw=False``.
     """
     bad: list[str] = []
     if len(entries) > cap:
@@ -168,32 +167,30 @@ def check_pool(entries, threshold: float, cap: int,
         return bad
     for yi in range(1, len(entries)):
         young = entries[yi]
-        bar = young.own.average + threshold
+        bar = young.average + threshold
         for older in entries[:yi]:
-            cross = older.cross[young.id].average
+            cross = older.average_over(young)
             if not cross > bar:
                 bad.append(
                     f"domination: expert {older.id} over expert {young.id}'s "
-                    f"interval averages {cross:.6g} <= {young.own.average:.6g} + {threshold:.6g}"
+                    f"interval averages {cross:.6g} <= {young.average:.6g} + {threshold:.6g}"
                 )
-    if potential:
-        phi = pool_potential(entries)
-        for a, b in zip(phi, phi[1:]):
-            if b - a < threshold - 1e-9:
-                bad.append(f"potential increase {b - a:.6g} below {threshold:.6g}")
-    if dichotomy_eps is not None:
-        half = dichotomy_eps / 2.0
-        growth = 1.0 + half / (1.0 - half)
-        for yi in range(1, len(entries)):
-            young = entries[yi]
-            loss_bar = young.own.average + half - 1e-9
-            length_bar = growth * young.own.count - 1e-9
-            for older in entries[:yi]:
-                if not (older.own.average >= loss_bar or older.own.count >= length_bar):
-                    bad.append(
-                        f"dichotomy: experts ({older.id}, {young.id}) violate "
-                        f"both loss and length conditions"
-                    )
+    if not raw:
+        return bad
+    phi = pool_potential(entries)
+    for a, b in zip(phi, phi[1:]):
+        if b - a < threshold - 1e-9:
+            bad.append(f"potential increase {b - a:.6g} below {threshold:.6g}")
+    half = threshold / 2.0
+    growth = 1.0 + half / (1.0 - half)
+    for yi in range(1, len(entries)):
+        young = entries[yi]
+        loss_bar = young.average + half - 1e-9
+        length_bar = growth * young.count - 1e-9
+        for older in entries[:yi]:
+            if not (older.average >= loss_bar or older.count >= length_bar):
+                bad.append(f"dichotomy: experts ({older.id}, {young.id}) violate "
+                           f"both loss and length conditions")
     return bad
 
 
@@ -323,7 +320,8 @@ class ExperimentConfig:
             check_path("output", self.output)
         if self.checks not in ("off", "epoch", "paranoid"):
             raise ValueError(f"unknown check level {self.checks!r}")
-        StreamParams(self.n, self.T)  # the checks every trial's stream makes
+        for seed in self.trials:  # the checks every trial's stream makes
+            StreamParams(self.n, self.T, seed)
         stream_builder(self.stream)
 
     @classmethod
@@ -405,11 +403,10 @@ def _check_closed_pool(violations: list[str], level) -> None:
     hierarchy level's), into ``violations``."""
     if isinstance(level, LevelState):
         violations.extend(check_pool(level.entries, level.lp.theta,
-                                     level.lp.pool_cap, potential=False))
+                                     level.lp.pool_cap, raw=False))
     else:
         p = level.params
-        violations.extend(check_pool(level.entries, p.eps, p.pool_cap,
-                                     dichotomy_eps=p.eps))
+        violations.extend(check_pool(level.entries, p.eps, p.pool_cap))
 
 
 def _run_trial(config: ExperimentConfig, seed: int, learner, stream: HindsightPass,
@@ -540,9 +537,14 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     plays that day (``next_block(oracle, 1)``). Reported losses are on the raw
     [0, 4] scale for direct comparison with the 1/k thresholds.
     """
-    params = StreamParams(n, rounds)
-    check_number("eps-prime", epsilon_prime)
     check_int_list("seeds", seeds)
+    games = [StreamParams(n, rounds, seed) for seed in seeds]  # all checked before play
+    check_number("eps-prime", epsilon_prime)
+    # above 1/2 the support would be under 2; compared first, as a huge int
+    # eps-prime has no float
+    if not (0 < epsilon_prime <= 0.5 and math.isfinite(1.0 / (2.0 * epsilon_prime))):
+        raise ValueError(f"eps-prime must lie in (0, 1/2] with 1/(2 eps-prime) finite, "
+                         f"got {epsilon_prime}")
     check_object("demo learner", learner_spec)
     kind = learner_spec.get("kind", "mwu-full-memory")
     if kind == "full-hierarchy":
@@ -556,8 +558,8 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")
     out: list[DemoResult] = []
-    for seed in seeds:
-        oracle = GameOracle(replace(params, seed=seed), k=k)
+    for seed, params in zip(seeds, games):
+        oracle = GameOracle(params, k=k)
         learner = (make_demo_learner(learner_spec, n, oracle) if kind in DEMO_KEYS
                    else _make_learner(kind, learner_spec, n, rounds, seed))
         total = 0.0

@@ -275,7 +275,7 @@ class HierarchyLearner:
         Level 1 gets the baseline's ``word_cap`` for one full level-1 episode.
         Each level k >= 2 gets its 8 level words, a pool of at most
         S = pool_cap + sample_size entries (S^2 + 3S words: 4 per entry and 2 per
-        younger entry's accumulator) and, for at most S epoch members m, the words
+        cross cell) and, for at most S epoch members m, the words
         ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size,
         merge 4m + 1.
         """

@@ -138,6 +138,8 @@ class StreamParams:
             raise ValueError(f"need at least 2 experts, got n={self.n}")
         if self.T < 1:
             raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not 0 <= self.seed < 2**64:  # the hash keys on the seed as a uint64
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 class LossOracle:

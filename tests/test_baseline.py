@@ -1,7 +1,9 @@
 """Tests for the epoch-structured pool learner."""
 
 import math
+import operator
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from expertpool.baseline import (
     EVICT_GUARD,
     BaselineLearner,
     BaselineParams,
-    IntervalAccumulator,
     Pool,
     PoolEntry,
     best_of_sample,
@@ -34,10 +35,11 @@ def play(learner, oracle):
 
 
 def entry(id, alpha, own_avg, own_count=1, cross=None):
-    e = PoolEntry(id, alpha)
-    e.own = IntervalAccumulator(own_avg * own_count, own_count)
+    """An entry averaging ``own_avg`` over ``own_count`` epochs; ``cross`` maps
+    a younger id to (average, that entry's count)."""
+    e = PoolEntry(id, alpha, own_avg * own_count, own_count)
     for younger_id, (avg, count) in (cross or {}).items():
-        e.cross[younger_id] = IntervalAccumulator(avg * count, count)
+        e.cross[younger_id] = avg * count
     return e
 
 
@@ -66,17 +68,17 @@ class TestParams:
 
 class TestBestOfSample:
     def test_argmin(self):
-        assert best_of_sample({5: 0.3, 7: 0.2, 9: 0.9}) == 7
+        assert best_of_sample([5, 7, 9], [0.3, 0.2, 0.9]) == (0.2, 7)
 
     def test_tie_to_lowest_id(self):
-        assert best_of_sample({4: 0.2, 2: 0.2}) == 2
+        assert best_of_sample([4, 2], [0.2, 0.2]) == (0.2, 2)
 
     def test_singleton(self):
-        assert best_of_sample({3: 0.8}) == 3
+        assert best_of_sample([3], [0.8]) == (0.8, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            best_of_sample({})
+            best_of_sample([], [])
 
 
 class TestEvictPass:
@@ -134,11 +136,11 @@ class TestPool:
         def balanced():
             return meter.by_category["pool"] == pool.words
 
-        pool.admit({1: 0.9}, [1], alpha=1)
+        pool.admit([0.9], [1], alpha=1)
         assert balanced()
-        pool.admit({1: 0.2, 2: 0.3}, [2], alpha=2)
+        pool.admit([0.2, 0.3], [2], alpha=2)
         assert balanced()
-        pool.admit({1: 0.95, 2: 0.95, 3: 0.5}, [3], alpha=3)
+        pool.admit([0.95, 0.95, 0.5], [3], alpha=3)
         assert balanced() and pool.words == 18
         # 2 is dominated by 1; 1's cross row for 2 is pruned with it
         evicted = pool.settle(evict_pass, 0.1)
@@ -153,18 +155,17 @@ class TestPool:
 
     def test_close_epoch_folds_before_admitting(self):
         pool = Pool(WordMeter())
-        pool.admit({1: 0.4}, [1], alpha=1)
-        pool.close_epoch([1, 2, 3], [0.6, 0.3, 0.1], [2, 3], 2,
-                         evict_pass, 0.05)
+        pool.admit([0.4], [1], alpha=1)
+        pool.close_epoch([0.6, 0.3, 0.1], [2, 3], 2, evict_pass, 0.05)
         old, young = pool.entries
-        assert (old.own.count, old.own.average) == (2, pytest.approx(0.5))
-        assert young.id == 3 and young.own.average == 0.1
-        assert old.cross[3].average == 0.6
+        assert (old.count, old.average) == (2, pytest.approx(0.5))
+        assert (young.id, young.count, young.average) == (3, 1, 0.1)
+        assert old.cross == {3: 0.6} and old.average_over(young) == 0.6
 
     def test_draw_skips_pooled_ids(self):
         pool = Pool(WordMeter())
-        pool.admit({1: 0.1}, [1], alpha=1)
-        pool.admit({1: 0.9, 3: 0.1}, [3], alpha=2)
+        pool.admit([0.1], [1], alpha=1)
+        pool.admit([0.9, 0.1], [3], alpha=2)
         members, drawn = pool.draw(np.random.default_rng(0), 4, 4, full=True)
         assert sorted(drawn) == [2, 4]
         assert members == [1, 3] + drawn
@@ -209,7 +210,7 @@ def pools(draw):
         young = entry(i, k + 1, own, own_count=count)
         for older in entries:
             gap = draw(st.one_of(boundary, st.floats(-1.0, 1.0)))
-            older.cross[i] = IntervalAccumulator(young.own.average + gap, 1)
+            older.cross[i] = (young.average + gap) * young.count
         entries.append(young)
     return entries, threshold
 
@@ -219,8 +220,8 @@ def reference_evict(entries, threshold):
     kept, the ids evicted and each survivor's remaining cross keys."""
     doomed = {young.id for yi, young in enumerate(entries)
               for older in entries[:yi]
-              if young.own.average
-              >= older.cross[young.id].average - threshold - EVICT_GUARD}
+              if young.sum / young.count
+              >= older.cross[young.id] / young.count - threshold - EVICT_GUARD}
     kept = [e for e in entries if e.id not in doomed]
     return ([e.id for e in kept], [e.id for e in entries if e.id in doomed],
             [set(e.cross) - doomed for e in kept])
@@ -230,11 +231,12 @@ def reference_dominated(entries, threshold):
     """Every (older, younger) pair that ``check_pool`` must report."""
     return {(older.id, young.id) for yi, young in enumerate(entries)
             for older in entries[:yi]
-            if not older.cross[young.id].average > young.own.average + threshold}
+            if not older.cross[young.id] / young.count
+            > young.sum / young.count + threshold}
 
 
 def reported_dominated(entries, threshold):
-    bad = check_pool(entries, threshold, cap=len(entries), potential=False)
+    bad = check_pool(entries, threshold, cap=len(entries), raw=False)
     pairs = {tuple(map(int, m)) for m in
              (re.match(r"domination: expert (\d+) over expert (\d+)'s", b).groups()
               for b in bad)}
@@ -262,6 +264,56 @@ class TestEvictionDifferential:
         # whatever survives an eviction pass is domination-free
         survivors, _ = evict_pass(list(entries), threshold)
         assert reported_dominated(survivors, threshold) == set()
+
+
+def fold(values):
+    """Left-to-right sum, the order in which the pool adds an epoch's average
+    (the builtin ``sum`` compensates on Python 3.12 and later)."""
+    return reduce(operator.add, values)
+
+
+class TestPoolHistory:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.05, 0.1, 0.25]), st.data())
+    def test_table_matches_folded_history(self, threshold, data):
+        # an epoch's averages: pool entries in order, then fresh ids (never
+        # pooled ones); an entry's alpha is the epoch that admitted it. The
+        # reference pool admits and evicts from the recorded averages alone.
+        meter = WordMeter()
+        pool = Pool(meter)
+        avg = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+        played = {}  # id -> {epoch: its average that epoch}
+        expected = []  # (id, alpha) of the reference pool, oldest first
+
+        def average(i, span):
+            return fold(played[i][e] for e in span) / len(span)
+
+        for epoch in range(1, data.draw(st.integers(1, 12)) + 1):
+            pooled = [e.id for e in pool.entries]
+            free = [i for i in range(1, 21) if i not in pooled]
+            r_ids = data.draw(st.lists(st.sampled_from(free), max_size=3, unique=True))
+            avgs = data.draw(st.lists(avg, min_size=len(pooled) + len(r_ids),
+                                      max_size=len(pooled) + len(r_ids)))
+            for i, a in zip(pooled + r_ids, avgs):
+                played.setdefault(i, {})[epoch] = a
+            pool.close_epoch(avgs, r_ids, epoch, evict_pass, threshold)
+
+            if r_ids:
+                expected.append((min(zip(avgs[len(pooled):], r_ids))[1], epoch))
+            spans = [range(alpha, epoch + 1) for _, alpha in expected]
+            expected = [(i, alpha) for k, (i, alpha) in enumerate(expected)
+                        if not any(average(i, spans[k])
+                                   >= average(j, spans[k]) - threshold - EVICT_GUARD
+                                   for j, _ in expected[:k])]
+            assert [(e.id, e.alpha) for e in pool.entries] == expected
+            assert meter.current == pool.words
+            for yi, young in enumerate(pool.entries):
+                span = range(young.alpha, epoch + 1)
+                assert young.count == len(span)
+                assert young.sum == fold(played[young.id][e] for e in span)
+                assert set(young.cross) == {e.id for e in pool.entries[yi + 1:]}
+                for older in pool.entries[:yi]:
+                    assert older.average_over(young) == average(older.id, span)
 
 
 class TestLearner:
@@ -318,7 +370,7 @@ class TestLearner:
         t0, realized, played = learner.next_block(oracle)
         assert (t0, len(realized), learner.day) == (3, 3, 5)
         assert set(played.tolist()) <= set(members.tolist())
-        assert not learner.in_epoch
+        assert learner.meter.by_category["epoch"] == 0  # the epoch closed
 
     def test_tail_epoch_skips_retention_and_eviction(self):
         oracle = ConstantOracle(StreamParams(4, 10, seed=0),
@@ -328,7 +380,7 @@ class TestLearner:
         # epochs: 4 + 4 + tail 2; the tail adds no pool entry and no epoch avg
         assert learner.day == 10
         for e in learner.entries:
-            assert e.own.count <= 2
+            assert e.count <= 2
 
     def test_entry_epochs_distinct(self):
         spec = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from expertpool import bench, cli
-from expertpool.baseline import BaselineLearner, BaselineParams, IntervalAccumulator, PoolEntry
+from expertpool.baseline import BaselineLearner, BaselineParams, PoolEntry
 from expertpool.bench import (
     TRACE_COLUMNS,
     ExperimentConfig,
@@ -597,9 +597,10 @@ class TestMemoryAudit:
 
 
 def _entry(id, alpha, own_avg, own_count, cross=None):
-    e = PoolEntry(id, alpha, IntervalAccumulator(own_avg * own_count, own_count))
+    """``cross`` maps a younger id to (average, that entry's count)."""
+    e = PoolEntry(id, alpha, own_avg * own_count, own_count)
     for younger, (avg, count) in (cross or {}).items():
-        e.cross[younger] = IntervalAccumulator(avg * count, count)
+        e.cross[younger] = avg * count
     return e
 
 
@@ -609,14 +610,14 @@ class TestCheckPool:
     # is 2 ln(count ratio) + 0.2 above expert 2's
     @pytest.mark.parametrize("entries,cap,message", [
         ([_entry(1, 1, 0.5, 1)], 0, "pool size 1 exceeds cap 0"),
-        ([_entry(1, 1, 0.5, 6, {2: (0.9, 1)}), _entry(2, 1, 0.3, 4)], 10,
+        ([_entry(1, 1, 0.5, 6, {2: (0.9, 4)}), _entry(2, 1, 0.3, 4)], 10,
          "duplicate entry epochs [1, 1]"),
         # 0.5 < 0.3 + 1/4 and 5 < 4 (1 + 1/3): neither loss nor length gap
-        ([_entry(1, 1, 0.5, 5, {2: (0.9, 1)}), _entry(2, 2, 0.3, 4)], 10,
+        ([_entry(1, 1, 0.5, 5, {2: (0.9, 4)}), _entry(2, 2, 0.3, 4)], 10,
          "dichotomy: experts (1, 2) violate both loss and length conditions"),
     ], ids=["size-cap", "duplicate-epochs", "dichotomy"])
     def test_one_violation_each(self, entries, cap, message):
-        assert check_pool(entries, 0.5, cap, dichotomy_eps=0.5) == [message]
+        assert check_pool(entries, 0.5, cap) == [message]
 
 
 class TestExperimentConfig:
@@ -906,6 +907,13 @@ class TestLowerBoundDemo:
         with pytest.raises(ValueError, match=message):
             run_lowerbound_demo(8, 1 / 8, 10, spec, [0])
 
+    @pytest.mark.parametrize("eps_prime", [0, 0.0, -0.125, 1e-320, math.nan, 0.75, 10**400])
+    def test_eps_prime_without_finite_support_rejected(self, eps_prime):
+        # 1 / (2 eps') is the support size before rounding: 0 divides by
+        # zero, 1e-320 overflows to infinity and 10**400 has no float
+        with pytest.raises(ValueError, match=r"eps-prime must lie in \(0, 1/2\]"):
+            run_lowerbound_demo(8, eps_prime, 10, {"kind": "equilibrium"}, [0])
+
 
 class TestCli:
     STREAM = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
@@ -1135,8 +1143,17 @@ class TestCli:
          "error: unknown demo-lb config keys ['round']"),
         ("dump-stream", {"sed": 3},
          "error: unknown dump-stream config keys ['sed']"),
+        # values no trial can take are rejected at load in the same way
+        ("run", {"trials": [2**64]}, "error: seed must lie in [0, 2^64), got 18446744073709551616"),
+        ("run", {"trials": [0, -1], "stream": SPOILER},
+         "error: seed must lie in [0, 2^64), got -1"),
+        ("dump-stream", {"seed": 2**64}, "error: seed must lie in [0, 2^64)"),
+        ("demo-lb", {"seeds": [0, 2**64]}, "error: seed must lie in [0, 2^64)"),
+        ("demo-lb", {"eps-prime": 0}, "error: eps-prime must lie in (0, 1/2]"),
+        ("demo-lb", {"eps-prime": 1e-320}, "error: eps-prime must lie in (0, 1/2]"),
     ], ids=["baseline-epsilon", "hierarchy-detla", "top-level-underscore", "demo-epsilon",
-            "demo-hierarchy", "demo-round", "dump-sed"])
+            "demo-hierarchy", "demo-round", "dump-sed", "seed-2^64", "spoiler-seed-negative",
+            "dump-seed-2^64", "demo-seed-2^64", "eps-prime-0", "eps-prime-subnormal"])
     def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys, command,
                                                    payload, message):
         base = {

@@ -55,6 +55,17 @@ class TestStreamParams:
         with pytest.raises(ValueError, match="must be an integer"):
             StreamParams(n, T, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+    def test_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            StreamParams(4, 10, seed=seed)
+
+    def test_accepts_uint64_extremes(self):
+        for seed in (0, 2**64 - 1):
+            o = make_oracle(StreamParams(4, 10, seed=seed),
+                            {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]})
+            assert o.loss_block(1, 10, [1, 2, 3, 4]).shape == (10, 4)
+
 
 class TestConstantOracle:
     def test_fixed_values(self):
