@@ -208,12 +208,17 @@ def check_memory(learner) -> list[str]:
 # Traces
 # ---------------------------------------------------------------------------
 
+def _integral(x: np.ndarray) -> bool:
+    """Whether ``.12g`` prints every value of x as its integer: each is an
+    integer below 1e12 in magnitude, and none is -0.0."""
+    return bool(np.all(np.abs(x) < 1e12) and np.all(x == np.trunc(x))
+                and not np.any(np.signbit(x) & (x == 0)))
+
+
 def _g12(x: np.ndarray) -> list[str]:
-    """``[f"{v:.12g}" for v in x]`` of a float column. A column of integers
-    below 1e12 in magnitude, none of them -0.0, is printed in bulk as ints:
-    ``.12g`` prints each such value as its integer."""
-    if (np.all(np.abs(x) < 1e12) and np.all(x == np.trunc(x))
-            and not np.any(np.signbit(x) & (x == 0))):
+    """``[f"{v:.12g}" for v in x]`` of a float column, an integral column
+    printed in bulk as ints."""
+    if _integral(x):
         return list(map(str, x.astype(np.int64).tolist()))
     return [f"{v:.12g}" for v in x.tolist()]
 
@@ -265,26 +270,57 @@ class TraceWriter:
         self.partial.unlink(missing_ok=True)
 
 
+def _fields(fmt: str, values: list, width: int) -> np.ndarray:
+    """``fmt``, which prints a value blank-padded to ``width`` bytes, applied
+    to every value in one ``%``: one row per value, of unsigned ints."""
+    item = min(width, 8)  # width is 2, 4 or a multiple of 8
+    text = (fmt * len(values)) % tuple(values)
+    return np.frombuffer(text.encode("ascii"), dtype=f"u{item}").reshape(-1, width // item)
+
+
+def _int_fields(values: list) -> np.ndarray:
+    """Ints as ``_fields``, each ending in ","; the width fits the longest."""
+    chars = max(len(str(max(values))), len(str(min(values)))) + 1
+    width = 2 if chars <= 2 else 4 if chars <= 4 else -(-chars // 8) * 8
+    return _fields(f"%-{width - 1}d,", values, width)
+
+
 def dump_stream(oracle: LossOracle, path: Path) -> None:
     """Write the full loss matrix in the csv-file oracle schema, one window of
-    days at a time.
+    days at a time, as the csv writer with ``.12g`` would.
 
     Each distinct value of a window is formatted once, keyed by its bits so
-    that -0.0 keeps its own string.
+    that -0.0 keeps its own string, into a blank-padded field; one ``take``
+    gathers the window's cells, and dropping the blanks leaves its CSV bytes.
+    The file is written beside ``path`` and renamed to it when complete, so
+    an error leaves ``path`` as it was.
     """
     ids = np.arange(1, oracle.n + 1)
     days = _window_days(oracle.n)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["t"] + [f"e{i}" for i in ids])
-        for t0 in range(1, oracle.T + 1, days):
-            window = np.ascontiguousarray(
-                oracle.loss_block(t0, min(t0 + days - 1, oracle.T), ids), dtype=np.float64)
-            keys, inverse = np.unique(window.view(np.uint64), return_inverse=True)
-            table = np.array(_g12(keys.view(np.float64)), dtype=object)
-            cells = table[inverse.reshape(-1, oracle.n)].tolist()
-            fh.write("".join(f"{t},{','.join(row)}\r\n"
-                             for t, row in enumerate(cells, t0)))
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(",".join(["t"] + [f"e{i}" for i in ids]).encode() + b"\r\n")
+            for t0 in range(1, oracle.T + 1, days):
+                t1 = min(t0 + days - 1, oracle.T)
+                window = np.ascontiguousarray(oracle.loss_block(t0, t1, ids),
+                                              dtype=np.float64)
+                keys, inverse = np.unique(window.view(np.uint64), return_inverse=True)
+                values = keys.view(np.float64)
+                # the longest .12g text has 19 characters
+                table = (_int_fields(values.astype(np.int64).tolist()) if _integral(values)
+                         else _fields("%-23.12g,", values.tolist(), 24))
+                cells = table.take(inverse.reshape(-1), axis=0).view(np.uint8)
+                rows = np.concatenate([_int_fields(list(range(t0, t1 + 1))).view(np.uint8),
+                                       cells.reshape(len(window), -1),
+                                       np.full((len(window), 1), ord("\n"), np.uint8)],
+                                      axis=1)
+                rows[:, -2] = ord("\r")  # over the last field's ","
+                fh.write(rows.tobytes().translate(None, b" "))
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # a no-op once renamed
 
 
 # ---------------------------------------------------------------------------

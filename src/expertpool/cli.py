@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # OSError: a path unusable as given
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,12 +4,13 @@ import csv
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expertpool import bench, cli
 from expertpool.baseline import BaselineLearner, BaselineParams, PoolEntry
@@ -287,15 +288,26 @@ def _dump_one_row_at_a_time(oracle, path):
 
 
 class TestDumpStream:
-    VALUES = [-0.0, 0.1, 1 / 3, 0.0, 1.0, 2.5e-7]
+    INTEGRAL = [0.0, 1.0, 7.0, -3.0, 42.0, 12345.0, -(1e12 - 1), 1e12 - 1]
+    MIXED = [-0.0, 1 / 3, 2.5e-7, 1e-300, math.nan, 1.0]
 
-    def test_bytes_match_row_writer(self, tmp_path, monkeypatch):
-        _window(monkeypatch, 3, 4)
-        rng = np.random.default_rng(0)
-        o = MatrixOracle(rng.choice(self.VALUES, size=(11, 4)))
-        dump_stream(o, tmp_path / "new.csv")
-        _dump_one_row_at_a_time(o, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([INTEGRAL, MIXED]), st.integers(1, len(INTEGRAL)),
+           st.integers(2, 9), st.integers(1, 40), st.integers(1, 45), st.integers(0, 2**32))
+    @example(MIXED, 6, 4, 11, 3, 0)
+    @example(INTEGRAL, 2, 9, 40, 1, 1)  # one-day windows of 0 and 1
+    @example(INTEGRAL, 8, 2, 40, 41, 2)  # 13-character ints, one window
+    def test_bytes_match_row_writer(self, pool, k, n, T, days, seed):
+        # cells from the first k values of a pool; short windows of the mixed
+        # pool can hold only 1.0, so integral and other windows meet in a file
+        rng = np.random.default_rng(seed)
+        o = MatrixOracle(rng.choice(pool[:k], size=(T, n)))
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as d:
+            _window(mp, days, n)
+            dump_stream(o, Path(d) / "new.csv")
+            _dump_one_row_at_a_time(o, Path(d) / "old.csv")
+            assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
+            assert sorted(os.listdir(d)) == ["new.csv", "old.csv"]
 
     @pytest.mark.parametrize("spec", [
         SPOILER, {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
@@ -318,6 +330,26 @@ class TestDumpStream:
         assert spans == [(1, 7), (8, 14), (15, 21), (22, 28), (29, 30)]
         _dump_one_row_at_a_time(o, tmp_path / "old.csv")
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_error_mid_dump_leaves_path_as_it_was(self, tmp_path, monkeypatch):
+        _window(monkeypatch, 5, 4)
+        o = CountingOracle(StreamParams(4, 30, seed=2), np.linspace(0.2, 0.8, 4))
+        serve, spans = o.loss_block, []
+
+        def third_window_fails(t0, t1, ids):
+            spans.append(t0)
+            if len(spans) == 3:
+                raise OSError("disk full")
+            return serve(t0, t1, ids)
+
+        monkeypatch.setattr(o, "loss_block", third_window_fails)
+        (tmp_path / "kept.csv").write_bytes(b"t,e1\r\n1,0\r\n")
+        for name in ("kept.csv", "new.csv"):
+            with pytest.raises(OSError, match="disk full"):
+                dump_stream(o, tmp_path / name)
+            spans.clear()
+        assert sorted(os.listdir(tmp_path)) == ["kept.csv"]  # no partial CSV, no .tmp
+        assert (tmp_path / "kept.csv").read_bytes() == b"t,e1\r\n1,0\r\n"
 
     def test_negative_zero_and_non_dyadic_round_trip(self, tmp_path):
         matrix = np.array([[-0.0, 0.1], [0.1, 0.0], [0.0, -0.0]])
@@ -1179,3 +1211,23 @@ class TestCli:
 
     def test_missing_config_nonzero_exit(self):
         assert cli.main(["run", "/nonexistent.json"]) == 1
+
+    def test_directory_config_clean_exit(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+    @pytest.mark.parametrize("output,message", [
+        ("out", "error: [Errno 21] Is a directory"),
+        ("file/s.csv", "error: [Errno 17] File exists"),
+    ], ids=["directory", "under-a-file"])
+    def test_unwritable_dump_output_clean_exit(self, tmp_path, capsys, output, message):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "file").write_text("kept")
+        cfg = self._write_json(tmp_path / "s.json", {
+            "n": 3, "T": 12, "stream": self.STREAM, "output": str(tmp_path / output)})
+        assert cli.main(["dump-stream", cfg]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        # nothing written, the directory and the file untouched
+        assert sorted(os.listdir(tmp_path)) == ["file", "out", "s.json"]
+        assert os.listdir(tmp_path / "out") == []
+        assert (tmp_path / "file").read_text() == "kept"

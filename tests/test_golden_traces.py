@@ -1,15 +1,17 @@
-"""Golden trace bytes: the sha256 of fixed traces, pinned across refactors.
+"""Golden trace and dump bytes: the sha256 of fixed traces and of fixed
+``dump_stream`` files, pinned across refactors.
 
 Criterion 11 compares two reruns of the same code; these hashes compare the
 code against the bytes it wrote before, so a change to the sampling order,
-the eviction rule or the trace format shows up here.
+the eviction rule, the trace format or the dump format shows up here.
 """
 
 import hashlib
 
 import pytest
 
-from expertpool.bench import ExperimentConfig, run_experiment
+from expertpool.bench import ExperimentConfig, dump_stream, run_experiment
+from expertpool.streams import StreamParams, make_oracle
 
 SPOILER = {"generator": "epoch-spoiler", "best-id": 2, "base-loss": 0.3,
            "decoy-loss": 0.1, "epoch-length": 25}
@@ -62,4 +64,23 @@ def test_trace_sha256(tmp_path, learner, n, T, stream, checks, params, digest):
     result = run_experiment(cfg)[0]
     assert result.violations == []
     data = (tmp_path / "trace_seed3.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+DUMPS = [
+    # the sweep's csv-file fixture stream, 8 windows of 256 days
+    pytest.param(128, 2000, 99, {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+                 "e69bbb07c6ad24928cf6039e29dd92618de4d9364b31a37ea1ec015f35bf3389",
+                 id="fixture-n128-T2000"),
+    # nearly every cell a distinct non-integer, 4 windows of 512 days
+    pytest.param(64, 2000, 3, SPOILER,
+                 "3403c0527558c17aa08d1eaf4dbeb838dfbec3d4e81da6e3cd74b2a8cde5afd7",
+                 id="spoiler-n64-T2000"),
+]
+
+
+@pytest.mark.parametrize("n,T,seed,stream,digest", DUMPS)
+def test_dump_sha256(tmp_path, n, T, seed, stream, digest):
+    dump_stream(make_oracle(StreamParams(n, T, seed=seed), stream), tmp_path / "s.csv")
+    data = (tmp_path / "s.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
