@@ -333,7 +333,7 @@ class TestDumpStream:
 
     def test_error_mid_dump_leaves_path_as_it_was(self, tmp_path, monkeypatch):
         _window(monkeypatch, 5, 4)
-        o = CountingOracle(StreamParams(4, 30, seed=2), np.linspace(0.2, 0.8, 4))
+        o = BernoulliOracle(StreamParams(4, 30, seed=2), np.linspace(0.2, 0.8, 4))
         serve, spans = o.loss_block, []
 
         def third_window_fails(t0, t1, ids):
