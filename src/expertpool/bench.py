@@ -8,7 +8,7 @@ learner's word meter.
 
 from __future__ import annotations
 
-import csv
+import errno
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -210,17 +210,10 @@ def check_memory(learner) -> list[str]:
 
 def _integral(x: np.ndarray) -> bool:
     """Whether ``.12g`` prints every value of x as its integer: each is an
-    integer below 1e12 in magnitude, and none is -0.0."""
+    integer below 1e12 in magnitude, and none is -0.0. ``dump_stream`` prints
+    such a window's values as ints."""
     return bool(np.all(np.abs(x) < 1e12) and np.all(x == np.trunc(x))
                 and not np.any(np.signbit(x) & (x == 0)))
-
-
-def _g12(x: np.ndarray) -> list[str]:
-    """``[f"{v:.12g}" for v in x]`` of a float column, an integral column
-    printed in bulk as ints."""
-    if _integral(x):
-        return list(map(str, x.astype(np.int64).tolist()))
-    return [f"{v:.12g}" for v in x.tolist()]
 
 
 class TraceWriter:
@@ -238,8 +231,7 @@ class TraceWriter:
         path.parent.mkdir(parents=True, exist_ok=True)
         self.partial = path.with_name(path.name + ".tmp")
         self.out = open(self.partial, "w", newline="")
-        # record() ends each row in "\r\n", the csv writer's terminator
-        csv.writer(self.out).writerow(TRACE_COLUMNS)
+        self.out.write(",".join(TRACE_COLUMNS) + "\r\n")
 
     def record(self, t0: int, realized: np.ndarray, meter: WordMeter,
                pool_size: int) -> None:
@@ -250,14 +242,13 @@ class TraceWriter:
         self.alg_cum = float(alg[-1])
         best = self.stream.best(t0, t0 - 1 + len(alg))
         # the words and pool columns are read once per block, after it
-        tail = f"{meter.current},{meter.peak},{pool_size}\r\n"
+        row = f"%d,%.12g,%.12g,%.12g,{meter.current},{meter.peak},{pool_size}\r\n"
         # a slice at a time: a block can be the whole horizon (mwu-full-memory)
         for s in range(0, len(alg), TRACE_ROWS):
             a, b = alg[s:s + TRACE_ROWS], best[s:s + TRACE_ROWS]
-            self.out.write("".join(
-                f"{day},{x},{y},{r},{tail}"
-                for day, x, y, r in zip(range(t0 + s, t0 + s + len(a)), _g12(a), _g12(b),
-                                        _g12(a - b))))
+            values = [v for day in zip(range(t0 + s, t0 + s + len(a)), a.tolist(), b.tolist(),
+                                       (a - b).tolist()) for v in day]
+            self.out.write((row * len(a)) % tuple(values))
 
     def flush(self) -> None:
         """Close the trace and move it to ``path``."""
@@ -293,8 +284,11 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
     that -0.0 keeps its own string, into a blank-padded field; one ``take``
     gathers the window's cells, and dropping the blanks leaves its CSV bytes.
     The file is written beside ``path`` and renamed to it when complete, so
-    an error leaves ``path`` as it was.
+    an error leaves ``path`` as it was; a directory at ``path`` is refused
+    before any window is read.
     """
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     ids = np.arange(1, oracle.n + 1)
     days = _window_days(oracle.n)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -62,10 +62,10 @@ class MwuState:
         self.cum -= np.minimum.reduce(self.cum)
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one position from the current distribution (one uniform consumed)."""
+        """Draw one position from the current distribution (one uniform
+        consumed), by ``run_block``'s rule."""
         cdf = np.cumsum(self.weights())
-        k = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        return min(k, len(cdf) - 1)
+        return int(np.add.reduce(cdf[:-1] < rng.random() * cdf[-1]))
 
     def run_block(self, losses: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample-then-update over a block of rounds in one vectorized pass.

@@ -519,14 +519,6 @@ class GameInstance:
         members = rng.choice(self.n, size=self.k, replace=False) + 1
         self.S = frozenset(int(v) for v in members)
 
-    def matrix_entry(self, i: int, j: int) -> float:
-        """Raw loss A[i, j] of the row player."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"action pair ({i}, {j}) outside [1, {self.n}]^2")
-        if i not in self.S:
-            return 4.0
-        return 1.0 if i == j else 0.0
-
     def column(self, j: int) -> np.ndarray:
         """Raw loss column A[:, j], 0-indexed internally."""
         col = np.full(self.n, 4.0)
@@ -549,7 +541,8 @@ class GameInstance:
         return vals
 
     def worst_case_loss(self, p: np.ndarray) -> float:
-        """max_j p^T A e_j on the raw [0, 4] scale."""
+        """max_j p^T A e_j on the raw [0, 4] scale; acceptance criterion 8
+        reads it."""
         return float(self.column_losses(p).max())
 
     def best_response(self, p: np.ndarray) -> tuple[int, float]:

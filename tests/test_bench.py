@@ -392,28 +392,40 @@ class TestTraceFormat:
     @example([-7.0, 0.5])
     @example([math.nan, 1.0])
     @example([-math.inf, -2.0])
-    def test_g12_equals_per_value_format(self, values):
-        x = np.array(values, dtype=np.float64)
-        assert bench._g12(x) == [f"{v:.12g}" for v in x.tolist()]
+    def test_percent_g12_equals_per_value_format(self, values):
+        # the trace's row template prints every float with "%.12g"
+        for v in np.array(values, dtype=np.float64).tolist():
+            assert "%.12g" % v == f"{v:.12g}"
 
-    def test_trace_bytes_match_per_value_writer(self, tmp_path, monkeypatch):
-        # best-so-far is 0.5 t: integral on even days, not on odd ones, so
-        # paranoid one-day blocks alternate between the two ways a column is printed
-        stream = {"generator": "constant", "means": [0.5, 1.0]}
-        integral = []
-        g12 = bench._g12
-        monkeypatch.setattr(bench, "_g12", lambda x: integral.append(
-            bool(np.all(x == np.trunc(x)))) or g12(x))
+    @pytest.mark.parametrize("learner,n,T,stream,params,checks,days", [
+        # best-so-far is 0.5 t: integral on even days, not on odd ones
+        ("baseline", 2, 41, {"generator": "constant", "means": [0.5, 1.0]},
+         {"eps": 0.3}, "paranoid", {1}),
+        # 128 blocks of 4 rows each
+        ("full-hierarchy", 4, 512, SPOILER, {"delta": 1.0}, "epoch", {4}),
+        ("baseline", 8, 300, SPOILER, {"eps": 0.3}, "epoch", None),
+    ], ids=["constant-paranoid", "hierarchy-spoiler", "baseline-spoiler"])
+    def test_trace_bytes_match_per_value_writer(self, tmp_path, monkeypatch, learner, n,
+                                                T, stream, params, checks, days):
+        lengths = set()  # of the blocks recorded
+        record = TraceWriter.record
+
+        def spy(self, t0, realized, *args):
+            lengths.add(len(realized))
+            record(self, t0, realized, *args)
+
+        monkeypatch.setattr(TraceWriter, "record", spy)
 
         def trace(out):
-            cfg = ExperimentConfig("baseline", 2, 41, stream, trials=[1], checks="paranoid",
-                                   learner_params={"eps": 0.3}, output=str(out))
+            cfg = ExperimentConfig(learner, n, T, stream, trials=[1], checks=checks,
+                                   learner_params=params, output=str(out))
             return Path(run_experiment(cfg)[0].trace_path).read_bytes()
 
         new = trace(tmp_path / "new")
+        assert days is None or lengths == days
         monkeypatch.setattr(TraceWriter, "record", _record_one_value_at_a_time)
-        assert new == trace(tmp_path / "old")
-        assert set(integral) == {True, False}  # whether each column printed was integral
+        old = trace(tmp_path / "old")
+        assert new == old and new.count(b"\r\n") == T + 1
 
 
 class TestTraceWriter:
@@ -1220,13 +1232,21 @@ class TestCli:
         ("out", "error: [Errno 21] Is a directory"),
         ("file/s.csv", "error: [Errno 17] File exists"),
     ], ids=["directory", "under-a-file"])
-    def test_unwritable_dump_output_clean_exit(self, tmp_path, capsys, output, message):
+    def test_unwritable_dump_output_clean_exit(self, tmp_path, capsys, monkeypatch,
+                                               output, message):
         (tmp_path / "out").mkdir()
         (tmp_path / "file").write_text("kept")
         cfg = self._write_json(tmp_path / "s.json", {
             "n": 3, "T": 12, "stream": self.STREAM, "output": str(tmp_path / output)})
+        def no_window(*args):
+            raise AssertionError("a window was read")
+
+        monkeypatch.setattr(BernoulliOracle, "loss_block", no_window)  # refused before
         assert cli.main(["dump-stream", cfg]) == 1
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        if output == "out":  # the output named, not its temporary file
+            assert err == f"{message}: '{tmp_path / 'out'}'\n"
         # nothing written, the directory and the file untouched
         assert sorted(os.listdir(tmp_path)) == ["file", "out", "s.json"]
         assert os.listdir(tmp_path / "out") == []

@@ -195,6 +195,18 @@ class TestRunBlock:
         assert got.tolist() == want.tolist()
         assert np.all(w[np.arange(len(got)), got] > 0)  # never a zero-weight expert
 
+        # sample() picks by the same rule, from each round's cumulative losses
+        class Uniform:
+            def __init__(self, v):
+                self.v = v
+
+            def random(self):
+                return self.v
+
+        for row, v, k in zip(pre, uniforms, want):
+            state.cum[:] = row
+            assert state.sample(Uniform(float(v))) == k
+
     def test_empty_block(self):
         s = MwuState(2, horizon=5)
         assert s.run_block(np.empty((0, 2)), np.random.default_rng(0)).size == 0

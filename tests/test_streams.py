@@ -622,9 +622,9 @@ class TestGameInstance:
     def test_matrix_entries(self):
         g = GameInstance(4, 2)
         g.S = frozenset({1, 2})
-        assert g.matrix_entry(3, 1) == 4.0
-        assert g.matrix_entry(1, 1) == 1.0
-        assert g.matrix_entry(1, 2) == 0.0
+        assert g.column(1)[2] == 4.0  # off the support
+        assert g.column(1)[0] == 1.0  # matched on the support
+        assert g.column(2)[0] == 0.0
 
     def test_support_sampled_with_right_size(self):
         for seed in range(10):
