@@ -21,8 +21,8 @@ from .baseline import BaselineLearner, BaselineParams, pool_potential
 from .hierarchy import HierarchyLearner, LevelState
 from .meter import WordMeter
 from .mwu import MwuState
-from .streams import (GameOracle, LossOracle, StreamParams, check_int_list, check_number,
-                      check_object, check_path, make_oracle, stream_builder)
+from .streams import (GameOracle, LossOracle, StreamParams, check_int_list, check_keys,
+                      check_number, check_object, check_path, make_oracle, stream_builder)
 
 __all__ = [
     "ExperimentConfig",
@@ -321,13 +321,6 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _check_keys(what: str, d: dict, allowed) -> None:
-    """ValueError on a key outside ``allowed``, which would run its default."""
-    unknown = [k for k in d if k not in allowed]
-    if unknown:
-        raise ValueError(f"unknown {what} {unknown}; allowed: {list(allowed)}")
-
-
 @dataclass
 class ExperimentConfig:
     learner: str  # a key of LEARNER_KEYS
@@ -344,8 +337,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         check_int_list("trials", self.trials)
         check_object("learner-params", self.learner_params)
-        _check_keys(f"{self.learner} learner-params", self.learner_params,
-                    LEARNER_KEYS[self.learner])
+        check_keys(f"{self.learner} learner-params", self.learner_params,
+                   LEARNER_KEYS[self.learner])
         if self.output is not None:
             check_path("output", self.output)
         if self.checks not in ("off", "epoch", "paranoid"):
@@ -358,7 +351,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config whose keys are the field names, with "-" for "_"."""
         names = {f.name.replace("_", "-"): f.name for f in fields(cls)}
-        _check_keys("config keys", d, names)
+        check_keys("config keys", d, names)
         missing = [k for k in ("learner", "n", "T", "stream") if k not in d]
         if missing:
             raise ValueError(f"config lacks {missing}")
@@ -583,7 +576,7 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     kinds = {**LEARNER_KEYS, **DEMO_KEYS}
     if kind not in list(kinds):  # list(): a JSON list is unhashable
         raise ValueError(f"unknown demo learner {kind!r}")
-    _check_keys(f"{kind} demo learner keys", learner_spec, ("kind", *kinds[kind]))
+    check_keys(f"{kind} demo learner keys", learner_spec, ("kind", *kinds[kind]))
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")

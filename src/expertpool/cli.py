@@ -20,13 +20,12 @@ from pathlib import Path
 
 from .bench import (
     ExperimentConfig,
-    _check_keys,
     dump_stream,
     run_experiment,
     run_lowerbound_demo,
     summarize,
 )
-from .streams import StreamParams, check_object, check_path, make_oracle
+from .streams import StreamParams, check_keys, check_object, check_path, make_oracle
 
 
 def _load_config(path: str) -> dict:
@@ -59,7 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_demo_lb(args: argparse.Namespace) -> int:
     spec = _load_config(args.config)
-    _check_keys("demo-lb config keys", spec, ("n", "eps-prime", "rounds", "learner", "seeds"))
+    check_keys("demo-lb config keys", spec, ("n", "eps-prime", "rounds", "learner", "seeds"))
     results = run_lowerbound_demo(
         n=spec["n"],
         epsilon_prime=spec["eps-prime"],
@@ -78,7 +77,7 @@ def _cmd_demo_lb(args: argparse.Namespace) -> int:
 
 def _cmd_dump_stream(args: argparse.Namespace) -> int:
     spec = _load_config(args.config)
-    _check_keys("dump-stream config keys", spec, ("n", "T", "seed", "output", "stream"))
+    check_keys("dump-stream config keys", spec, ("n", "T", "seed", "output", "stream"))
     out = args.output or spec.get("output")
     if out is None:
         raise ValueError("no output path (use --output or the 'output' key)")

@@ -32,6 +32,7 @@ __all__ = [
     "GameInstance",
     "GameOracle",
     "GENERATORS",
+    "GENERATOR_KEYS",
     "stream_builder",
     "make_oracle",
     "count_covered_sets",
@@ -39,6 +40,7 @@ __all__ = [
     "check_int_list",
     "check_object",
     "check_path",
+    "check_keys",
 ]
 
 _GOLD_T = np.uint64(0x9E3779B97F4A7C15)
@@ -121,6 +123,13 @@ def check_path(name: str, value) -> None:
     ``open()`` would take a config's 3 for a file descriptor."""
     if not isinstance(value, (str, os.PathLike)):
         raise ValueError(f"{name} must be a string, got {value!r}")
+
+
+def check_keys(what: str, d: dict, allowed) -> None:
+    """ValueError on a key outside ``allowed``, which would run its default."""
+    unknown = [k for k in d if k not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; allowed: {list(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -207,9 +216,20 @@ class ConstantOracle(LossOracle):
         return np.broadcast_to(row, (t1 - t0 + 1, len(ids))).copy()
 
 
+def _spec_means(spec: dict) -> list:
+    """A stream spec's ``means``, checked to be a list of numbers."""
+    means = spec["means"]
+    if not isinstance(means, list):
+        raise ValueError(f"means must be a list of numbers, got {means!r}")
+    for m in means:
+        check_number("means", m)
+    return means
+
+
 def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
-    if "means" in spec:
-        means = np.asarray(spec["means"], dtype=np.float64)
+    if "means" in spec:  # mean-range and overrides would go unread
+        check_keys("iid-bernoulli stream keys with means", spec, ("generator", "means"))
+        means = np.asarray(_spec_means(spec), dtype=np.float64)
         if means.shape != (params.n,):
             raise ValueError(f"need {params.n} means, got {means.shape}")
     elif "mean-range" in spec:
@@ -226,6 +246,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
         for sid, m in overrides.items():
             if not 1 <= int(sid) <= params.n:
                 raise ValueError(f"override id {sid!r} outside [1, {params.n}]")
+            check_number("overrides", m)
             means[int(sid) - 1] = m
     else:
         raise ValueError("iid-bernoulli needs 'means' or 'mean-range'")
@@ -315,9 +336,18 @@ class EpochSpoilerOracle(_HashedOracle):
 
 _CHUNK = 1 << 20  # bytes per read of a loss file
 _PARSE_CELLS = 2**17  # cells per chunk of rows parsed from a loss file, day column included
+# _SPREAD[j][b] is the byte b unpacked as np.unpackbits does, its top bit
+# first and one bit a byte, with each byte shifted left by j, read as one
+# uint64: a take per plane turns 8 packed cells into 8 code bits at once.
+# Built from bytes: a numpy kernel run at import would make its code pages
+# resident in every process, replaying a file or not.
+_SPREAD = np.frombuffer(bytes((b >> 7 - i & 1) << j for j in range(8) for b in range(256)
+                              for i in range(8)), np.uint64).reshape(8, 256)
+# A loss file's checked losses, read-only: (bit planes, table) or (float64, None)
+_Losses = tuple[tuple[np.ndarray, ...] | np.ndarray, np.ndarray | None]
 # The last loss file parsed, at most one entry: (sha256 of its bytes, n, T) ->
-# its checked losses as read-only (codes, table), see ``_read_losses``.
-_PARSED: dict[tuple[bytes, int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+# its losses, see ``_read_losses``.
+_PARSED: dict[tuple[bytes, int, int], _Losses] = {}
 
 
 class _HashingReader(io.RawIOBase):
@@ -370,13 +400,24 @@ def _encode(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray 
     return table
 
 
-def _read_losses(fh, path: str, params: StreamParams,
-                 size: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _codes(planes: tuple[np.ndarray, ...], r0: int, r1: int) -> np.ndarray:
+    """The codes of rows r0..r1 - 1 from their bit planes, one byte a cell,
+    with the row padding of the last packed byte on the right."""
+    code = _SPREAD[0].take(planes[0][r0:r1])
+    for j in range(1, len(planes)):
+        code |= _SPREAD[j].take(planes[j][r0:r1])
+    return code.view(np.uint8)
+
+
+def _read_losses(fh, path: str, params: StreamParams, size: int) -> _Losses:
     """The checked losses in the rows after the header of a loss file of
     ``size`` bytes, parsed ``_PARSE_CELLS`` cells at a time, as read-only
-    (codes, table): one byte per cell indexing the table of the file's
-    distinct values or, once more than 256 show up, the float64 losses
-    themselves and no table. The day column is checked, not kept.
+    (store, table). While the file shows at most 256 distinct values, each
+    cell is coded by its position in the table of them, and the store holds
+    the codes as bit planes: plane j is bit j of every code, packed 8 cells a
+    byte along the row, ``ceil(log2(len(table)))`` planes and at least one.
+    Once more than 256 values show up, the store is the float64 losses
+    themselves and the table is None. The day column is checked, not kept.
 
     The checks and messages are those of one read of all T rows: malformed
     rows anywhere come first, then a short file, then ragged rows, the day
@@ -390,7 +431,10 @@ def _read_losses(fh, path: str, params: StreamParams,
     # newline aside: the store is never larger than the file can fill
     days = min(T, (size + 1) // (2 * (n + 1)))
     table = np.empty(0)  # the distinct values in code order; None past 256 of them
-    codes = np.empty((days, n), np.uint8)  # a page is resident only once written
+    code = np.empty((rows, n), np.uint8)  # one chunk's codes
+    # a page is resident only once written; a code never changes once given,
+    # so a plane added when the table grows reads 0 for the rows before it
+    store = [np.zeros((days, (n + 7) // 8), np.uint8)]
     t = 0  # rows read
     pad = None  # a line of zeros as wide as the first row
     late = None  # a ragged-row or day-column error, raised once every row is read
@@ -418,29 +462,36 @@ def _read_losses(fh, path: str, params: StreamParams,
             else:
                 losses = chunk[:, 1:]
                 if table is not None:
-                    grown = _encode(table, losses.view(np.uint64), codes[t:t + r])
+                    grown = _encode(table, losses.view(np.uint64), code[:r])
                     if grown is None:  # float64 cells from here on
                         cells = np.empty((days, n))
                         for s in range(0, t, rows):  # decoded a chunk at a time
-                            table.take(codes[s:s + rows], out=cells[s:s + rows])
-                        codes = cells
+                            e = min(s + rows, t)
+                            table.take(_codes(store, s, e)[:, :n], out=cells[s:e])
+                        store = cells
+                    else:
+                        while len(store) < max(1, (len(grown) - 1).bit_length()):
+                            store.append(np.zeros_like(store[0]))
+                        for j, plane in enumerate(store):  # packbits keeps any nonzero as 1
+                            plane[t:t + r] = np.packbits(code[:r] & (1 << j), axis=1)
                     table = grown
                 if table is None:
-                    codes[t:t + r] = losses
+                    store[t:t + r] = losses
         t += r
     if t < T:
         raise ValueError(f"loss file has {t} days, need {T}")
     if late is not None:
         raise ValueError(late)
-    _check_unit(codes if table is None else table, f"losses in {path!r}")
-    for a in (codes, table):
-        if a is not None:
-            a.flags.writeable = False
-    return codes, table
+    _check_unit(store if table is None else table, f"losses in {path!r}")
+    if table is not None:
+        store = tuple(store)
+    for a in (store,) if table is None else (*store, table):
+        a.flags.writeable = False
+    return store, table
 
 
-def _load_csv(path: str, params: StreamParams) -> tuple[np.ndarray, np.ndarray | None]:
-    """The checked losses of a loss file as read-only (codes, table), see
+def _load_csv(path: str, params: StreamParams) -> _Losses:
+    """The checked losses of a loss file as read-only (store, table), see
     ``_read_losses``.
 
     A process parses each (content, n, T) once. The last file parsed is kept
@@ -473,26 +524,29 @@ class CsvOracle(LossOracle):
     """Losses replayed from a CSV file with header ``t,e1,...,en``, parsed once
     per distinct content, n and T in a process (see ``_load_csv``).
 
-    A file of at most 256 distinct values is kept in one byte per cell:
-    ``codes`` index ``table``. Otherwise ``codes`` holds the float64 losses
-    and ``table`` is None.
+    A file of at most 256 distinct values is kept in ceil(log2(values)) bits
+    a cell: ``store`` is a tuple of bit planes of the cells' codes into
+    ``table`` (see ``_read_losses``). Otherwise ``store`` holds the float64
+    losses and ``table`` is None.
     """
 
     def __init__(self, params: StreamParams, path: str):
         super().__init__(params)
         check_path("loss file path", path)
         try:
-            self.codes, self.table = _load_csv(path, params)
+            self.store, self.table = _load_csv(path, params)
         except OSError as exc:
             raise FileNotFoundError(f"loss file {path!r}: {exc}") from exc
 
     def loss_block(self, t0, t1, ids):
         # take, not fancy indexing: a[:, idx] comes back in Fortran order
-        ids = np.asarray(ids, dtype=np.int64)
-        block = np.take(self.codes[t0 - 1:t1], ids - 1, axis=1)
+        cols = np.asarray(ids, dtype=np.int64) - 1
+        if self.table is None:
+            return np.take(self.store[t0 - 1:t1], cols, axis=1)
+        block = np.take(_codes(self.store, t0 - 1, t1)[:, :self.n], cols, axis=1)
         # every code indexes the table, so "clip" only skips numpy's bounds
         # checks: 2.3x faster here than indexing by the uint8 codes
-        return block if self.table is None else self.table.take(block, mode="clip")
+        return self.table.take(block, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +666,7 @@ class GameOracle(LossOracle):
 
 
 GENERATORS = {
-    "constant": lambda params, spec: ConstantOracle(params, spec["means"]),
+    "constant": lambda params, spec: ConstantOracle(params, _spec_means(spec)),
     "iid-bernoulli": lambda params, spec: BernoulliOracle(
         params, _resolve_means(params, spec)),
     "epoch-spoiler": lambda params, spec: EpochSpoilerOracle(
@@ -620,13 +674,22 @@ GENERATORS = {
         decoy_loss=spec["decoy-loss"], epoch_length=spec["epoch-length"]),
     "csv-file": lambda params, spec: CsvOracle(params, spec["path"]),
 }
+# The keys each generator reads besides "generator"; any other is a typo.
+GENERATOR_KEYS = {
+    "constant": ("means",),
+    "iid-bernoulli": ("means", "mean-range", "overrides"),
+    "epoch-spoiler": ("best-id", "base-loss", "decoy-loss", "epoch-length"),
+    "csv-file": ("path",),
+}
 
 
 def stream_builder(spec: dict):
-    """The ``GENERATORS`` entry that ``spec["generator"]`` names."""
+    """The ``GENERATORS`` entry that ``spec["generator"]`` names, once the
+    spec is checked to hold only that generator's ``GENERATOR_KEYS``."""
     kind = spec.get("generator") if isinstance(spec, dict) else None
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}; expected one of {sorted(GENERATORS)}")
+    check_keys(f"{kind} stream keys", spec, ("generator", *GENERATOR_KEYS[kind]))
     return GENERATORS[kind]
 
 

@@ -1125,10 +1125,20 @@ class TestCli:
          "VIOLATION: trial aborted: ValueError: mean-range must be a number, got None"),
         ("dump-stream", {"stream": {**STREAM, "mean-range": [0.2, 0.5, 0.8]}},
          "error: mean-range must be a list of two numbers, got [0.2, 0.5, 0.8]"),
+        ("run", {"stream": {**STREAM, "overrides": {"1": "0.3"}}},
+         "VIOLATION: trial aborted: ValueError: overrides must be a number, got '0.3'"),
+        ("run", {"stream": {"generator": "iid-bernoulli", "means": {"a": 1}}},
+         "VIOLATION: trial aborted: ValueError: means must be a list of numbers, "
+         "got {'a': 1}"),
+        ("dump-stream", {"stream": {"generator": "constant", "means": {"a": 1}}},
+         "error: means must be a list of numbers, got {'a': 1}"),
+        ("run", {"stream": {"generator": "constant", "means": [0.1, "0.2", 0.3, 0.4]}},
+         "VIOLATION: trial aborted: ValueError: means must be a number, got '0.2'"),
     ], ids=["n-string", "T-float", "eps-string", "delta-string", "epoch-length-string",
             "override-0", "override-9", "overrides-list", "demo-n-string", "dump-T-float",
             "dump-seed-string", "output-int", "dump-output-int", "mean-range-int",
-            "mean-range-null", "dump-mean-range-three"])
+            "mean-range-null", "dump-mean-range-three", "override-value-string",
+            "means-object", "dump-means-object", "means-string"])
     def test_malformed_value_clean_exit(self, tmp_path, capsys, command, payload, message):
         base = {
             "run": {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
@@ -1187,6 +1197,15 @@ class TestCli:
          "error: unknown demo-lb config keys ['round']"),
         ("dump-stream", {"sed": 3},
          "error: unknown dump-stream config keys ['sed']"),
+        ("run", {"stream": {**STREAM, "override": {"1": 0.0}}},
+         "error: unknown iid-bernoulli stream keys ['override']"),
+        ("dump-stream", {"stream": {**STREAM, "override": {"1": 0.0}}},
+         "error: unknown iid-bernoulli stream keys ['override']"),
+        ("check", {"stream": {**SPOILER, "best_id": 1}},
+         "error: unknown epoch-spoiler stream keys ['best_id']"),
+        ("run", {"stream": {"generator": "constant", "means": [0.5] * 4,
+                            "mean-range": [0.2, 0.8]}},
+         "error: unknown constant stream keys ['mean-range']"),
         # values no trial can take are rejected at load in the same way
         ("run", {"trials": [2**64]}, "error: seed must lie in [0, 2^64), got 18446744073709551616"),
         ("run", {"trials": [0, -1], "stream": SPOILER},
@@ -1196,7 +1215,8 @@ class TestCli:
         ("demo-lb", {"eps-prime": 0}, "error: eps-prime must lie in (0, 1/2]"),
         ("demo-lb", {"eps-prime": 1e-320}, "error: eps-prime must lie in (0, 1/2]"),
     ], ids=["baseline-epsilon", "hierarchy-detla", "top-level-underscore", "demo-epsilon",
-            "demo-hierarchy", "demo-round", "dump-sed", "seed-2^64", "spoiler-seed-negative",
+            "demo-hierarchy", "demo-round", "dump-sed", "stream-override", "dump-stream-override",
+            "spoiler-best_id", "constant-mean-range", "seed-2^64", "spoiler-seed-negative",
             "dump-seed-2^64", "demo-seed-2^64", "eps-prime-0", "eps-prime-subnormal"])
     def test_unknown_key_rejected_before_any_trial(self, tmp_path, capsys, command,
                                                    payload, message):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from expertpool import streams
 from expertpool.streams import (
@@ -372,8 +372,8 @@ class TestCsvOracle:
         f = tmp_path / "s.csv"
         values = np.random.default_rng(4).random((10, 2))
         self._write_values(f, values)
-        assert CsvOracle(StreamParams(2, 10), str(f)).codes.shape == (10, 2)
-        assert CsvOracle(StreamParams(2, 6), str(f)).codes.shape == (6, 2)
+        assert CsvOracle(StreamParams(2, 10), str(f)).store[0].shape == (10, 1)
+        assert CsvOracle(StreamParams(2, 6), str(f)).store[0].shape == (6, 1)
         assert len(parses) == 2
         with pytest.raises(ValueError, match="header"):  # read again, not served
             CsvOracle(StreamParams(3, 6), str(f))
@@ -392,7 +392,7 @@ class TestCsvOracle:
         values = np.random.default_rng(5).random((8, 3))
         self._write_values(f, values)
         o = CsvOracle(StreamParams(3, 8), str(f))
-        for kept in (o.codes, o.table):
+        for kept in (*o.store, o.table):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 1
@@ -435,8 +435,8 @@ class TestCsvOracle:
             oracles.append(CsvOracle(StreamParams(2, 6), str(tmp_path / name)))
         # the kept losses are dropped before the next parse starts
         assert parses == [0, 0, 0]
-        ((codes, table),) = streams._PARSED.values()
-        assert oracles[-1].codes is codes and oracles[-1].table is table
+        ((store, table),) = streams._PARSED.values()
+        assert oracles[-1].store is store and oracles[-1].table is table
 
     def test_replays_file_values(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -496,12 +496,13 @@ class TestCsvOracle:
         """Set the parse to read this many rows of n + 1 cells a chunk."""
         return lambda rows, n: monkeypatch.setattr(streams, "_PARSE_CELLS", rows * (n + 1))
 
-    def test_zero_one_file_keeps_one_byte_a_cell(self, tmp_path, rows_per_chunk):
+    def test_zero_one_file_keeps_one_bit_a_cell(self, tmp_path, rows_per_chunk):
         rows_per_chunk(7, 4)
         values = np.random.default_rng(8).integers(0, 2, (50, 4)).astype(np.float64)
         self._write_values(tmp_path / "s.csv", values)
         o = CsvOracle(StreamParams(4, 50), str(tmp_path / "s.csv"))
-        assert o.codes.dtype == np.uint8 and o.codes.nbytes == 50 * 4
+        (plane,) = o.store  # 4 cells a row in one byte
+        assert plane.dtype == np.uint8 and plane.shape == (50, 1) and plane.nbytes == 50
         assert sorted(o.table.tolist()) == [0.0, 1.0]
         assert matrix(o).tobytes() == values.tobytes()
 
@@ -514,9 +515,10 @@ class TestCsvOracle:
         assert matrix(o).tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 9, 1000])
-    @pytest.mark.parametrize("distinct", [1, 2, 16, 17, 256, 257])
+    @pytest.mark.parametrize("distinct,planes", [(1, 1), (2, 1), (16, 4), (17, 5), (256, 8),
+                                                 (257, None)])
     def test_distinct_values_replay_bit_exactly(self, tmp_path, rows_per_chunk, rows,
-                                                distinct):
+                                                distinct, planes):
         # past 256 values the file is kept as float64, decoding what chunks
         # before coded
         rows_per_chunk(rows, 3)
@@ -527,13 +529,58 @@ class TestCsvOracle:
         values.flat[rng.permutation(300)[:distinct]] = pool  # every value shows
         self._write_values(tmp_path / "s.csv", values)
         o = CsvOracle(StreamParams(3, 100), str(tmp_path / "s.csv"))
-        if distinct <= 256:
-            assert o.codes.dtype == np.uint8 and len(o.table) == distinct
+        if planes is not None:  # 3 cells a row in one byte a plane
+            assert len(o.store) == planes and len(o.table) == distinct
+            assert all(p.dtype == np.uint8 and p.shape == (100, 1) for p in o.store)
+            assert sum(p.nbytes for p in o.store) == 100 * planes
+            assert not any(p.flags.writeable for p in o.store)
         else:
-            assert o.codes.dtype == np.float64 and o.table is None
-        assert not o.codes.flags.writeable
+            assert o.store.dtype == np.float64 and o.table is None
+            assert not o.store.flags.writeable
         assert matrix(o).tobytes() == values.tobytes()
         assert o.loss_block(40, 62, [3, 1]).tobytes() == values[39:62][:, [2, 0]].tobytes()
+
+    # a table grown across the plane counts 1 -> 2 (2 -> 3 values), 2 -> 3
+    # (4 -> 5), 7 -> 8 (128 -> 129) and into the float64 cells (256 -> 257)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5).map(sorted),
+           seed=st.integers(0, 2**32 - 1))
+    @example(sizes=[1], seed=0)
+    @example(sizes=[2, 3], seed=1)
+    @example(sizes=[4, 5], seed=2)
+    @example(sizes=[128, 129], seed=3)
+    @example(sizes=[256, 257], seed=4)
+    @example(sizes=[2, 3, 5, 129, 256, 257], seed=5)
+    def test_table_grown_in_later_chunks_replays_bit_exactly(self, tmp_path, rows_per_chunk,
+                                                             sizes, seed):
+        # the table holds pool[:size] once a stage of sizes is read; each stage
+        # starts a chunk, shows its new values and repeats older ones
+        n, rows = 3, 4
+        rows_per_chunk(rows, n)
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[-0.0, 0.0], rng.random(298)])
+        stages, have = [], 0
+        for size in sizes:
+            chunks = -(-(size - have + 2) // (rows * n))
+            cells = rng.permutation(np.concatenate(
+                [pool[have:size], pool[rng.integers(0, size, chunks * rows * n - size + have)]]))
+            stages.append(cells.reshape(-1, n))
+            have = size
+        values = np.concatenate(stages)
+        self._write_values(tmp_path / "s.csv", values)
+        T = len(values)
+        o = CsvOracle(StreamParams(n, T), str(tmp_path / "s.csv"))
+        if sizes[-1] <= 256:
+            assert len(o.table) == sizes[-1]
+            assert len(o.store) == max(1, (sizes[-1] - 1).bit_length())
+        else:
+            assert o.table is None and o.store.dtype == np.float64
+        assert matrix(o).tobytes() == values.tobytes()
+        for _ in range(20):
+            t0, t1 = sorted(rng.integers(1, T + 1, 2))
+            ids = rng.integers(1, n + 1, rng.integers(1, 2 * n))
+            assert o.loss_block(t0, t1, ids).tobytes() == values[t0 - 1:t1][:, ids - 1].tobytes()
 
     def _lines(self, n, T, fault=None):
         """The lines of a 0/1 loss file of T days, with ``fault`` lines
@@ -752,6 +799,35 @@ class TestMakeOracle:
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown generator"):
             make_oracle(StreamParams(2, 5), {"generator": "bogus"})
+
+    @pytest.mark.parametrize("spec,unknown", [
+        ({"generator": "iid-bernoulli", "mean-range": [0.4, 0.6], "override": {"1": 0.0}},
+         "iid-bernoulli stream keys ['override']"),
+        ({"generator": "constant", "means": [0.1, 0.2], "seed": 3},
+         "constant stream keys ['seed']"),
+        ({"generator": "csv-file", "path": "s.csv", "n": 2}, "csv-file stream keys ['n']"),
+        ({"generator": "iid-bernoulli", "means": [0.5, 0.5], "overrides": {"1": 0.0}},
+         "iid-bernoulli stream keys with means ['overrides']"),
+        ({"generator": "iid-bernoulli", "means": [0.5, 0.5], "mean-range": [0.0, 0.1]},
+         "iid-bernoulli stream keys with means ['mean-range']"),
+    ])
+    def test_keys_the_generator_does_not_read(self, spec, unknown):
+        # a typo would otherwise run the stream without what it meant to set
+        with pytest.raises(ValueError) as exc:
+            make_oracle(StreamParams(2, 5), spec)
+        assert str(exc.value).startswith(f"unknown {unknown}; allowed: ")
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"generator": "constant", "means": {"a": 1}}, "means must be a list of numbers"),
+        ({"generator": "iid-bernoulli", "means": (0.1, 0.2)}, "means must be a list of numbers"),
+        ({"generator": "iid-bernoulli", "means": ["0.1", 0.2]}, "means must be a number"),
+        ({"generator": "constant", "means": [0.1, True]}, "means must be a number"),
+        ({"generator": "iid-bernoulli", "mean-range": [0.4, 0.6], "overrides": {"1": "0.3"}},
+         "overrides must be a number, got '0.3'"),
+    ])
+    def test_means_and_overrides_must_be_numbers(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            make_oracle(StreamParams(2, 5), spec)
 
     def test_adaptive_game_is_not_a_stream(self):
         with pytest.raises(ValueError, match="unknown generator 'adaptive-game'"):
