@@ -208,14 +208,6 @@ def check_memory(learner) -> list[str]:
 # Traces
 # ---------------------------------------------------------------------------
 
-def _integral(x: np.ndarray) -> bool:
-    """Whether ``.12g`` prints every value of x as its integer: each is an
-    integer below 1e12 in magnitude, and none is -0.0. ``dump_stream`` prints
-    such a window's values as ints."""
-    return bool(np.all(np.abs(x) < 1e12) and np.all(x == np.trunc(x))
-                and not np.any(np.signbit(x) & (x == 0)))
-
-
 class TraceWriter:
     """Per-day CSV trace with exact regret against the enumerated best expert,
     whose per-day column the trial's stream pass supplies.
@@ -261,7 +253,7 @@ class TraceWriter:
         self.partial.unlink(missing_ok=True)
 
 
-def _fields(fmt: str, values: list, width: int) -> np.ndarray:
+def _fields(fmt: str, values, width: int) -> np.ndarray:
     """``fmt``, which prints a value blank-padded to ``width`` bytes, applied
     to every value in one ``%``: one row per value, of unsigned ints."""
     item = min(width, 8)  # width is 2, 4 or a multiple of 8
@@ -269,9 +261,9 @@ def _fields(fmt: str, values: list, width: int) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=f"u{item}").reshape(-1, width // item)
 
 
-def _int_fields(values: list) -> np.ndarray:
-    """Ints as ``_fields``, each ending in ","; the width fits the longest."""
-    chars = max(len(str(max(values))), len(str(min(values)))) + 1
+def _int_fields(values: range) -> np.ndarray:
+    """A range of ints as ``_fields``, each ending in ","; the width fits."""
+    chars = max(len(str(values[0])), len(str(values[-1]))) + 1
     width = 2 if chars <= 2 else 4 if chars <= 4 else -(-chars // 8) * 8
     return _fields(f"%-{width - 1}d,", values, width)
 
@@ -280,12 +272,13 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
     """Write the full loss matrix in the csv-file oracle schema, one window of
     days at a time, as the csv writer with ``.12g`` would.
 
-    Each distinct value of a window is formatted once, keyed by its bits so
-    that -0.0 keeps its own string, into a blank-padded field; one ``take``
-    gathers the window's cells, and dropping the blanks leaves its CSV bytes.
-    The file is written beside ``path`` and renamed to it when complete, so
-    an error leaves ``path`` as it was; a directory at ``path`` is refused
-    before any window is read.
+    A window's cells are codes into a table of blank-padded fields, which one
+    ``take`` gathers; dropping the blanks leaves its CSV bytes. Integers below
+    1e12 in magnitude, none -0.0, spanning fewer values than the window has
+    cells, are coded by value range into a ``%d`` table (``.12g`` prints them
+    so); other windows by ``np.unique`` of their bits (-0.0 keeps its string).
+    The file is written beside ``path`` and renamed to it when complete, so an
+    error leaves ``path`` as it was; a directory at ``path`` is refused first.
     """
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -300,13 +293,19 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
                 t1 = min(t0 + days - 1, oracle.T)
                 window = np.ascontiguousarray(oracle.loss_block(t0, t1, ids),
                                               dtype=np.float64)
-                keys, inverse = np.unique(window.view(np.uint64), return_inverse=True)
-                values = keys.view(np.float64)
-                # the longest .12g text has 19 characters
-                table = (_int_fields(values.astype(np.int64).tolist()) if _integral(values)
-                         else _fields("%-23.12g,", values.tolist(), 24))
-                cells = table.take(inverse.reshape(-1), axis=0).view(np.uint8)
-                rows = np.concatenate([_int_fields(list(range(t0, t1 + 1))).view(np.uint8),
+                with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip
+                    ints = window.astype(np.int64)
+                lo, hi = int(ints.min()), int(ints.max())
+                # bit for bit, so -0.0, fractions and |x| >= 2^63 fail it too
+                if (-1e12 < lo and hi < 1e12 and hi - lo + 1 < window.size
+                        and np.array_equal(ints.astype(float).view("u8"), window.view("u8"))):
+                    table, codes = _int_fields(range(lo, hi + 1)), ints - lo
+                else:
+                    keys, codes = np.unique(window.view(np.uint64), return_inverse=True)
+                    # the longest .12g text has 19 characters
+                    table = _fields("%-23.12g,", keys.view(np.float64).tolist(), 24)
+                cells = table.take(codes.reshape(-1), axis=0).view(np.uint8)
+                rows = np.concatenate([_int_fields(range(t0, t1 + 1)).view(np.uint8),
                                        cells.reshape(len(window), -1),
                                        np.full((len(window), 1), ord("\n"), np.uint8)],
                                       axis=1)

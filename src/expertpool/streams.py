@@ -244,7 +244,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
         rng = np.random.default_rng(params.seed)
         means = rng.uniform(lo, hi, size=params.n)
         for sid, m in overrides.items():
-            if not 1 <= int(sid) <= params.n:
+            if not (str(sid).isdecimal() and 1 <= int(sid) <= params.n):
                 raise ValueError(f"override id {sid!r} outside [1, {params.n}]")
             check_number("overrides", m)
             means[int(sid) - 1] = m
@@ -686,8 +686,9 @@ GENERATOR_KEYS = {
 def stream_builder(spec: dict):
     """The ``GENERATORS`` entry that ``spec["generator"]`` names, once the
     spec is checked to hold only that generator's ``GENERATOR_KEYS``."""
-    kind = spec.get("generator") if isinstance(spec, dict) else None
-    if kind not in GENERATORS:
+    check_object("stream", spec)
+    kind = spec.get("generator")
+    if not (isinstance(kind, str) and kind in GENERATORS):
         raise ValueError(f"unknown generator {kind!r}; expected one of {sorted(GENERATORS)}")
     check_keys(f"{kind} stream keys", spec, ("generator", *GENERATOR_KEYS[kind]))
     return GENERATORS[kind]

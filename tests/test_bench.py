@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,15 @@ def _dump_one_row_at_a_time(oracle, path):
             w.writerow([str(t)] + [f"{v:.12g}" for v in matrix[t - 1]])
 
 
+def _by_range(window):
+    """Whether ``dump_stream`` codes a window by value range: its cells are
+    integers below 1e12 in magnitude, none -0.0, spanning fewer values than
+    the window has cells."""
+    v = window.ravel().tolist()
+    return (all(x.is_integer() and abs(x) < 1e12 and str(x) != "-0.0" for x in v)
+            and max(v) - min(v) + 1 < len(v))
+
+
 class TestDumpStream:
     INTEGRAL = [0.0, 1.0, 7.0, -3.0, 42.0, 12345.0, -(1e12 - 1), 1e12 - 1]
     MIXED = [-0.0, 1 / 3, 2.5e-7, 1e-300, math.nan, 1.0]
@@ -308,6 +318,53 @@ class TestDumpStream:
             _dump_one_row_at_a_time(o, Path(d) / "old.csv")
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
             assert sorted(os.listdir(d)) == ["new.csv", "old.csv"]
+
+    # windows about the range coder's edges: small ints; ints beside +-1e12,
+    # where .12g turns to exponents; values the int64 round trip must refuse
+    EDGE_POOLS = [[0.0, 1.0, 2.0, 3.0, -1.0], [1e12 - 3, 1e12 - 2, 1e12 - 1, 1e12],
+                  [-1e12, -(1e12 - 1), -(1e12 - 2)],
+                  [0.0, 1.0, -0.0, 0.5, math.nan, math.inf, -math.inf, 2.0**63, -(2.0**63)]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(EDGE_POOLS).flatmap(
+               lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=24)),
+           st.integers(2, 4), st.integers(1, 12))
+    @example([0.0, 1.0, 2.0, 0.0], 2, 2)  # 3 values in 4 cells: by range
+    @example([0.0, 1.0, 2.0, 3.0], 2, 2)  # 4 values in 4 cells: by np.unique
+    @example([1e12 - 1, 1e12 - 2] * 2, 2, 2)
+    @example([1e12, 1e12 - 1] * 2, 2, 2)  # "1e+12"
+    @example([-(1e12 - 1), -(1e12 - 2)] * 2, 2, 2)
+    @example([-1e12, -(1e12 - 1)] * 2, 2, 2)
+    @example([-(1e12 - 1), 1e12 - 1] * 2, 2, 2)  # a span of 2e12 - 1 values
+    @example([0.0, 1.0, -0.0, 1.0], 2, 2)
+    @example([math.nan, 0.0, 1.0, 0.0], 2, 2)
+    @example([math.inf, 0.0, 1.0, 0.0], 2, 2)
+    @example([-math.inf, 0.0, -1.0, 0.0], 2, 2)
+    @example([2.0**63, 0.0, 1.0, 0.0], 2, 2)
+    @example([2.0**63] * 4, 2, 2)
+    @example([-(2.0**63)] * 4, 2, 2)  # an exact int64, past 1e12
+    def test_range_and_unique_coders_match_row_writer(self, cells, n, days):
+        matrix = np.resize(np.array(cells), (max(1, len(cells) // n), n))
+        windows = [matrix[s:s + days] for s in range(0, len(matrix), days)]
+        o = MatrixOracle(matrix)
+        unique, int_fields, sorted_sizes = np.unique, bench._int_fields, []
+
+        def fields(values):  # a day column or a range table, never a window's size
+            assert len(values) < days * n
+            return int_fields(values)
+
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as d, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # the int64 cast of NaN or inf warns
+            _window(mp, days, n)
+            mp.setattr(bench, "_int_fields", fields)
+            mp.setattr(np, "unique", lambda a, **kw: sorted_sizes.append(a.size)
+                       or unique(a, **kw))
+            dump_stream(o, Path(d) / "new.csv")
+            mp.undo()
+            _dump_one_row_at_a_time(o, Path(d) / "old.csv")
+            assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
+        assert sorted_sizes == [w.size for w in windows if not _by_range(w)]
 
     @pytest.mark.parametrize("spec", [
         SPOILER, {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
@@ -677,10 +734,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("baseline", 4, 10, {}, checks="sometimes")
 
-    @pytest.mark.parametrize("stream", [{"generator": "bogus"}, {},
-                                        "iid-bernoulli"])
-    def test_unknown_generator_rejected_at_construction(self, stream):
-        with pytest.raises(ValueError, match="unknown generator"):
+    @pytest.mark.parametrize("stream,message", [
+        ({"generator": "bogus"}, "unknown generator 'bogus'"),
+        ({}, "unknown generator None"),
+        # a stream that is not an object is named as such, not as a generator
+        ("iid-bernoulli", "stream must be a JSON object, got 'iid-bernoulli'"),
+        ({"generator": ["iid-bernoulli"]}, r"unknown generator \['iid-bernoulli'\]"),
+        ({"generator": {}}, "unknown generator {}"),
+    ], ids=["stream0", "stream1", "iid-bernoulli", "generator-list", "generator-object"])
+    def test_unknown_generator_rejected_at_construction(self, stream, message):
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig("baseline", 4, 10, stream)
 
     @pytest.mark.parametrize("trials", [3, [], [1.5], ["0"], None])
@@ -1093,6 +1156,25 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "VIOLATION" not in captured.out
 
+    @pytest.mark.parametrize("command", ["run", "check", "dump-stream"])
+    @pytest.mark.parametrize("stream,message", [
+        ({"generator": ["iid-bernoulli"]},
+         "error: unknown generator ['iid-bernoulli']; expected one of"),
+        ({"generator": {}}, "error: unknown generator {}; expected one of"),
+        (3, "error: stream must be a JSON object, got 3"),
+    ], ids=["generator-list", "generator-object", "stream-int"])
+    def test_malformed_stream_shape_clean_exit(self, tmp_path, capsys, command, stream,
+                                               message):
+        cfg = ({"n": 4, "T": 10, "seed": 3, "output": str(tmp_path / "s.csv")}
+               if command == "dump-stream" else
+               {"learner": "baseline", "n": 4, "T": 10, "trials": [0]})
+        path = self._write_json(tmp_path / "g.json", {**cfg, "stream": stream})
+        assert cli.main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "VIOLATION" not in captured.out
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("command", ["run", "demo-lb", "dump-stream"])
     def test_non_object_config_clean_exit(self, tmp_path, capsys, command):
         assert cli.main([command, self._write_json(tmp_path / "l.json", [1])]) == 1
@@ -1113,6 +1195,12 @@ class TestCli:
          "VIOLATION: trial aborted: ValueError: override id '9' outside [1, 4]"),
         ("run", {"stream": {**STREAM, "overrides": [1]}},
          "VIOLATION: trial aborted: ValueError: overrides must be a JSON object, got [1]"),
+        ("run", {"stream": {**STREAM, "overrides": {"x": 0.1}}},
+         "VIOLATION: trial aborted: ValueError: override id 'x' outside [1, 4]"),
+        ("run", {"stream": {**STREAM, "overrides": {"1.5": 0.1}}},
+         "VIOLATION: trial aborted: ValueError: override id '1.5' outside [1, 4]"),
+        ("dump-stream", {"stream": {**STREAM, "overrides": {"x": 0.1}}},
+         "error: override id 'x' outside [1, 4]"),
         ("demo-lb", {"n": "8"}, "error: n must be an integer, got '8'"),
         ("dump-stream", {"T": 40.0}, "error: T must be an integer, got 40.0"),
         ("dump-stream", {"seed": "3"}, "error: seed must be an integer, got '3'"),
@@ -1135,7 +1223,8 @@ class TestCli:
         ("run", {"stream": {"generator": "constant", "means": [0.1, "0.2", 0.3, 0.4]}},
          "VIOLATION: trial aborted: ValueError: means must be a number, got '0.2'"),
     ], ids=["n-string", "T-float", "eps-string", "delta-string", "epoch-length-string",
-            "override-0", "override-9", "overrides-list", "demo-n-string", "dump-T-float",
+            "override-0", "override-9", "overrides-list", "override-id-string",
+            "override-id-float", "dump-override-id-string", "demo-n-string", "dump-T-float",
             "dump-seed-string", "output-int", "dump-output-int", "mean-range-int",
             "mean-range-null", "dump-mean-range-three", "override-value-string",
             "means-object", "dump-means-object", "means-string"])

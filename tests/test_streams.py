@@ -650,9 +650,10 @@ class TestCsvOracle:
         with pytest.raises(ValueError, match=message):
             CsvOracle(StreamParams(2, 12), str(f))
 
-    def test_zero_one_parse_peak_is_two_bytes_a_cell_and_a_chunk(self, tmp_path):
-        # the cells' second byte covers the read buffers and first-call costs
-        n, T = 200, 30_000
+    def test_zero_one_parse_peak_is_one_plane_and_64_bytes_a_chunk_cell(self, tmp_path):
+        # the chunk term covers the parse's own buffers (about 43 bytes a chunk
+        # cell measured); a store of one byte a cell, 8 times the plane, fails
+        n, T = 200, 60_000
         f = tmp_path / "s.csv"
         f.write_text("t," + ",".join(f"e{i}" for i in range(1, n + 1)) + "\n"
                      + "\n".join(self._lines(n, T)) + "\n")
@@ -662,7 +663,7 @@ class TestCsvOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * T + 8 * streams._PARSE_CELLS
+        assert peak < T * -(-n // 8) + 64 * streams._PARSE_CELLS
 
 
 class TestGameInstance:
