@@ -22,7 +22,8 @@ from .hierarchy import HierarchyLearner, LevelState
 from .meter import WordMeter
 from .mwu import MwuState
 from .streams import (GameOracle, LossOracle, StreamParams, check_int_list, check_keys,
-                      check_number, check_object, check_path, make_oracle, stream_builder)
+                      check_number, check_object, check_path, check_present, make_oracle,
+                      stream_builder)
 
 __all__ = [
     "ExperimentConfig",
@@ -58,7 +59,9 @@ class HindsightPass(LossOracle):
     window is folded into the running totals and the per-day best cumulative
     loss so far: the totals are carried into its first row before its cumsum,
     so every sum is the same sequence of additions as one cumsum over the
-    whole matrix. A query that lies inside the last window read is answered
+    whole matrix. The cumsum runs only over the experts that can hold some
+    day's minimum in the window, those whose first-day total is at most the
+    smallest end-of-window total. A query that lies inside the last window read is answered
     by one ``take`` into a fresh array of its own, at most one window in size.
     Any other query is answered by ``take``-ing from the kept windows and the
     ones it makes the pass read into one C-contiguous answer buffer, which the
@@ -98,9 +101,17 @@ class HindsightPass(LossOracle):
         cum = self._cum[:len(win)]
         np.copyto(cum, win)
         cum[0] += self._run
+        # at n >= 2 numpy reduces axis 0 a row at a time: the cumsum's last row
+        ends = np.add.reduce(cum, axis=0)
+        # losses are >= 0 and rounded addition is monotone, so an expert whose
+        # first-day total exceeds the smallest end total leads on no day here
+        lead = np.flatnonzero(cum[0] <= ends.min())
+        if len(lead) < self.n:
+            cum = cum.take(lead, axis=1)
         np.cumsum(cum, axis=0, out=cum)
         cum.min(axis=1, out=self.best_so_far[w0 - 1:self.read])
-        self._run[:] = cum[-1]
+        # at n = 1 reduce sums the one column pairwise: keep the cumsum's totals
+        self._run[:] = ends if len(lead) < self.n else cum[-1]
 
     def loss_block(self, t0, t1, ids):
         w0, win = self._kept[-1]
@@ -234,13 +245,15 @@ class TraceWriter:
         self.alg_cum = float(alg[-1])
         best = self.stream.best(t0, t0 - 1 + len(alg))
         # the words and pool columns are read once per block, after it
-        row = f"%d,%.12g,%.12g,%.12g,{meter.current},{meter.peak},{pool_size}\r\n"
+        tail = np.frombuffer(f"{meter.current},{meter.peak},{pool_size}\r\n".encode(),
+                             np.uint8)
         # a slice at a time: a block can be the whole horizon (mwu-full-memory)
         for s in range(0, len(alg), TRACE_ROWS):
             a, b = alg[s:s + TRACE_ROWS], best[s:s + TRACE_ROWS]
-            values = [v for day in zip(range(t0 + s, t0 + s + len(a)), a.tolist(), b.tolist(),
-                                       (a - b).tolist()) for v in day]
-            self.out.write((row * len(a)) % tuple(values))
+            rows = np.concatenate([_int_fields(range(t0 + s, t0 + s + len(a))).view(np.uint8),
+                                   _cells(a), _cells(b), _cells(a - b),
+                                   np.broadcast_to(tail, (len(a), len(tail)))], axis=1)
+            self.out.write(rows.tobytes().translate(None, b" ").decode("ascii"))
 
     def flush(self) -> None:
         """Close the trace and move it to ``path``."""
@@ -268,15 +281,36 @@ def _int_fields(values: range) -> np.ndarray:
     return _fields(f"%-{width - 1}d,", values, width)
 
 
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The ``.12g`` text of each C-contiguous float64 in ``values``, blank-padded
+    and ending in ",": one row of bytes per value, in C order.
+
+    The values are codes into a table of fields, which one ``take`` gathers.
+    Integers below 1e12 in magnitude, none -0.0, spanning fewer values than
+    there are, are coded by value range into a ``%d`` table (``.12g`` prints
+    them so); any others by ``np.unique`` of their bits (-0.0 keeps its string).
+    """
+    values = values.reshape(-1)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip
+        ints = values.astype(np.int64)
+    lo, hi = int(ints.min()), int(ints.max())
+    # bit for bit, so -0.0, fractions and |x| >= 2^63 fail it too
+    if (-1e12 < lo and hi < 1e12 and hi - lo + 1 < values.size
+            and np.array_equal(ints.astype(float).view("u8"), values.view("u8"))):
+        table, codes = _int_fields(range(lo, hi + 1)), ints - lo
+    else:
+        keys, codes = np.unique(values.view(np.uint64), return_inverse=True)
+        # the longest .12g text has 19 characters
+        table = _fields("%-23.12g,", keys.view(np.float64).tolist(), 24)
+    return table.take(codes.reshape(-1), axis=0).view(np.uint8)
+
+
 def dump_stream(oracle: LossOracle, path: Path) -> None:
     """Write the full loss matrix in the csv-file oracle schema, one window of
     days at a time, as the csv writer with ``.12g`` would.
 
-    A window's cells are codes into a table of blank-padded fields, which one
-    ``take`` gathers; dropping the blanks leaves its CSV bytes. Integers below
-    1e12 in magnitude, none -0.0, spanning fewer values than the window has
-    cells, are coded by value range into a ``%d`` table (``.12g`` prints them
-    so); other windows by ``np.unique`` of their bits (-0.0 keeps its string).
+    A window's rows are its day fields and its ``_cells``; dropping the blanks
+    leaves its CSV bytes.
     The file is written beside ``path`` and renamed to it when complete, so an
     error leaves ``path`` as it was; a directory at ``path`` is refused first.
     """
@@ -293,20 +327,8 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
                 t1 = min(t0 + days - 1, oracle.T)
                 window = np.ascontiguousarray(oracle.loss_block(t0, t1, ids),
                                               dtype=np.float64)
-                with np.errstate(invalid="ignore"):  # NaN and inf fail the round trip
-                    ints = window.astype(np.int64)
-                lo, hi = int(ints.min()), int(ints.max())
-                # bit for bit, so -0.0, fractions and |x| >= 2^63 fail it too
-                if (-1e12 < lo and hi < 1e12 and hi - lo + 1 < window.size
-                        and np.array_equal(ints.astype(float).view("u8"), window.view("u8"))):
-                    table, codes = _int_fields(range(lo, hi + 1)), ints - lo
-                else:
-                    keys, codes = np.unique(window.view(np.uint64), return_inverse=True)
-                    # the longest .12g text has 19 characters
-                    table = _fields("%-23.12g,", keys.view(np.float64).tolist(), 24)
-                cells = table.take(codes.reshape(-1), axis=0).view(np.uint8)
                 rows = np.concatenate([_int_fields(range(t0, t1 + 1)).view(np.uint8),
-                                       cells.reshape(len(window), -1),
+                                       _cells(window).reshape(len(window), -1),
                                        np.full((len(window), 1), ord("\n"), np.uint8)],
                                       axis=1)
                 rows[:, -2] = ord("\r")  # over the last field's ","
@@ -351,9 +373,7 @@ class ExperimentConfig:
         """The config whose keys are the field names, with "-" for "_"."""
         names = {f.name.replace("_", "-"): f.name for f in fields(cls)}
         check_keys("config keys", d, names)
-        missing = [k for k in ("learner", "n", "T", "stream") if k not in d]
-        if missing:
-            raise ValueError(f"config lacks {missing}")
+        check_present("config", d, ("learner", "n", "T", "stream"))
         return cls(**{names[k]: v for k, v in d.items()})
 
 
@@ -483,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
                                     config.T, seed, hook)
             trace = (None if config.output is None else
                      TraceWriter(Path(config.output) / f"trace_seed{seed}.csv", stream))
-        except (ValueError, KeyError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             results.append(_aborted(seed, exc))
             continue
         try:
@@ -576,6 +596,7 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     if kind not in list(kinds):  # list(): a JSON list is unhashable
         raise ValueError(f"unknown demo learner {kind!r}")
     check_keys(f"{kind} demo learner keys", learner_spec, ("kind", *kinds[kind]))
+    check_present(f"{kind} demo learner", learner_spec, DEMO_KEYS.get(kind, ()))
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")

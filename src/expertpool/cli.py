@@ -25,7 +25,8 @@ from .bench import (
     run_lowerbound_demo,
     summarize,
 )
-from .streams import StreamParams, check_keys, check_object, check_path, make_oracle
+from .streams import (StreamParams, check_keys, check_object, check_path, check_present,
+                      make_oracle)
 
 
 def _load_config(path: str) -> dict:
@@ -59,6 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_demo_lb(args: argparse.Namespace) -> int:
     spec = _load_config(args.config)
     check_keys("demo-lb config keys", spec, ("n", "eps-prime", "rounds", "learner", "seeds"))
+    check_present("demo-lb config", spec, ("n", "eps-prime"))
     results = run_lowerbound_demo(
         n=spec["n"],
         epsilon_prime=spec["eps-prime"],
@@ -78,6 +80,7 @@ def _cmd_demo_lb(args: argparse.Namespace) -> int:
 def _cmd_dump_stream(args: argparse.Namespace) -> int:
     spec = _load_config(args.config)
     check_keys("dump-stream config keys", spec, ("n", "T", "seed", "output", "stream"))
+    check_present("dump-stream config", spec, ("n", "T", "stream"))
     out = args.output or spec.get("output")
     if out is None:
         raise ValueError("no output path (use --output or the 'output' key)")
@@ -127,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:  # OSError: a path unusable as given
+    except (ValueError, OSError) as exc:  # OSError: a path unusable as given
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

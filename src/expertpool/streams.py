@@ -33,6 +33,7 @@ __all__ = [
     "GameOracle",
     "GENERATORS",
     "GENERATOR_KEYS",
+    "GENERATOR_NEEDS",
     "stream_builder",
     "make_oracle",
     "count_covered_sets",
@@ -41,6 +42,7 @@ __all__ = [
     "check_object",
     "check_path",
     "check_keys",
+    "check_present",
 ]
 
 _GOLD_T = np.uint64(0x9E3779B97F4A7C15)
@@ -130,6 +132,13 @@ def check_keys(what: str, d: dict, allowed) -> None:
     unknown = [k for k in d if k not in allowed]
     if unknown:
         raise ValueError(f"unknown {what} {unknown}; allowed: {list(allowed)}")
+
+
+def check_present(what: str, d: dict, required) -> None:
+    """ValueError naming every key of ``required`` that ``d`` lacks."""
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{what} lacks {missing}")
 
 
 @dataclass(frozen=True)
@@ -239,13 +248,20 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
         for bound in bounds:
             check_number("mean-range", bound)
         lo, hi = bounds
+        if lo > hi:
+            raise ValueError(f"mean-range must be [low, high] with low <= high, got {bounds!r}")
         overrides = spec.get("overrides", {})
         check_object("overrides", overrides)
         rng = np.random.default_rng(params.seed)
         means = rng.uniform(lo, hi, size=params.n)
+        seen: dict[int, str] = {}  # expert -> the id that named it
         for sid, m in overrides.items():
             if not (str(sid).isdecimal() and 1 <= int(sid) <= params.n):
                 raise ValueError(f"override id {sid!r} outside [1, {params.n}]")
+            if int(sid) in seen:
+                raise ValueError(f"repeated override id: {seen[int(sid)]!r} and {sid!r} "
+                                 f"both name expert {int(sid)}")
+            seen[int(sid)] = sid
             check_number("overrides", m)
             means[int(sid) - 1] = m
     else:
@@ -681,16 +697,26 @@ GENERATOR_KEYS = {
     "epoch-spoiler": ("best-id", "base-loss", "decoy-loss", "epoch-length"),
     "csv-file": ("path",),
 }
+# The keys each generator cannot do without; iid-bernoulli needs "means" or
+# "mean-range", which _resolve_means checks.
+GENERATOR_NEEDS = {
+    "constant": ("means",),
+    "iid-bernoulli": (),
+    "epoch-spoiler": GENERATOR_KEYS["epoch-spoiler"],
+    "csv-file": ("path",),
+}
 
 
 def stream_builder(spec: dict):
     """The ``GENERATORS`` entry that ``spec["generator"]`` names, once the
-    spec is checked to hold only that generator's ``GENERATOR_KEYS``."""
+    spec is checked to hold only that generator's ``GENERATOR_KEYS`` and all
+    of its ``GENERATOR_NEEDS``."""
     check_object("stream", spec)
     kind = spec.get("generator")
     if not (isinstance(kind, str) and kind in GENERATORS):
         raise ValueError(f"unknown generator {kind!r}; expected one of {sorted(GENERATORS)}")
     check_keys(f"{kind} stream keys", spec, ("generator", *GENERATOR_KEYS[kind]))
+    check_present(f"{kind} stream", spec, GENERATOR_NEEDS[kind])
     return GENERATORS[kind]
 
 

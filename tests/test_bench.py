@@ -1,6 +1,7 @@
 """Tests for the experiment harness, traces, adaptive demo, and CLI."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,9 +103,137 @@ class DirectPass(bench.HindsightPass):
         return self.oracle.loss_block(t0, t1, ids)
 
 
+class MatrixOracle(LossOracle):
+    """Replays a fixed T x n matrix."""
+
+    def __init__(self, matrix):
+        super().__init__(StreamParams(matrix.shape[1], matrix.shape[0]))
+        self.matrix = matrix
+
+    def loss_block(self, t0, t1, ids):
+        return self.matrix[t0 - 1:t1, np.asarray(ids) - 1].copy()
+
+
+class UnprunedPass(bench.HindsightPass):
+    """The pass folding every window by one cumsum over all n experts: the
+    reference the pruned fold must reproduce byte for byte."""
+
+    def _read(self):
+        w0 = self.read + 1
+        self.read = min(self.read + self._days, self.T)
+        win = self.oracle.loss_block(w0, self.read, self._ids)
+        self._kept = [self._kept[-1], (w0, win)]
+        cum = self._cum[:len(win)]
+        np.copyto(cum, win)
+        cum[0] += self._run
+        np.cumsum(cum, axis=0, out=cum)
+        cum.min(axis=1, out=self.best_so_far[w0 - 1:self.read])
+        self._run[:] = cum[-1]
+
+
+class AnyWidthOracle(MatrixOracle):
+    """A ``MatrixOracle`` of any width, one expert included, which
+    ``StreamParams`` refuses."""
+
+    def __init__(self, matrix):
+        LossOracle.__init__(self, SimpleNamespace(n=matrix.shape[1], T=matrix.shape[0],
+                                                  seed=0))
+        self.matrix = matrix
+
+
+def _cumsum_widths(monkeypatch):
+    """The width of every window the pass folds by cumsum, in order."""
+    widths, cumsum = [], np.cumsum
+
+    def spy(a, *args, **kwargs):
+        if a.ndim == 2:  # not the trace's alg column
+            widths.append(a.shape[1])
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(bench.np, "cumsum", spy)
+    return widths
+
+
+def _leader_changes(T, n):
+    """Dyadic losses whose leader changes every few days: expert 1 pays 0.25 a
+    day; experts 2 and 3 pay 0.5 on days 1-4 and 13-16 of every 16 and 0
+    between, so they trail expert 1 on days 1-7 of the 16, tie it on days 8
+    and 16, and lead on days 9-15; the others pay more."""
+    t = np.arange(T)[:, None]
+    twins = np.where((t % 16 < 4) | (t % 16 >= 12), 0.5, 0.0)
+    rest = np.full((T, n - 3), 0.375) + (np.arange(n - 3) % 2) / 8
+    return np.hstack([np.full((T, 1), 0.25), twins, twins, rest])
+
+
 class TestHindsightPass:
     """The windowed stream pass: the regret oracle against one cumsum over the
     whole matrix, and the learner's queries against the oracle itself."""
+
+    @pytest.mark.parametrize("window", [1, 7, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_pruned_fold_matches_full_cumsum_bit_for_bit(self, monkeypatch, window, n):
+        # fractional losses of mixed scale, so a reordered sum shows in the bits;
+        # at n = 1, reduce would sum the column pairwise
+        rng = np.random.default_rng(window * 10 + n)
+        T = 2 * window + 37
+        full = rng.random((T, n)) * rng.choice([1e-6, 1.0, 1e6], size=(T, n))
+        full[:, 0] *= 0.01  # one expert leads, so later windows are pruned
+        _window(monkeypatch, window, n)
+        widths = _cumsum_widths(monkeypatch)
+        stream = bench.HindsightPass(AnyWidthOracle(full))
+        best, total = stream.finish()
+        monkeypatch.undo()
+        want = full.cumsum(axis=0)
+        assert stream.best_so_far.tobytes() == want.min(axis=1).tobytes()
+        assert stream._run.tobytes() == want[-1].tobytes()  # the old totals
+        assert (best, total) == (int(np.argmin(want[-1])) + 1, float(want[-1].min()))
+        assert n == 1 or min(widths) < n
+
+    @pytest.mark.parametrize("window", [1, 7, 4096])
+    def test_pruned_fold_of_replay_with_leader_changes_and_ties(self, tmp_path,
+                                                                monkeypatch, window):
+        n, T = 6, 3 * 4096 + 16
+        params = StreamParams(n, T)
+        dump_stream(MatrixOracle(_leader_changes(T, n)), tmp_path / "s.csv")
+        replay = CsvOracle(params, str(tmp_path / "s.csv"))
+        _window(monkeypatch, window, n)
+        widths = _cumsum_widths(monkeypatch)
+        stream = bench.HindsightPass(replay)
+        got = stream.finish()
+        monkeypatch.undo()
+        full = replay.loss_block(1, T, np.arange(1, n + 1))
+        want = full.cumsum(axis=0)
+        assert stream.best_so_far.tobytes() == want.min(axis=1).tobytes()
+        assert stream._run.tobytes() == want[-1].tobytes()
+        # experts 1-3 tie at the end: the lowest id wins
+        assert got == (1, 0.25 * T)
+        assert np.argmin(want[6]) == 0 and np.argmin(want[8]) == 1
+        assert want[7, 0] == want[7, 1] == want[7, 2]
+        assert min(widths) < n
+
+    @pytest.mark.parametrize("window", [1, 7, 4096])
+    def test_signed_zero_ties_print_as_unpruned(self, tmp_path, monkeypatch, window):
+        # experts 1 and 2 lose -0.0 and 0.0 every day, and every other expert
+        # is pruned: the zero minimum keeps the sign the unpruned fold gives
+        n, T = 4, 3 * 4096 + 5
+        matrix = np.hstack([np.full((T, 1), -0.0), np.zeros((T, 1)),
+                            _leader_changes(T, 5)[:, 3:]])
+        dump_stream(MatrixOracle(matrix), tmp_path / "z.csv")
+        assert (tmp_path / "z.csv").read_text().splitlines()[1] == "1,-0,0,0.375,0.5"
+        _window(monkeypatch, window, n)
+        spec = {"generator": "csv-file", "path": str(tmp_path / "z.csv")}
+
+        def run(out):
+            cfg = ExperimentConfig("baseline", n, T, spec, trials=[0], output=str(out),
+                                   learner_params={"eps": 0.3})
+            (r,) = run_experiment(cfg)
+            return (r.regret, r.best_total), Path(r.trace_path).read_bytes()
+
+        widths = _cumsum_widths(monkeypatch)
+        got = run(tmp_path / "pruned")
+        assert set(widths[1:]) == {2}
+        monkeypatch.setattr(bench, "HindsightPass", UnprunedPass)
+        assert run(tmp_path / "unpruned") == got
 
     @pytest.mark.parametrize("window", [1, 7, 4096])
     @pytest.mark.parametrize("spec", [
@@ -267,17 +397,6 @@ class TestHindsightPass:
         assert oracles[0].cells == n * T
 
 
-class MatrixOracle(LossOracle):
-    """Replays a fixed T x n matrix."""
-
-    def __init__(self, matrix):
-        super().__init__(StreamParams(matrix.shape[1], matrix.shape[0]))
-        self.matrix = matrix
-
-    def loss_block(self, t0, t1, ids):
-        return self.matrix[t0 - 1:t1, np.asarray(ids) - 1].copy()
-
-
 def _dump_one_row_at_a_time(oracle, path):
     """The row-by-row csv writer dump_stream must match byte for byte."""
     matrix = oracle.loss_block(1, oracle.T, np.arange(1, oracle.n + 1))
@@ -436,6 +555,16 @@ def _record_one_value_at_a_time(self, t0, realized, meter, pool_size):
 _EDGES = [0.0, -0.0, 1e12 - 1, -(1e12 - 1), 1e12, -1e12, 2.0**53, -7.0,
           0.5, -2.5e-7, math.nan, math.inf, -math.inf]
 _INTEGRAL = st.integers(-(10**12), 10**12).map(float)
+_INTEGRAL_TRACE = st.integers(-(10**12 - 1), 10**12 - 1).map(float)
+_TRACE_CELLS = _INTEGRAL_TRACE | st.sampled_from([-0.0, 0.0, 0.5, 1 / 3, 2.5e-7])
+
+
+def _trace_columns(days):
+    """(realized losses, best column) of ``days`` rows each; best is either
+    any cells or consecutive integers, which span as many values as rows."""
+    cells = st.lists(_TRACE_CELLS, min_size=days, max_size=days)
+    run = _INTEGRAL_TRACE.map(lambda lo: [lo + k for k in range(days)])
+    return st.tuples(cells, cells | run)
 
 
 class TestTraceFormat:
@@ -453,6 +582,33 @@ class TestTraceFormat:
         # the trace's row template prints every float with "%.12g"
         for v in np.array(values, dtype=np.float64).tolist():
             assert "%.12g" % v == f"{v:.12g}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(_trace_columns), st.integers(1, 9),
+           st.sampled_from([0.0, -0.0, 7.0]))
+    @example(([0.0], [0.0]), 1, 0.0)  # a 1-row slice
+    @example(([-0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0]), 4, -0.0)  # alg starts at -0.0
+    @example(([1.0] * 4, [5.0] * 4), 4, 0.0)  # alg spans exactly as many values as rows
+    @example(([1e12 - 1, 1.0, 0.0, 0.0], [0.0] * 4), 4, 0.0)  # alg reaches 1e12: "1e+12"
+    @example(([1e12 - 1, 0.0], [-(1e12 - 1), 0.5]), 2, 0.0)  # regret is 2e12 - 2
+    def test_record_coder_matches_per_value_writer(self, columns, slice_rows, alg_cum):
+        # the alg and regret columns follow from the realized losses and best
+        realized, best = (np.array(c, dtype=np.float64) for c in columns)
+        meter = SimpleNamespace(current=12, peak=345)
+        out = []
+        for record in (TraceWriter.record, _record_one_value_at_a_time):
+            writer = object.__new__(TraceWriter)
+            writer.stream = SimpleNamespace(best=lambda t0, t1: best[t0 - 1:t1])
+            writer.alg_cum, writer.out = alg_cum, io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bench, "TRACE_ROWS", slice_rows)
+                # two blocks: the second carries the first one's alg total
+                cut = len(realized) // 2
+                if cut:
+                    record(writer, 1, realized[:cut], meter, 6)
+                record(writer, cut + 1, realized[cut:], meter, 7)
+            out.append((writer.out.getvalue(), writer.alg_cum))
+        assert out[0] == out[1]
 
     @pytest.mark.parametrize("learner,n,T,stream,params,checks,days", [
         # best-so-far is 0.5 t: integral on even days, not on odd ones
@@ -1222,12 +1378,23 @@ class TestCli:
          "error: means must be a list of numbers, got {'a': 1}"),
         ("run", {"stream": {"generator": "constant", "means": [0.1, "0.2", 0.3, 0.4]}},
          "VIOLATION: trial aborted: ValueError: means must be a number, got '0.2'"),
+        ("run", {"stream": {**STREAM, "mean-range": [0.8, 0.2]}},
+         "VIOLATION: trial aborted: ValueError: mean-range must be [low, high] with "
+         "low <= high, got [0.8, 0.2]"),
+        ("dump-stream", {"stream": {**STREAM, "mean-range": [0.8, 0.2]}},
+         "error: mean-range must be [low, high] with low <= high, got [0.8, 0.2]"),
+        ("run", {"stream": {**STREAM, "overrides": {"01": 0.1, "1": 0.9}}},
+         "VIOLATION: trial aborted: ValueError: repeated override id: '01' and '1' "
+         "both name expert 1"),
+        ("dump-stream", {"stream": {**STREAM, "overrides": {"2": 0.1, "002": 0.9}}},
+         "error: repeated override id: '2' and '002' both name expert 2"),
     ], ids=["n-string", "T-float", "eps-string", "delta-string", "epoch-length-string",
             "override-0", "override-9", "overrides-list", "override-id-string",
             "override-id-float", "dump-override-id-string", "demo-n-string", "dump-T-float",
             "dump-seed-string", "output-int", "dump-output-int", "mean-range-int",
             "mean-range-null", "dump-mean-range-three", "override-value-string",
-            "means-object", "dump-means-object", "means-string"])
+            "means-object", "dump-means-object", "means-string", "mean-range-reversed",
+            "dump-mean-range-reversed", "override-repeated", "dump-override-repeated"])
     def test_malformed_value_clean_exit(self, tmp_path, capsys, command, payload, message):
         base = {
             "run": {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
@@ -1321,6 +1488,40 @@ class TestCli:
         assert cli.main([command, self._write_json(tmp_path / "k.json", payload)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
+        assert captured.out == ""  # no trial started
+        assert not (tmp_path / "s.csv").exists()  # no stream dumped
+
+    @pytest.mark.parametrize("command,drop,payload,message", [
+        ("dump-stream", ["stream"], {}, "error: dump-stream config lacks ['stream']"),
+        ("dump-stream", ["n", "T"], {}, "error: dump-stream config lacks ['n', 'T']"),
+        ("dump-stream", [], {"stream": {k: v for k, v in SPOILER.items()
+                                        if k != "epoch-length"}},
+         "error: epoch-spoiler stream lacks ['epoch-length']"),
+        ("run", [], {"stream": {"generator": "epoch-spoiler", "best-id": 1}},
+         "error: epoch-spoiler stream lacks ['base-loss', 'decoy-loss', 'epoch-length']"),
+        ("run", [], {"stream": {"generator": "csv-file"}},
+         "error: csv-file stream lacks ['path']"),
+        ("dump-stream", [], {"stream": {"generator": "csv-file"}},
+         "error: csv-file stream lacks ['path']"),
+        ("check", [], {"stream": {"generator": "constant"}},
+         "error: constant stream lacks ['means']"),
+        ("demo-lb", ["eps-prime"], {}, "error: demo-lb config lacks ['eps-prime']"),
+        ("demo-lb", [], {"learner": {"kind": "fixed-uniform-subset"}},
+         "error: fixed-uniform-subset demo learner lacks ['subset']"),
+    ], ids=["dump-stream", "dump-n-T", "dump-epoch-length", "spoiler-three", "csv-path",
+            "dump-csv-path", "constant-means", "demo-eps-prime", "demo-subset"])
+    def test_missing_key_named_before_any_trial(self, tmp_path, capsys, command, drop,
+                                                payload, message):
+        base = {
+            "demo-lb": {"n": 8, "eps-prime": 0.125, "rounds": 5, "seeds": [0]},
+            "dump-stream": {"n": 4, "T": 40, "stream": self.STREAM,
+                            "output": str(tmp_path / "s.csv")},
+        }.get(command, {"learner": "baseline", "n": 4, "T": 40, "trials": [0],
+                        "stream": self.STREAM, "learner-params": {"eps": 0.3}})
+        payload = {k: v for k, v in {**base, **payload}.items() if k not in drop}
+        assert cli.main([command, self._write_json(tmp_path / "m.json", payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
         assert captured.out == ""  # no trial started
         assert not (tmp_path / "s.csv").exists()  # no stream dumped
 
