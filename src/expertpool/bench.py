@@ -44,6 +44,13 @@ TRACE_COLUMNS = ["day", "alg_loss_cum", "best_loss_cum", "regret",
 ENUMERATION_GUARD = 10**9
 WINDOW_CELLS = 2**15  # cells per window of the stream pass and of dump_stream
 TRACE_ROWS = 2**12  # trace rows formatted per write
+# Each learner kind: (the parameter keys it reads, the keys it cannot do
+# without). Trials build TRIAL_KINDS; the demo builds every kind but
+# full-hierarchy, and only it builds the fixed strategies.
+LEARNERS = {"mwu-full-memory": ((), ()), "baseline": (("eps", "B"), ()),
+            "full-hierarchy": (("delta",), ()), "equilibrium": ((), ()),
+            "fixed-uniform-subset": (("subset",), ("subset",))}
+TRIAL_KINDS = ("mwu-full-memory", "baseline", "full-hierarchy")
 
 
 def _window_days(n: int) -> int:
@@ -344,25 +351,26 @@ def dump_stream(oracle: LossOracle, path: Path) -> None:
 
 @dataclass
 class ExperimentConfig:
-    learner: str  # a key of LEARNER_KEYS
+    learner: str  # one of TRIAL_KINDS
     n: int
     T: int
     stream: dict
     trials: list[int] = field(default_factory=lambda: [0])
     learner_params: dict = field(default_factory=dict)
     output: str | None = None
-    checks: str = "epoch"  # off | epoch | paranoid
+    checks: str = "epoch"  # one of CHECK_LEVELS
+    CHECK_LEVELS = ("off", "epoch", "paranoid")  # not a field: it has no annotation
 
     def __post_init__(self):
-        if self.learner not in list(LEARNER_KEYS):  # list(): a JSON list is unhashable
+        if self.learner not in TRIAL_KINDS:
             raise ValueError(f"unknown learner {self.learner!r}")
         check_int_list("trials", self.trials)
         check_object("learner-params", self.learner_params)
         check_keys(f"{self.learner} learner-params", self.learner_params,
-                   LEARNER_KEYS[self.learner])
+                   LEARNERS[self.learner][0])  # no trial kind needs a key
         if self.output is not None:
             check_path("output", self.output)
-        if self.checks not in ("off", "epoch", "paranoid"):
+        if self.checks not in self.CHECK_LEVELS:
             raise ValueError(f"unknown check level {self.checks!r}")
         for seed in self.trials:  # the checks every trial's stream makes
             StreamParams(self.n, self.T, seed)
@@ -423,20 +431,26 @@ class _FullMemoryLearner:
         return len(self.ids) + 4
 
 
-# learner kinds and the parameters each takes: those trials and the demo build, and
-# the demo's fixed strategies (whose spec also holds "kind")
-LEARNER_KEYS = {"mwu-full-memory": (), "baseline": ("eps", "B"), "full-hierarchy": ("delta",)}
-DEMO_KEYS = {"equilibrium": (), "fixed-uniform-subset": ("subset",)}
-
-
-def _make_learner(kind: str, params: dict, n: int, T: int, seed: int, on_epoch_close=None):
-    """A ``kind`` learner over n experts and T days, reading only the ``params``
-    keys ``LEARNER_KEYS[kind]`` names; every pool gets ``on_epoch_close``."""
+def _make_learner(kind: str, spec: dict, n: int, T: int, seed: int, on_epoch_close=None,
+                  game: GameOracle | None = None):
+    """A ``kind`` learner over n experts and T days, reading only the ``spec``
+    keys its ``LEARNERS`` entry names; every pool gets ``on_epoch_close``, and
+    a fixed strategy of the demo plays against ``game``."""
     if kind == "baseline":
-        p = BaselineParams(n, T, params.get("eps", 0.1), params.get("B"), seed)
+        p = BaselineParams(n, T, spec.get("eps", 0.1), spec.get("B"), seed)
         return BaselineLearner(p, on_epoch_close=on_epoch_close)
     if kind == "full-hierarchy":
-        return HierarchyLearner(n, T, params.get("delta", 1.0), seed, on_epoch_close)
+        return HierarchyLearner(n, T, spec.get("delta", 1.0), seed, on_epoch_close)
+    if kind == "equilibrium":
+        return _FixedLearner(game.game.equilibrium())
+    if kind == "fixed-uniform-subset":
+        check_int_list("subset", spec["subset"])
+        ids = np.asarray(spec["subset"])
+        if not np.all((ids >= 1) & (ids <= n)):
+            raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
+        p = np.zeros(n)
+        p[ids - 1] = 1.0 / len(ids)
+        return _FixedLearner(p)
     return _FullMemoryLearner(n, T, seed)
 
 
@@ -549,19 +563,6 @@ class _FixedLearner:
         pass
 
 
-def make_demo_learner(spec: dict, n: int, game: GameOracle) -> _FixedLearner:
-    """The fixed strategy of an ``equilibrium`` or ``fixed-uniform-subset`` spec."""
-    if spec["kind"] == "equilibrium":
-        return _FixedLearner(game.game.equilibrium())
-    check_int_list("subset", spec["subset"])
-    ids = np.asarray(spec["subset"])
-    if not np.all((ids >= 1) & (ids <= n)):
-        raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
-    p = np.zeros(n)
-    p[ids - 1] = 1.0 / len(ids)
-    return _FixedLearner(p)
-
-
 @dataclass
 class DemoResult:
     seed: int
@@ -592,19 +593,18 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     if kind == "full-hierarchy":
         raise ValueError("demo-lb cannot play full-hierarchy: it reads a whole bottom "
                          "epoch ahead and commits no distribution")
-    kinds = {**LEARNER_KEYS, **DEMO_KEYS}
-    if kind not in list(kinds):  # list(): a JSON list is unhashable
+    if kind not in list(LEARNERS):  # list(): a JSON list is unhashable
         raise ValueError(f"unknown demo learner {kind!r}")
-    check_keys(f"{kind} demo learner keys", learner_spec, ("kind", *kinds[kind]))
-    check_present(f"{kind} demo learner", learner_spec, DEMO_KEYS.get(kind, ()))
+    keys, needs = LEARNERS[kind]
+    check_keys(f"{kind} demo learner keys", learner_spec, ("kind", *keys))
+    check_present(f"{kind} demo learner", learner_spec, needs)
     k = round(1.0 / (2.0 * epsilon_prime))
     if k < 2 or k > n:
         raise ValueError(f"support size k={k} outside [2, {n}]")
     out: list[DemoResult] = []
     for seed, params in zip(seeds, games):
         oracle = GameOracle(params, k=k)
-        learner = (make_demo_learner(learner_spec, n, oracle) if kind in DEMO_KEYS
-                   else _make_learner(kind, learner_spec, n, rounds, seed))
+        learner = _make_learner(kind, learner_spec, n, rounds, seed, game=oracle)
         total = 0.0
         for _ in range(rounds):
             p = learner.commit_distribution()

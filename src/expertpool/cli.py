@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the experiment JSON")
     p_run.add_argument("--output", help="directory for per-seed CSV traces")
-    p_run.add_argument("--checks", choices=["off", "epoch", "paranoid"])
+    p_run.add_argument("--checks", choices=ExperimentConfig.CHECK_LEVELS)
     p_run.set_defaults(func=_cmd_run)
 
     p_demo = sub.add_parser("demo-lb", help="adaptive-game demonstration")

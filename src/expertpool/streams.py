@@ -32,8 +32,6 @@ __all__ = [
     "GameInstance",
     "GameOracle",
     "GENERATORS",
-    "GENERATOR_KEYS",
-    "GENERATOR_NEEDS",
     "stream_builder",
     "make_oracle",
     "count_covered_sets",
@@ -182,6 +180,16 @@ class LossOracle:
         """Losses for days t0..t1 (inclusive) and the given ids, shape (days, len(ids))."""
         raise NotImplementedError
 
+    def _checked(self, t0: int, t1: int, ids: Sequence[int]) -> np.ndarray:
+        """``ids`` as int64, once days t0..t1 lie in [1, T] (t1 = t0 - 1 reads no
+        day) and ids in [1, n]: numpy would read id 0 as expert n. Else IndexError."""
+        if not 1 <= t0 <= t1 + 1 <= self.T + 1:
+            raise IndexError(f"days {t0}..{t1} outside [1, {self.T}]")
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and not (ids.min() >= 1 and ids.max() <= self.n):
+            raise IndexError(f"ids {ids[(ids < 1) | (ids > self.n)]} outside [1, {self.n}]")
+        return ids
+
 
 def _check_unit(values: np.ndarray, what: str) -> None:
     """Reject values outside [0, 1], NaN included: ``min`` and ``max`` return
@@ -203,8 +211,6 @@ class _HashedOracle(LossOracle):
 
     def _bits(self, t0: int, t1: int, ids: np.ndarray) -> np.ndarray:
         """``_bits53`` over days t0..t1 and the given ids, shape (days, len(ids))."""
-        if not 1 <= t0 <= t1 + 1 <= self.params.T + 1:
-            raise IndexError(f"days {t0}..{t1} outside [1, {self.params.T}]")
         return _cell_half(self._day[t0:t1 + 1, None], self._key[ids])
 
 
@@ -220,7 +226,7 @@ class ConstantOracle(LossOracle):
         self.means = means
 
     def loss_block(self, t0, t1, ids):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._checked(t0, t1, ids)
         row = self.means[ids - 1]
         return np.broadcast_to(row, (t1 - t0 + 1, len(ids))).copy()
 
@@ -282,7 +288,7 @@ class BernoulliOracle(_HashedOracle):
         self._cut = np.ceil(np.clip(self.means, 0.0, 1.0) * 2.0**53).astype(np.uint64)
 
     def loss_block(self, t0, t1, ids):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._checked(t0, t1, ids)
         return (self._bits(t0, t1, ids) < self._cut[ids - 1]).astype(np.float64)
 
 
@@ -331,7 +337,7 @@ class EpochSpoilerOracle(_HashedOracle):
         return picked
 
     def loss_block(self, t0, t1, ids):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._checked(t0, t1, ids)
         days = np.arange(t0, t1 + 1, dtype=np.int64)
         # Field losses sit well above base_loss so the designated expert wins.
         jitter = self._bits(t0, t1, ids) * (1.0 / (1 << 53))
@@ -556,7 +562,7 @@ class CsvOracle(LossOracle):
 
     def loss_block(self, t0, t1, ids):
         # take, not fancy indexing: a[:, idx] comes back in Fortran order
-        cols = np.asarray(ids, dtype=np.int64) - 1
+        cols = self._checked(t0, t1, ids) - 1
         if self.table is None:
             return np.take(self.store[t0 - 1:t1], cols, axis=1)
         block = np.take(_codes(self.store, t0 - 1, t1)[:, :self.n], cols, axis=1)
@@ -675,49 +681,40 @@ class GameOracle(LossOracle):
         return y, self._column
 
     def loss_block(self, t0, t1, ids):
+        ids = self._checked(t0, t1, ids)
         if not t0 == t1 == self._round > 0:
             raise RuntimeError(f"uncommitted round {t0}..{t1}: only round "
                                f"{self._round} is live; call adversary_step first")
-        return self._column[np.asarray(ids, dtype=np.int64) - 1][None, :]
+        return self._column[ids - 1][None, :]
 
 
-GENERATORS = {
-    "constant": lambda params, spec: ConstantOracle(params, _spec_means(spec)),
-    "iid-bernoulli": lambda params, spec: BernoulliOracle(
-        params, _resolve_means(params, spec)),
-    "epoch-spoiler": lambda params, spec: EpochSpoilerOracle(
-        params, best_id=spec["best-id"], base_loss=spec["base-loss"],
-        decoy_loss=spec["decoy-loss"], epoch_length=spec["epoch-length"]),
-    "csv-file": lambda params, spec: CsvOracle(params, spec["path"]),
-}
-# The keys each generator reads besides "generator"; any other is a typo.
-GENERATOR_KEYS = {
-    "constant": ("means",),
-    "iid-bernoulli": ("means", "mean-range", "overrides"),
-    "epoch-spoiler": ("best-id", "base-loss", "decoy-loss", "epoch-length"),
-    "csv-file": ("path",),
-}
-# The keys each generator cannot do without; iid-bernoulli needs "means" or
+_SPOILER_KEYS = ("best-id", "base-loss", "decoy-loss", "epoch-length")  # in argument order
+# Each generator: (its builder, the keys it reads besides "generator", the keys it
+# cannot do without); any other key is a typo. iid-bernoulli needs "means" or
 # "mean-range", which _resolve_means checks.
-GENERATOR_NEEDS = {
-    "constant": ("means",),
-    "iid-bernoulli": (),
-    "epoch-spoiler": GENERATOR_KEYS["epoch-spoiler"],
-    "csv-file": ("path",),
+GENERATORS = {
+    "constant": (lambda params, spec: ConstantOracle(params, _spec_means(spec)),
+                 ("means",), ("means",)),
+    "iid-bernoulli": (lambda params, spec: BernoulliOracle(params, _resolve_means(params, spec)),
+                      ("means", "mean-range", "overrides"), ()),
+    "epoch-spoiler": (lambda params, spec: EpochSpoilerOracle(
+        params, *(spec[k] for k in _SPOILER_KEYS)), _SPOILER_KEYS, _SPOILER_KEYS),
+    "csv-file": (lambda params, spec: CsvOracle(params, spec["path"]), ("path",), ("path",)),
 }
 
 
 def stream_builder(spec: dict):
-    """The ``GENERATORS`` entry that ``spec["generator"]`` names, once the
-    spec is checked to hold only that generator's ``GENERATOR_KEYS`` and all
-    of its ``GENERATOR_NEEDS``."""
+    """The builder of the ``GENERATORS`` entry that ``spec["generator"]``
+    names, once the spec is checked to hold only the keys that entry reads and
+    all of those it needs."""
     check_object("stream", spec)
     kind = spec.get("generator")
     if not (isinstance(kind, str) and kind in GENERATORS):
         raise ValueError(f"unknown generator {kind!r}; expected one of {sorted(GENERATORS)}")
-    check_keys(f"{kind} stream keys", spec, ("generator", *GENERATOR_KEYS[kind]))
-    check_present(f"{kind} stream", spec, GENERATOR_NEEDS[kind])
-    return GENERATORS[kind]
+    build, keys, needs = GENERATORS[kind]
+    check_keys(f"{kind} stream keys", spec, ("generator", *keys))
+    check_present(f"{kind} stream", spec, needs)
+    return build
 
 
 def make_oracle(params: StreamParams, spec: dict) -> LossOracle:

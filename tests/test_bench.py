@@ -311,13 +311,21 @@ class TestHindsightPass:
         assert not np.shares_memory(second, larger)
         assert larger.tobytes() == o.loss_block(41, 100, [1, 2, 3, 4]).tobytes()
 
-    def test_days_outside_the_horizon_rejected(self):
-        stream = bench.HindsightPass(
-            make_oracle(StreamParams(3, 10), {"generator": "iid-bernoulli",
-                                              "mean-range": [0.2, 0.8]}))
-        for t0, t1 in [(0, 3), (5, 11), (11, 11)]:
-            with pytest.raises(IndexError):
-                stream.loss_block(t0, t1, np.array([1]))
+    @pytest.mark.parametrize("stream", [
+        {"generator": "constant", "means": [0.2, 0.5, 0.8]},
+        {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]},
+        {**SPOILER, "epoch-length": 2},
+        {"generator": "csv-file"}], ids=lambda s: s["generator"])
+    def test_days_outside_the_horizon_rejected(self, tmp_path, stream):
+        # the pass hands days outside its windows to the oracle, which refuses them
+        if stream["generator"] == "csv-file":
+            path = tmp_path / "losses.csv"
+            path.write_text("t,e1,e2,e3\n" + "".join(f"{t},0,0.5,1\n" for t in range(1, 6)))
+            stream = {**stream, "path": str(path)}
+        pass_ = bench.HindsightPass(make_oracle(StreamParams(3, 5), stream))
+        for t0, t1 in [(0, 2), (0, 3), (5, 7), (4, 9), (6, 6)]:
+            with pytest.raises(IndexError, match=rf"days {t0}\.\.{t1} outside \[1, 5\]"):
+                pass_.loss_block(t0, t1, np.array([1]))
 
     @pytest.mark.parametrize("window", [1, 7, None])
     @pytest.mark.parametrize("learner,checks", [
@@ -1176,6 +1184,69 @@ class TestLowerBoundDemo:
         # zero, 1e-320 overflows to infinity and 10**400 has no float
         with pytest.raises(ValueError, match=r"eps-prime must lie in \(0, 1/2\]"):
             run_lowerbound_demo(8, eps_prime, 10, {"kind": "equilibrium"}, [0])
+
+
+# One spec per bench.LEARNERS entry, holding every parameter key it reads.
+LEARNER_EXAMPLES = {"mwu-full-memory": {}, "baseline": {"eps": 0.3, "B": 6},
+                    "full-hierarchy": {"delta": 1.0}, "equilibrium": {},
+                    "fixed-uniform-subset": {"subset": [1, 2]}}
+
+
+@pytest.mark.parametrize("kind", sorted(bench.LEARNERS))
+class TestLearnerTable:
+    """Each ``LEARNERS`` entry, from its example, through trials (``TRIAL_KINDS``)
+    and the demo (all but full-hierarchy): a kind added without one fails here."""
+
+    STREAM = {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]}
+
+    def _trial(self, kind, params):
+        return ExperimentConfig(kind, 4, 64, self.STREAM, learner_params=params)
+
+    def _demo(self, kind, spec):
+        return run_lowerbound_demo(4, 1 / 4, 12, {"kind": kind, **spec}, [0])
+
+    def test_example_holds_the_entry_keys_and_builds(self, kind):
+        assert kind in LEARNER_EXAMPLES, f"no example spec for learner {kind!r}"
+        keys, needs = bench.LEARNERS[kind]
+        spec = LEARNER_EXAMPLES[kind]
+        assert set(spec) == set(keys) and set(needs) <= set(keys)
+        if kind in bench.TRIAL_KINDS:
+            (r,) = run_experiment(self._trial(kind, spec))
+            assert r.violations == [] and r.peak_words > 0
+        if kind != "full-hierarchy":
+            (d,) = self._demo(kind, spec)
+            assert 0 <= d.avg_raw_loss <= 4
+
+    def test_dropped_needed_key_named(self, kind):
+        for k in bench.LEARNERS[kind][1]:
+            spec = {key: v for key, v in LEARNER_EXAMPLES[kind].items() if key != k}
+            if kind in bench.TRIAL_KINDS:
+                with pytest.raises(ValueError) as exc:
+                    self._trial(kind, spec)
+                assert str(exc.value) == f"{kind} learner-params lacks [{k!r}]"
+            if kind != "full-hierarchy":
+                with pytest.raises(ValueError) as exc:
+                    self._demo(kind, spec)
+                assert str(exc.value) == f"{kind} demo learner lacks [{k!r}]"
+
+    def test_extra_key_named(self, kind):
+        spec = {**LEARNER_EXAMPLES[kind], "x": 1}
+        if kind in bench.TRIAL_KINDS:
+            with pytest.raises(ValueError) as exc:
+                self._trial(kind, spec)
+            assert str(exc.value).startswith(f"unknown {kind} learner-params ['x']; allowed: ")
+        if kind != "full-hierarchy":
+            with pytest.raises(ValueError) as exc:
+                self._demo(kind, spec)
+            assert str(exc.value).startswith(f"unknown {kind} demo learner keys ['x']; allowed: ")
+
+    def test_trials_refuse_demo_only_kinds_and_the_demo_full_hierarchy(self, kind):
+        if kind not in bench.TRIAL_KINDS:
+            with pytest.raises(ValueError, match=f"^unknown learner '{kind}'$"):
+                self._trial(kind, LEARNER_EXAMPLES[kind])
+        if kind == "full-hierarchy":
+            with pytest.raises(ValueError, match="commits no distribution"):
+                self._demo(kind, LEARNER_EXAMPLES[kind])
 
 
 class TestCli:

@@ -263,12 +263,6 @@ class TestHashedLossBlock:
             assert np.array_equal(o.loss_block(t0, t1, ids),
                                   _spoiler_reference(o, t0, t1, ids))
 
-    def test_days_outside_the_horizon_rejected(self):
-        o = BernoulliOracle(StreamParams(3, 10), np.array([0.5, 0.5, 0.5]))
-        for t0, t1 in [(0, 3), (5, 11), (11, 11)]:
-            with pytest.raises(IndexError):
-                o.loss_block(t0, t1, np.array([1]))
-
 
 class TestEpochSpoiler:
     def test_best_expert_has_constant_base_loss_outside_spoilers(self):
@@ -761,6 +755,16 @@ class TestGameOracle:
         first = o.loss_block(1, 1, [1])[0, 0]
         assert o.loss_block(1, 1, [1])[0, 0] == first
 
+    def test_days_and_ids_outside_the_game_rejected(self):
+        o = GameOracle(StreamParams(4, 10), k=2)
+        o.adversary_step(np.full(4, 0.25))
+        for ids in ([0], [5], [1, 0]):  # id 0 would read expert 4
+            with pytest.raises(IndexError, match=r"ids \[.*\] outside \[1, 4\]"):
+                o.loss_block(1, 1, ids)
+        for t0, t1 in [(0, 0), (11, 11)]:
+            with pytest.raises(IndexError, match=r"outside \[1, 10\]"):
+                o.loss_block(t0, t1, [1])
+
     def test_only_the_committed_round_is_live(self):
         o = GameOracle(StreamParams(4, 10), k=2)
         for _ in range(3):
@@ -842,3 +846,68 @@ class TestMakeOracle:
         assert isinstance(make_oracle(params, {"generator": "iid-bernoulli",
                                                "means": [0.1, 0.2, 0.3]}),
                           BernoulliOracle)
+
+
+# Example specs of every GENERATORS entry at n=3, which together hold all of
+# its keys (a spec with "means" takes no other iid-bernoulli key); each
+# csv-file path is a file written per test.
+GENERATOR_EXAMPLES = {
+    "constant": [{"means": [0.2, 0.5, 0.8]}],
+    "iid-bernoulli": [{"means": [0.0, 0.0, 1.0]},
+                      {"mean-range": [0.2, 0.8], "overrides": {"3": 1.0}}],
+    "epoch-spoiler": [{"best-id": 3, "base-loss": 0.3, "decoy-loss": 0.1, "epoch-length": 2}],
+    "csv-file": [{"path": "written per test"}],
+}
+
+
+def _examples(name: str, tmp_path, T: int = 5) -> list[dict]:
+    """The stream specs of ``GENERATOR_EXAMPLES[name]`` for n=3 and T days."""
+    assert name in GENERATOR_EXAMPLES, f"no example spec for generator {name!r}"
+    path = tmp_path / "losses.csv"
+    path.write_text("t,e1,e2,e3\n" + "".join(f"{t},0,0.5,1\n" for t in range(1, T + 1)))
+    return [{"generator": name, **ex, **({"path": str(path)} if "path" in ex else {})}
+            for ex in GENERATOR_EXAMPLES[name]]
+
+
+@pytest.mark.parametrize("name", sorted(streams.GENERATORS))
+class TestEveryGenerator:
+    """Each ``GENERATORS`` entry, from its examples: a generator added without
+    one fails here."""
+
+    PARAMS = StreamParams(3, 5)
+
+    def test_examples_hold_the_entry_keys_and_build(self, name, tmp_path):
+        _, keys, needs = streams.GENERATORS[name]
+        specs = _examples(name, tmp_path)
+        assert set().union(*specs) == {"generator", *keys}
+        for spec in specs:
+            assert set(needs) <= set(spec)
+            assert make_oracle(self.PARAMS, spec).loss_block(1, 5, [3, 1]).shape == (5, 2)
+
+    def test_dropped_needed_key_named(self, name, tmp_path):
+        _, _, needs = streams.GENERATORS[name]
+        for spec in _examples(name, tmp_path):
+            for k in needs:
+                with pytest.raises(ValueError) as exc:
+                    make_oracle(self.PARAMS, {key: v for key, v in spec.items() if key != k})
+                assert str(exc.value) == f"{name} stream lacks [{k!r}]"
+
+    def test_extra_key_named(self, name, tmp_path):
+        for spec in _examples(name, tmp_path):
+            with pytest.raises(ValueError) as exc:
+                make_oracle(self.PARAMS, {**spec, "x": 1})
+            assert str(exc.value).startswith(f"unknown {name} stream keys ['x']; allowed: ")
+
+    def test_days_outside_the_horizon_rejected(self, name, tmp_path):
+        o = make_oracle(self.PARAMS, _examples(name, tmp_path)[0])
+        assert o.loss_block(3, 2, [1]).shape == (0, 1)  # t1 = t0 - 1 reads no day
+        for t0, t1 in [(0, 2), (0, 3), (5, 7), (4, 9), (6, 6)]:
+            with pytest.raises(IndexError, match=rf"days {t0}\.\.{t1} outside \[1, 5\]"):
+                o.loss_block(t0, t1, [1])
+
+    def test_ids_outside_the_experts_rejected(self, name, tmp_path):
+        # id 0 would read expert n: the last column, or expert n's Bernoulli cut
+        o = make_oracle(self.PARAMS, _examples(name, tmp_path)[0])
+        for ids in ([0], [4], [2, 0, 4]):
+            with pytest.raises(IndexError, match=r"ids \[.*\] outside \[1, 3\]"):
+                o.loss_block(1, 2, ids)
