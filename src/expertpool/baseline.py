@@ -67,8 +67,9 @@ class BaselineParams:
 
     @cached_property
     def pool_cap(self) -> int:
-        """Post-eviction bound on the persistent pool size."""
-        return math.ceil(4.0 / self.eps * math.log(self.T))
+        """Post-eviction bound on the persistent pool size; at least 1, since
+        a one-day epoch admits its best sampled expert where ln T is 0."""
+        return max(1, math.ceil(4.0 / self.eps * math.log(self.T)))
 
     @property
     def word_cap(self) -> int:

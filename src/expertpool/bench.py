@@ -448,6 +448,9 @@ def _make_learner(kind: str, spec: dict, n: int, T: int, seed: int, on_epoch_clo
         ids = np.asarray(spec["subset"])
         if not np.all((ids >= 1) & (ids <= n)):
             raise ValueError(f"subset ids {spec['subset']} must be integers in [1, {n}]")
+        values, counts = np.unique(ids, return_counts=True)
+        if counts.max() > 1:  # uniform play would weigh the repeat twice
+            raise ValueError(f"subset {spec['subset']} repeats id {values[counts > 1][0]}")
         p = np.zeros(n)
         p[ids - 1] = 1.0 / len(ids)
         return _FixedLearner(p)

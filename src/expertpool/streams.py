@@ -68,27 +68,18 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _day_half(seed: int, t: np.ndarray) -> np.ndarray:
-    """The first splitmix64 round of the hash, keyed by (seed, day) only."""
+def _bits53(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The top 53 bits of the two-round splitmix64 hash of (seed, t, i),
+    broadcast: the first round runs once per day of ``t``, keyed by (seed,
+    day), and the second once per cell, on that word xor ``i * _GOLD_I``."""
     t = np.asarray(t, dtype=np.uint64)
-    h = np.multiply(t, _GOLD_T, out=np.empty(t.shape, np.uint64))
-    h ^= np.uint64(seed)
-    return _splitmix64(h)
-
-
-def _cell_half(day: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """The second round on ``day ^ key`` (broadcast), as its top 53 bits."""
-    h = np.bitwise_xor(day, key)
+    i = np.asarray(i, dtype=np.uint64)
+    day = np.multiply(t, _GOLD_T, out=np.empty(t.shape, np.uint64))
+    day ^= np.uint64(seed)
+    h = _splitmix64(day) ^ np.multiply(i, _GOLD_I, out=np.empty(i.shape, np.uint64))
     _splitmix64(h)
     h >>= _S11
     return h
-
-
-def _bits53(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The top 53 bits of the two-round splitmix64 hash of (seed, t, i)."""
-    i = np.asarray(i, dtype=np.uint64)
-    return _cell_half(_day_half(seed, t),
-                      np.multiply(i, _GOLD_I, out=np.empty(i.shape, np.uint64)))
 
 
 def _uniform01(seed: int, t: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -198,22 +189,6 @@ def _check_unit(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, 1]")
 
 
-class _HashedOracle(LossOracle):
-    """An oracle whose cells are ``_bits53(seed, t, i)``. The day half of the
-    hash (one word per day) and each expert's key ``i * _GOLD_I`` are computed
-    once, harness-side and unmetered, so a block costs one splitmix round per
-    cell."""
-
-    def __init__(self, params: StreamParams):
-        super().__init__(params)
-        self._day = _day_half(params.seed, np.arange(params.T + 1))
-        self._key = np.arange(params.n + 1, dtype=np.uint64) * _GOLD_I
-
-    def _bits(self, t0: int, t1: int, ids: np.ndarray) -> np.ndarray:
-        """``_bits53`` over days t0..t1 and the given ids, shape (days, len(ids))."""
-        return _cell_half(self._day[t0:t1 + 1, None], self._key[ids])
-
-
 class ConstantOracle(LossOracle):
     """Each expert has a fixed loss every day."""
 
@@ -276,7 +251,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
     return means
 
 
-class BernoulliOracle(_HashedOracle):
+class BernoulliOracle(LossOracle):
     """Independent 0/1 losses; expert i succeeds with probability 1 - mean_i."""
 
     def __init__(self, params: StreamParams, means: np.ndarray):
@@ -289,10 +264,11 @@ class BernoulliOracle(_HashedOracle):
 
     def loss_block(self, t0, t1, ids):
         ids = self._checked(t0, t1, ids)
-        return (self._bits(t0, t1, ids) < self._cut[ids - 1]).astype(np.float64)
+        k = _bits53(self.params.seed, np.arange(t0, t1 + 1)[:, None], ids)
+        return (k < self._cut[ids - 1]).astype(np.float64)
 
 
-class EpochSpoilerOracle(_HashedOracle):
+class EpochSpoilerOracle(LossOracle):
     """One designated best expert with constant low loss; in every third epoch,
     two freshly keyed decoy experts (one when n = 2) undercut it to bait
     eviction of the incumbent.
@@ -338,21 +314,16 @@ class EpochSpoilerOracle(_HashedOracle):
 
     def loss_block(self, t0, t1, ids):
         ids = self._checked(t0, t1, ids)
-        days = np.arange(t0, t1 + 1, dtype=np.int64)
         # Field losses sit well above base_loss so the designated expert wins.
-        jitter = self._bits(t0, t1, ids) * (1.0 / (1 << 53))
+        jitter = _uniform01(self.params.seed, np.arange(t0, t1 + 1)[:, None], ids)
         hi = min(1.0, self.base_loss + 0.3)
         out = np.minimum(1.0, hi + 0.2 * jitter)
         out[:, ids == self.best_id] = self.base_loss
-        epochs = (days - 1) // self.epoch_length
-        for e in np.unique(epochs):
-            if e % 3 != 1:
-                continue
-            rows = epochs == e
-            decoys = self._decoys(int(e))
-            for c, i in enumerate(ids):
-                if int(i) in decoys:
-                    out[rows, c] = self.decoy_loss
+        L = self.epoch_length
+        for e in range((t0 - 1) // L, (t1 - 1) // L + 1):  # epoch e holds days eL+1..(e+1)L
+            if e % 3 == 1:
+                rows = slice(max(e * L + 1, t0) - t0, min((e + 1) * L, t1) - t0 + 1)
+                out[rows, np.isin(ids, list(self._decoys(e)))] = self.decoy_loss
         return out
 
 

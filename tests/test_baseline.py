@@ -56,6 +56,12 @@ class TestParams:
         p = BaselineParams(128, 10**5, eps=0.1)
         assert p.pool_cap == math.ceil(40 * math.log(10**5)) == 461
 
+    @pytest.mark.parametrize("eps", [0.01, 0.3, 0.5])
+    def test_pool_cap_at_least_one(self, eps):
+        # ln 1 = 0, yet a one-day epoch admits its best sampled expert
+        assert BaselineParams(4, 1, eps=eps).pool_cap == 1
+        assert BaselineParams(4, 2, eps=eps).pool_cap == math.ceil(4 / eps * math.log(2)) >= 6
+
     def test_default_epoch_length(self):
         n, T, eps = 64, 10**5, 0.1
         assert default_epoch_length(n, T, eps) == round((T / (eps**2 * n)) ** (2 / 3))

@@ -1173,6 +1173,10 @@ class TestLowerBoundDemo:
         ({"kind": "fixed-uniform-subset", "subset": [1], "ids": [2]},
          "unknown fixed-uniform-subset demo learner keys"),
         ({"kind": "nope"}, "unknown demo learner 'nope'"),
+        ({"kind": "fixed-uniform-subset", "subset": [1, 1, 2]},
+         r"subset \[1, 1, 2\] repeats id 1"),
+        ({"kind": "fixed-uniform-subset", "subset": [3, 5, 8, 5, 3]},
+         r"subset \[3, 5, 8, 5, 3\] repeats id 3"),
     ])
     def test_bad_learner_spec_rejected(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -1273,6 +1277,19 @@ class TestCli:
             "trials": [0], "learner-params": {"eps": 0.3, "B": 6},
         })
         assert cli.main(["check", cfg, "--paranoid"]) == 0
+
+    @pytest.mark.parametrize("learner,n,T,params", [
+        ("baseline", 4, 1, {}),
+        # the last level-1 episode of 32 + 1 days is one day long
+        ("full-hierarchy", 4, 33, {"delta": 1.0}),
+    ])
+    def test_check_one_day_epoch_within_pool_cap(self, tmp_path, capsys, learner, n, T, params):
+        cfg = self._write_json(tmp_path / "c.json", {
+            "learner": learner, "n": n, "T": T, "stream": self.STREAM,
+            "trials": [0], "learner-params": params,
+        })
+        assert cli.main(["check", cfg]) == 0
+        assert "VIOLATION" not in capsys.readouterr().out
 
     def test_demo_lb_ok(self, tmp_path, capsys):
         cfg = self._write_json(tmp_path / "d.json", {

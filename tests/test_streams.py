@@ -226,7 +226,8 @@ def _spoiler_reference(o: EpochSpoilerOracle, t0: int, t1: int, ids: np.ndarray)
 
 
 class TestHashedLossBlock:
-    """The oracles' per-day hash table against the hash computed directly."""
+    """Each oracle's blocks against the per-cell reference: the Bernoulli cut
+    on ``_bits53`` and ``_uniform01``, and the spoiler rule cell by cell."""
 
     T = 300
     # (t0, t1, ids): day 1, day T, one day, the whole horizon, unsorted and
@@ -262,6 +263,30 @@ class TestHashedLossBlock:
             ids = np.array(ids)
             assert np.array_equal(o.loss_block(t0, t1, ids),
                                   _spoiler_reference(o, t0, t1, ids))
+
+    @pytest.mark.parametrize("n,epoch_length", [(7, 1), (2, 9)], ids=["epoch-length-1", "n-2"])
+    def test_spoiler_edges_match_direct_hash(self, n, epoch_length):
+        o = EpochSpoilerOracle(StreamParams(n, self.T, seed=5), best_id=2,
+                               base_loss=0.3, decoy_loss=0.1, epoch_length=epoch_length)
+        for t0, t1, ids in self.QUERIES:
+            ids = (np.array(ids) - 1) % n + 1
+            assert np.array_equal(o.loss_block(t0, t1, ids),
+                                  _spoiler_reference(o, t0, t1, ids))
+        if n == 2:  # one decoy per decoy epoch: the expert that is not best
+            assert o._decoy_memo and all(d == {1} for d in o._decoy_memo.values())
+
+    @pytest.mark.parametrize("t0", [1, 11, 150, T + 1])
+    def test_empty_block_matches_direct_hash(self, t0):
+        # t1 = t0 - 1 reads no day; day 11 lies inside the first decoy epoch
+        params, ids = StreamParams(7, self.T, seed=3), np.array([3, 1, 3])
+        b = BernoulliOracle(params, np.full(7, 0.5))
+        s = EpochSpoilerOracle(params, best_id=2, base_loss=0.3, decoy_loss=0.1,
+                               epoch_length=9)
+        k = _bits53(params.seed, np.arange(t0, t0)[:, None], ids)
+        for got, want in [(b.loss_block(t0, t0 - 1, ids), (k < b._cut[ids - 1]) * 1.0),
+                          (s.loss_block(t0, t0 - 1, ids), _spoiler_reference(s, t0, t0 - 1, ids))]:
+            assert got.shape == want.shape == (0, 3) and got.dtype == np.float64
+            assert np.array_equal(got, want)
 
 
 class TestEpochSpoiler:
