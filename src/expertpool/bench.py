@@ -79,7 +79,7 @@ class HindsightPass(LossOracle):
     levels each ask for their bottom block) are served from them as long as
     those days span at most two windows; a query for days before them goes
     straight to the oracle. Memory is O(n + T) beyond those two windows and
-    the largest answer.
+    the largest answer. Every path refuses ids outside [1, n], as the oracle does.
     """
 
     def __init__(self, oracle: LossOracle):
@@ -117,16 +117,20 @@ class HindsightPass(LossOracle):
             cum = cum.take(lead, axis=1)
         np.cumsum(cum, axis=0, out=cum)
         cum.min(axis=1, out=self.best_so_far[w0 - 1:self.read])
-        # at n = 1 reduce sums the one column pairwise: keep the cumsum's totals
-        self._run[:] = ends if len(lead) < self.n else cum[-1]
+        self._run[:] = ends
 
     def loss_block(self, t0, t1, ids):
+        cols = np.subtract(ids, 1)
+        # take raises for a column above n-1 but reads a negative one from the
+        # end; over a block's few ids, Python's min is cheaper than numpy's
+        if min(cols.tolist(), default=0) < 0:
+            raise IndexError(f"ids {cols[(cols < 0) | (cols >= self.n)] + 1} "
+                             f"outside [1, {self.n}]")
         w0, win = self._kept[-1]
         if w0 <= t0 <= t1 < w0 + len(win):
-            return win[t0 - w0:t1 - w0 + 1].take(np.subtract(ids, 1), axis=1)
+            return win[t0 - w0:t1 - w0 + 1].take(cols, axis=1)
         if not self._kept[0][0] <= t0 <= t1 <= self.T:  # behind the pass, or out of range
             return self.oracle.loss_block(t0, t1, ids)
-        cols = np.subtract(ids, 1)
         size = (t1 - t0 + 1) * len(cols)
         if len(self._answer) < size:
             self._answer = np.empty(size)

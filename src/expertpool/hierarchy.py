@@ -143,7 +143,6 @@ class LevelState:
         self._cum_own: np.ndarray | None = None
         self._cum_descend: np.ndarray | None = None
         self._dd_sum_e: np.ndarray | None = None
-        self._dd_sum_base = 0.0
 
     @property
     def entries(self) -> list[PoolEntry]:
@@ -169,7 +168,6 @@ class LevelState:
         self._cum_own = np.zeros(m)
         self._cum_descend = np.zeros(m)
         self._dd_sum_e = np.zeros(m)
-        self._dd_sum_base = 0.0
 
     def process_block(self, oracle: LossOracle, t0: int, L: int,
                       base_realized: np.ndarray, base_played: np.ndarray,
@@ -194,14 +192,12 @@ class LevelState:
                                         self._cum_descend, self.merge_eta)
         follow_own = rng.random((L, m)) < p_own
         realized_e = np.where(follow_own, block, base_realized[:, None])
-        base_sum = np.add.reduce(base_realized)
         self._cum_own += np.add.reduce(block, axis=0)
-        self._cum_descend += base_sum
+        self._cum_descend += np.add.reduce(base_realized)
         c = self._committed
         realized = realized_e[:, c]  # a column of this block's scratch
         played = np.where(follow_own[:, c], ids[c], base_played)
         self._dd_sum_e += np.add.reduce(realized_e, axis=0)
-        self._dd_sum_base += float(base_sum)
         self.day_in_dd += L
         if self.day_in_dd == lp.day_span:
             self._close_decision_day()
@@ -210,7 +206,7 @@ class LevelState:
     def _close_decision_day(self) -> None:
         lp = self.lp
         avg_e = self._dd_sum_e / lp.day_span
-        avg_base = self._dd_sum_base / lp.day_span
+        avg_base = self._cum_descend[0] / lp.day_span  # the lower level's, in every entry
         truncated = np.maximum(avg_e - avg_base, -lp.width)  # floored at -width
         self.min_truncated = min(self.min_truncated, float(truncated.min()))
         normalized = (truncated + lp.width) / (2.0 * lp.width)

@@ -43,11 +43,8 @@ class MwuState:
 
     # -- distribution -------------------------------------------------------
 
-    def weights(self) -> np.ndarray:
-        return np.exp(-self.eta * (self.cum - self.cum.min()))
-
     def distribution(self) -> np.ndarray:
-        w = self.weights()
+        w = np.exp(-self.eta * (self.cum - self.cum.min()))
         return w / w.sum()
 
     # -- updates ------------------------------------------------------------
@@ -62,10 +59,9 @@ class MwuState:
         self.cum -= np.minimum.reduce(self.cum)
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one position from the current distribution (one uniform
-        consumed), by ``run_block``'s rule."""
-        cdf = np.cumsum(self.weights())
-        return int(np.add.reduce(cdf[:-1] < rng.random() * cdf[-1]))
+        """Draw one position (one uniform consumed): a zero-loss round of
+        ``run_block``, which leaves ``cum``, already rebased to 0, as it was."""
+        return int(self.run_block(np.zeros((1, len(self.cum))), rng)[0])
 
     def run_block(self, losses: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample-then-update over a block of rounds in one vectorized pass.

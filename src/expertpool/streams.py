@@ -220,8 +220,6 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
     if "means" in spec:  # mean-range and overrides would go unread
         check_keys("iid-bernoulli stream keys with means", spec, ("generator", "means"))
         means = np.asarray(_spec_means(spec), dtype=np.float64)
-        if means.shape != (params.n,):
-            raise ValueError(f"need {params.n} means, got {means.shape}")
     elif "mean-range" in spec:
         bounds = spec["mean-range"]
         if not (isinstance(bounds, list) and len(bounds) == 2):
@@ -247,7 +245,6 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
             means[int(sid) - 1] = m
     else:
         raise ValueError("iid-bernoulli needs 'means' or 'mean-range'")
-    _check_unit(means, "Bernoulli means")
     return means
 
 
@@ -257,10 +254,13 @@ class BernoulliOracle(LossOracle):
     def __init__(self, params: StreamParams, means: np.ndarray):
         super().__init__(params)
         self.means = np.asarray(means, dtype=np.float64)
+        if self.means.shape != (params.n,):
+            raise ValueError(f"need {params.n} means, got {self.means.shape}")
         if np.isnan(self.means).any():
             raise ValueError("Bernoulli means must not be NaN")
+        _check_unit(self.means, "Bernoulli means")
         # u < mean with u = k / 2^53 and integer k is exactly k < ceil(mean * 2^53)
-        self._cut = np.ceil(np.clip(self.means, 0.0, 1.0) * 2.0**53).astype(np.uint64)
+        self._cut = np.ceil(self.means * 2.0**53).astype(np.uint64)
 
     def loss_block(self, t0, t1, ids):
         ids = self._checked(t0, t1, ids)

@@ -71,6 +71,12 @@ class TestParams:
         with pytest.raises(ValueError):
             BaselineParams(4, 10, eps=0.2, B=11)
 
+    @pytest.mark.parametrize("n,T,message", [(0, 10, "need n >= 1, got 0"),
+                                             (4, 0, "need T >= 1, got 0")])
+    def test_rejects_empty_expert_set_and_horizon(self, n, T, message):
+        with pytest.raises(ValueError, match=message):
+            BaselineParams(n, T, eps=0.25, B=1)
+
 
 class TestBestOfSample:
     def test_argmin(self):
@@ -323,6 +329,13 @@ class TestPoolHistory:
 
 
 class TestLearner:
+    def test_advance_past_the_epoch_rejected(self):
+        learner = BaselineLearner(BaselineParams(4, 20, eps=0.5, B=5))
+        ids, left = learner.epoch_rest()
+        with pytest.raises(ValueError, match="block crosses an epoch boundary"):
+            learner.advance(np.zeros((left + 1, len(ids))))
+        assert learner.day == 0
+
     def test_first_epoch_covers_all_when_n_small(self):
         params = BaselineParams(4, 16, eps=0.5, B=4, seed=0)
         learner = BaselineLearner(params)

@@ -131,16 +131,6 @@ class UnprunedPass(bench.HindsightPass):
         self._run[:] = cum[-1]
 
 
-class AnyWidthOracle(MatrixOracle):
-    """A ``MatrixOracle`` of any width, one expert included, which
-    ``StreamParams`` refuses."""
-
-    def __init__(self, matrix):
-        LossOracle.__init__(self, SimpleNamespace(n=matrix.shape[1], T=matrix.shape[0],
-                                                  seed=0))
-        self.matrix = matrix
-
-
 def _cumsum_widths(monkeypatch):
     """The width of every window the pass folds by cumsum, in order."""
     widths, cumsum = [], np.cumsum
@@ -170,24 +160,23 @@ class TestHindsightPass:
     whole matrix, and the learner's queries against the oracle itself."""
 
     @pytest.mark.parametrize("window", [1, 7, 4096])
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n", [2, 5])
     def test_pruned_fold_matches_full_cumsum_bit_for_bit(self, monkeypatch, window, n):
-        # fractional losses of mixed scale, so a reordered sum shows in the bits;
-        # at n = 1, reduce would sum the column pairwise
+        # fractional losses of mixed scale, so a reordered sum shows in the bits
         rng = np.random.default_rng(window * 10 + n)
         T = 2 * window + 37
         full = rng.random((T, n)) * rng.choice([1e-6, 1.0, 1e6], size=(T, n))
         full[:, 0] *= 0.01  # one expert leads, so later windows are pruned
         _window(monkeypatch, window, n)
         widths = _cumsum_widths(monkeypatch)
-        stream = bench.HindsightPass(AnyWidthOracle(full))
+        stream = bench.HindsightPass(MatrixOracle(full))
         best, total = stream.finish()
         monkeypatch.undo()
         want = full.cumsum(axis=0)
         assert stream.best_so_far.tobytes() == want.min(axis=1).tobytes()
         assert stream._run.tobytes() == want[-1].tobytes()  # the old totals
         assert (best, total) == (int(np.argmin(want[-1])) + 1, float(want[-1].min()))
-        assert n == 1 or min(widths) < n
+        assert min(widths) < n
 
     @pytest.mark.parametrize("window", [1, 7, 4096])
     def test_pruned_fold_of_replay_with_leader_changes_and_ties(self, tmp_path,
@@ -326,6 +315,27 @@ class TestHindsightPass:
         for t0, t1 in [(0, 2), (0, 3), (5, 7), (4, 9), (6, 6)]:
             with pytest.raises(IndexError, match=rf"days {t0}\.\.{t1} outside \[1, 5\]"):
                 pass_.loss_block(t0, t1, np.array([1]))
+
+    @pytest.mark.parametrize("ids,message", [
+        ([0], r"ids \[0\] outside \[1, 3\]"),
+        ([2, 0, 4], r"ids \[0 4\] outside \[1, 3\]"),
+        # numpy's take refuses a column past the last
+        ([4], r"ids \[4\] outside \[1, 3\]|index 3 is out of bounds for axis 1 with size 3"),
+    ], ids=["0", "2-0-4", "4"])
+    @pytest.mark.parametrize("t0,t1", [(18, 20), (12, 20), (14, 30), (2, 4)],
+                             ids=["last-window", "kept-windows", "across-a-read",
+                                  "behind-the-pass"])
+    def test_ids_outside_the_experts_rejected(self, monkeypatch, ids, message, t0, t1):
+        # as the oracle refuses them: id 0 would read expert n's column
+        _window(monkeypatch, 8, 3)
+        o = ConstantOracle(StreamParams(3, 40), [0.2, 0.5, 0.8])
+        stream = bench.HindsightPass(o)
+        stream.loss_block(17, 17, [1])  # windows 9-16 and 17-24 are kept
+        with pytest.raises(IndexError, match=message):
+            stream.loss_block(t0, t1, ids)
+        assert stream.read == 24  # refused before any read
+        assert stream.loss_block(t0, t1, [3, 1]).tobytes() == o.loss_block(t0, t1,
+                                                                           [3, 1]).tobytes()
 
     @pytest.mark.parametrize("window", [1, 7, None])
     @pytest.mark.parametrize("learner,checks", [

@@ -113,6 +113,8 @@ class TestBuildLevels:
             build_levels(16, 65536, 1.5)
         with pytest.raises(ValueError):
             build_levels(16, 8, 1.0)  # T < n
+        with pytest.raises(ValueError, match="need n >= 2, got 1"):
+            build_levels(1, 65536, 1.0)
 
 
 class TestDegenerateEqualsBaseline:
@@ -275,11 +277,30 @@ def _reference_process_block(lvl, oracle, t0, L, base_realized, base_played, rng
     played = np.where(follow_own[:, lvl._committed], ids[lvl._committed],
                       base_played)
     lvl._dd_sum_e += realized_e.sum(axis=0)
-    lvl._dd_sum_base += float(base_realized.sum())
     lvl.day_in_dd += L
     if lvl.day_in_dd == lp.day_span:
         lvl._close_decision_day()
     return realized, played
+
+
+class TestLevelState:
+    @pytest.mark.parametrize("first,L", [(0, 13), (4, 9), (11, 2)])
+    def test_block_across_a_decision_round_rejected(self, first, L):
+        # a 12-day decision round: after ``first`` days, L more cross it
+        lp = LevelParams(k=2, eps=0.5, B=3, day_span=12, epochs_per_episode=2,
+                         theta=0.05, width=1.0, sample_size=2, pool_cap=40)
+        n, T = 4, 4 * lp.episode_days
+        data = np.random.default_rng(0)
+        oracle = _MatrixOracle(data.random((T, n)))
+        base_realized, base_played = data.random(T), data.integers(1, n + 1, size=T)
+        lvl, rng = LevelState(lp, n, T, WordMeter()), np.random.default_rng(1)
+        if first:
+            lvl.process_block(oracle, 1, first, base_realized[:first],
+                              base_played[:first], rng)
+        with pytest.raises(ValueError, match="block crosses a decision-round boundary"):
+            lvl.process_block(oracle, first + 1, L, base_realized[first:first + L],
+                              base_played[first:first + L], rng)
+        assert lvl.day_in_dd == first
 
 
 class TestMergeRaceDifferential:
@@ -328,7 +349,6 @@ class TestMergeRaceDifferential:
             ref_loss += float(want[0].sum())
             for name in ("_cum_own", "_cum_descend", "_dd_sum_e"):
                 assert np.array_equal(getattr(lvl, name), getattr(ref, name)), (t0, name)
-            assert lvl._dd_sum_base == ref._dd_sum_base
             assert loss == ref_loss
             assert lvl.meter == ref.meter
             assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -113,6 +113,18 @@ class TestSample:
         assert draws1 == draws2
         assert seq1 == seq2
 
+    def test_leaves_cum_as_it_was_and_draws_one_uniform(self):
+        s = MwuState(5, horizon=50)
+        s.update([0.3, 0.1, 0.7, 0.1, 1.0])
+        s.update([0.2, 0.9, 0.0, 0.4, 0.6])
+        before = s.cum.tobytes()
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(10):
+            s.sample(rng)
+            ref.random()
+            assert s.cum.tobytes() == before
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12),
            st.floats(1e-3, 5.0), st.integers(0, 2**32 - 1))
@@ -200,12 +212,19 @@ class TestRunBlock:
             def __init__(self, v):
                 self.v = v
 
-            def random(self):
-                return self.v
+            def random(self, size):
+                assert size == 1
+                return np.array([self.v])
 
         for row, v, k in zip(pre, uniforms, want):
             state.cum[:] = row
             assert state.sample(Uniform(float(v))) == k
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2,)])
+    def test_wrong_width_rejected(self, shape):
+        s = MwuState(2, horizon=5)
+        with pytest.raises(ValueError, match=r"expected shape \(rounds, 2\)"):
+            s.run_block(np.zeros(shape), np.random.default_rng(0))
 
     def test_empty_block(self):
         s = MwuState(2, horizon=5)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -86,6 +87,11 @@ class TestConstantOracle:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ConstantOracle(StreamParams(2, 4), [math.nan, 0.5])
 
+    @pytest.mark.parametrize("means", [[0.5], [0.1, 0.2, 0.3]])
+    def test_rejects_wrong_number_of_means(self, means):
+        with pytest.raises(ValueError, match=rf"need 2 means, got \({len(means)},\)"):
+            ConstantOracle(StreamParams(2, 4), means)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("spec", [
@@ -159,6 +165,18 @@ class TestBernoulliOracle:
     def test_rejects_nan_mean(self):
         with pytest.raises(ValueError, match="NaN"):
             BernoulliOracle(StreamParams(2, 5), np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("means", [[1.5, -0.5], [0.5, 1.0 + 1e-12], [-0.0, -1e-300]])
+    def test_rejects_means_outside_unit_interval(self, means):
+        # once clipped: [1.5, -0.5] made expert 1 lose every day and expert 2 never
+        with pytest.raises(ValueError, match=r"Bernoulli means must lie in \[0, 1\]"):
+            BernoulliOracle(StreamParams(2, 5), means)
+
+    @pytest.mark.parametrize("means", [[0.5], [0.1, 0.2, 0.3, 0.4]])
+    def test_rejects_wrong_number_of_means_when_built(self, means):
+        # not at the first query
+        with pytest.raises(ValueError, match=rf"need 3 means, got \({len(means)},\)"):
+            BernoulliOracle(StreamParams(3, 5), means)
 
 
 def _edge_means() -> list[float]:
@@ -338,6 +356,18 @@ class TestEpochSpoiler:
             EpochSpoilerOracle(StreamParams(4, 10), best_id=1,
                                base_loss=0.2, decoy_loss=0.3, epoch_length=5)
 
+    @pytest.mark.parametrize("best_id,epoch_length,message", [
+        (0, 5, r"best-id 0 outside \[1, 4\]"),
+        (5, 5, r"best-id 5 outside \[1, 4\]"),
+        (1, 0, "epoch-length must be positive"),
+        (1, -3, "epoch-length must be positive"),
+    ])
+    def test_rejects_best_id_and_epoch_length_out_of_range(self, best_id, epoch_length,
+                                                           message):
+        with pytest.raises(ValueError, match=message):
+            EpochSpoilerOracle(StreamParams(4, 10), best_id=best_id, base_loss=0.3,
+                               decoy_loss=0.1, epoch_length=epoch_length)
+
 
 class TestCsvOracle:
     @pytest.fixture(autouse=True)
@@ -479,6 +509,12 @@ class TestCsvOracle:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             CsvOracle(StreamParams(2, 2), "/nonexistent/x.csv")
+
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"")
+        with pytest.raises(ValueError, match=r"loss file '.*s\.csv' is empty"):
+            CsvOracle(StreamParams(2, 1), str(f))
 
     def test_bad_header(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -742,6 +778,18 @@ class TestGameInstance:
         g = GameInstance(4, 2)
         with pytest.raises(ValueError):
             g.worst_case_loss(np.array([0.5, 0.5, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.2] * 5, [[0.25] * 4]])
+    def test_rejects_strategy_of_wrong_shape(self, p):
+        shape = np.shape(p)
+        with pytest.raises(ValueError, match=rf"strategy must have shape \(4,\), "
+                                             rf"got {re.escape(str(shape))}"):
+            GameInstance(4, 2).worst_case_loss(np.array(p))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rejects_support_size_outside_the_experts(self, k):
+        with pytest.raises(ValueError, match=rf"support size {k} outside \[1, 4\]"):
+            GameInstance(4, k)
 
 
 class TestGameOracle:
