@@ -121,9 +121,11 @@ class HindsightPass(LossOracle):
 
     def loss_block(self, t0, t1, ids):
         cols = np.subtract(ids, 1)
-        # take raises for a column above n-1 but reads a negative one from the
-        # end; over a block's few ids, Python's min is cheaper than numpy's
-        if min(cols.tolist(), default=0) < 0:
+        # take reads a negative column from the end and names a column above
+        # n - 1, not its id; over a block's few ids, Python's min and max are
+        # cheaper than numpy's
+        listed = cols.tolist()
+        if listed and not (min(listed) >= 0 and max(listed) < self.n):
             raise IndexError(f"ids {cols[(cols < 0) | (cols >= self.n)] + 1} "
                              f"outside [1, {self.n}]")
         w0, win = self._kept[-1]

@@ -329,15 +329,8 @@ class EpochSpoilerOracle(LossOracle):
 
 _CHUNK = 1 << 20  # bytes per read of a loss file
 _PARSE_CELLS = 2**17  # cells per chunk of rows parsed from a loss file, day column included
-# _SPREAD[j][b] is the byte b unpacked as np.unpackbits does, its top bit
-# first and one bit a byte, with each byte shifted left by j, read as one
-# uint64: a take per plane turns 8 packed cells into 8 code bits at once.
-# Built from bytes: a numpy kernel run at import would make its code pages
-# resident in every process, replaying a file or not.
-_SPREAD = np.frombuffer(bytes((b >> 7 - i & 1) << j for j in range(8) for b in range(256)
-                              for i in range(8)), np.uint64).reshape(8, 256)
-# A loss file's checked losses, read-only: (bit planes, table) or (float64, None)
-_Losses = tuple[tuple[np.ndarray, ...] | np.ndarray, np.ndarray | None]
+# A loss file's checked losses, read-only: (one bit a cell, table) or (float64, None)
+_Losses = tuple[np.ndarray, np.ndarray | None]
 # The last loss file parsed, at most one entry: (sha256 of its bytes, n, T) ->
 # its losses, see ``_read_losses``.
 _PARSED: dict[tuple[bytes, int, int], _Losses] = {}
@@ -366,51 +359,15 @@ class _HashingReader(io.RawIOBase):
         return self.sha.digest()
 
 
-def _lookup(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> bool:
-    """Write into ``out`` the position in ``table`` of each float64 bit
-    pattern in ``bits``, matched by bits so that -0.0 and 0.0 differ; False
-    if one is not in the table."""
-    order = np.argsort(table.view(np.uint64))
-    keys = table.view(np.uint64)[order]
-    at = np.searchsorted(keys, np.ascontiguousarray(bits))  # a third faster than strided
-    if np.any(keys.take(at, mode="clip") != bits):
-        return False
-    order.astype(np.uint8).take(at, out=out)  # every code is below 256
-    return True
-
-
-def _encode(table: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray | None:
-    """``_lookup`` into ``table`` extended by the values of ``bits`` it lacks,
-    so that a code never changes once given; that table, or None if it would
-    hold more than 256 values."""
-    if len(table) and _lookup(table, bits, out):
-        return table
-    new = np.setdiff1d(bits, table.view(np.uint64))  # only chunks with new values pay
-    if len(table) + len(new) > 256:
-        return None
-    table = np.concatenate([table, new.view(np.float64)])
-    _lookup(table, bits, out)
-    return table
-
-
-def _codes(planes: tuple[np.ndarray, ...], r0: int, r1: int) -> np.ndarray:
-    """The codes of rows r0..r1 - 1 from their bit planes, one byte a cell,
-    with the row padding of the last packed byte on the right."""
-    code = _SPREAD[0].take(planes[0][r0:r1])
-    for j in range(1, len(planes)):
-        code |= _SPREAD[j].take(planes[j][r0:r1])
-    return code.view(np.uint8)
-
-
 def _read_losses(fh, path: str, params: StreamParams, size: int) -> _Losses:
     """The checked losses in the rows after the header of a loss file of
     ``size`` bytes, parsed ``_PARSE_CELLS`` cells at a time, as read-only
-    (store, table). While the file shows at most 256 distinct values, each
-    cell is coded by its position in the table of them, and the store holds
-    the codes as bit planes: plane j is bit j of every code, packed 8 cells a
-    byte along the row, ``ceil(log2(len(table)))`` planes and at least one.
-    Once more than 256 values show up, the store is the float64 losses
-    themselves and the table is None. The day column is checked, not kept.
+    (store, table). While the file shows at most two distinct values (by bit
+    pattern, so -0.0 and 0.0 differ), the table holds them, each keeping the
+    position it took when first read, and the store holds each cell as one
+    bit, its position in the table, packed 8 cells a byte along the row. Once a third value shows up,
+    the store is the float64 losses themselves and the table is None. The day
+    column is checked, not kept.
 
     The checks and messages are those of one read of all T rows: malformed
     rows anywhere come first, then a short file, then ragged rows, the day
@@ -423,11 +380,10 @@ def _read_losses(fh, path: str, params: StreamParams, size: int) -> _Losses:
     # a row of n + 1 cells takes at least 2(n + 1) bytes, the last one's
     # newline aside: the store is never larger than the file can fill
     days = min(T, (size + 1) // (2 * (n + 1)))
-    table = np.empty(0)  # the distinct values in code order; None past 256 of them
-    code = np.empty((rows, n), np.uint8)  # one chunk's codes
-    # a page is resident only once written; a code never changes once given,
-    # so a plane added when the table grows reads 0 for the rows before it
-    store = [np.zeros((days, (n + 7) // 8), np.uint8)]
+    keys = np.empty(0, np.uint64)  # the bit patterns of the table; None past two
+    # a page is resident only once written, and a row seen while the table
+    # holds one value keeps its zeros
+    store = np.zeros((days, (n + 7) // 8), np.uint8)
     t = 0  # rows read
     pad = None  # a line of zeros as wide as the first row
     late = None  # a ragged-row or day-column error, raised once every row is read
@@ -454,31 +410,30 @@ def _read_losses(fh, path: str, params: StreamParams, size: int) -> _Losses:
                 late = f"day column in {path!r} is not 1..{T}"
             else:
                 losses = chunk[:, 1:]
-                if table is not None:
-                    grown = _encode(table, losses.view(np.uint64), code[:r])
-                    if grown is None:  # float64 cells from here on
+                if keys is not None:
+                    bits = losses.view(np.uint64)
+                    seen = np.isin(bits, keys)
+                    if not seen.all():  # only chunks with new values pay
+                        keys = np.concatenate([keys, np.unique(bits[~seen])])
+                    if len(keys) > 2:  # float64 cells from here on
                         cells = np.empty((days, n))
+                        table = keys[:2].view(np.float64)
                         for s in range(0, t, rows):  # decoded a chunk at a time
                             e = min(s + rows, t)
-                            table.take(_codes(store, s, e)[:, :n], out=cells[s:e])
-                        store = cells
-                    else:
-                        while len(store) < max(1, (len(grown) - 1).bit_length()):
-                            store.append(np.zeros_like(store[0]))
-                        for j, plane in enumerate(store):  # packbits keeps any nonzero as 1
-                            plane[t:t + r] = np.packbits(code[:r] & (1 << j), axis=1)
-                    table = grown
-                if table is None:
+                            table.take(np.unpackbits(store[s:e], axis=1, count=n), out=cells[s:e])
+                        store, keys = cells, None
+                    elif len(keys) == 2:
+                        store[t:t + r] = np.packbits(bits == keys[1], axis=1)
+                if keys is None:
                     store[t:t + r] = losses
         t += r
     if t < T:
         raise ValueError(f"loss file has {t} days, need {T}")
     if late is not None:
         raise ValueError(late)
+    table = None if keys is None else keys.view(np.float64)
     _check_unit(store if table is None else table, f"losses in {path!r}")
-    if table is not None:
-        store = tuple(store)
-    for a in (store,) if table is None else (*store, table):
+    for a in (store,) if table is None else (store, table):
         a.flags.writeable = False
     return store, table
 
@@ -517,10 +472,10 @@ class CsvOracle(LossOracle):
     """Losses replayed from a CSV file with header ``t,e1,...,en``, parsed once
     per distinct content, n and T in a process (see ``_load_csv``).
 
-    A file of at most 256 distinct values is kept in ceil(log2(values)) bits
-    a cell: ``store`` is a tuple of bit planes of the cells' codes into
-    ``table`` (see ``_read_losses``). Otherwise ``store`` holds the float64
-    losses and ``table`` is None.
+    A file of at most two distinct values is kept in one bit a cell:
+    ``store`` is a uint8 array of the cells' positions in ``table``, packed 8
+    a byte along the row (see ``_read_losses``). Otherwise ``store`` holds
+    the float64 losses and ``table`` is None.
     """
 
     def __init__(self, params: StreamParams, path: str):
@@ -536,9 +491,9 @@ class CsvOracle(LossOracle):
         cols = self._checked(t0, t1, ids) - 1
         if self.table is None:
             return np.take(self.store[t0 - 1:t1], cols, axis=1)
-        block = np.take(_codes(self.store, t0 - 1, t1)[:, :self.n], cols, axis=1)
-        # every code indexes the table, so "clip" only skips numpy's bounds
-        # checks: 2.3x faster here than indexing by the uint8 codes
+        block = np.take(np.unpackbits(self.store[t0 - 1:t1], axis=1, count=self.n), cols, axis=1)
+        # every bit indexes the table, so "clip" only skips numpy's bounds
+        # checks: 2.8x faster here than indexing by the uint8 bits
         return self.table.take(block, mode="clip")
 
 

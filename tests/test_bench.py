@@ -319,8 +319,7 @@ class TestHindsightPass:
     @pytest.mark.parametrize("ids,message", [
         ([0], r"ids \[0\] outside \[1, 3\]"),
         ([2, 0, 4], r"ids \[0 4\] outside \[1, 3\]"),
-        # numpy's take refuses a column past the last
-        ([4], r"ids \[4\] outside \[1, 3\]|index 3 is out of bounds for axis 1 with size 3"),
+        ([4], r"ids \[4\] outside \[1, 3\]"),
     ], ids=["0", "2-0-4", "4"])
     @pytest.mark.parametrize("t0,t1", [(18, 20), (12, 20), (14, 30), (2, 4)],
                              ids=["last-window", "kept-windows", "across-a-read",

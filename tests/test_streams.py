@@ -421,8 +421,8 @@ class TestCsvOracle:
         f = tmp_path / "s.csv"
         values = np.random.default_rng(4).random((10, 2))
         self._write_values(f, values)
-        assert CsvOracle(StreamParams(2, 10), str(f)).store[0].shape == (10, 1)
-        assert CsvOracle(StreamParams(2, 6), str(f)).store[0].shape == (6, 1)
+        assert CsvOracle(StreamParams(2, 10), str(f)).store.shape == (10, 2)
+        assert CsvOracle(StreamParams(2, 6), str(f)).store.shape == (6, 2)
         assert len(parses) == 2
         with pytest.raises(ValueError, match="header"):  # read again, not served
             CsvOracle(StreamParams(3, 6), str(f))
@@ -436,12 +436,15 @@ class TestCsvOracle:
                 CsvOracle(StreamParams(2, 2), str(f))
         assert len(parses) == 2 and not streams._PARSED
 
-    def test_kept_matrix_is_read_only_and_blocks_are_fresh(self, tmp_path):
+    @pytest.mark.parametrize("pool", [None, [0.25, 0.75]], ids=["float64", "one-bit"])
+    def test_kept_matrix_is_read_only_and_blocks_are_fresh(self, tmp_path, pool):
         f = tmp_path / "s.csv"
-        values = np.random.default_rng(5).random((8, 3))
+        rng = np.random.default_rng(5)
+        values = rng.random((8, 3)) if pool is None else rng.choice(pool, (8, 3))
         self._write_values(f, values)
         o = CsvOracle(StreamParams(3, 8), str(f))
-        for kept in (*o.store, o.table):
+        assert (o.table is None) == (pool is None)
+        for kept in (o.store,) if pool is None else (o.store, o.table):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 1
@@ -551,31 +554,34 @@ class TestCsvOracle:
         """Set the parse to read this many rows of n + 1 cells a chunk."""
         return lambda rows, n: monkeypatch.setattr(streams, "_PARSE_CELLS", rows * (n + 1))
 
-    def test_zero_one_file_keeps_one_bit_a_cell(self, tmp_path, rows_per_chunk):
+    @pytest.mark.parametrize("pair", [(0.0, 1.0), (0.25, 0.75), (-0.0, 0.0)],
+                             ids=["0-1", "quarters", "signed-zeros"])
+    def test_two_valued_file_keeps_one_bit_a_cell(self, tmp_path, rows_per_chunk, pair):
         rows_per_chunk(7, 4)
-        values = np.random.default_rng(8).integers(0, 2, (50, 4)).astype(np.float64)
+        values = np.array(pair)[np.random.default_rng(8).integers(0, 2, (50, 4))]
         self._write_values(tmp_path / "s.csv", values)
         o = CsvOracle(StreamParams(4, 50), str(tmp_path / "s.csv"))
-        (plane,) = o.store  # 4 cells a row in one byte
-        assert plane.dtype == np.uint8 and plane.shape == (50, 1) and plane.nbytes == 50
-        assert sorted(o.table.tolist()) == [0.0, 1.0]
+        # 4 cells a row in one byte; -0.0 and 0.0 differ by bit pattern
+        assert o.store.dtype == np.uint8 and o.store.shape == (50, 1) and o.store.nbytes == 50
+        assert sorted(o.table.view(np.uint64).tolist()) == sorted(
+            np.array(pair).view(np.uint64).tolist())
         assert matrix(o).tobytes() == values.tobytes()
 
     def test_signed_zeros_replay_bit_exactly(self, tmp_path, rows_per_chunk):
+        # two values by ==, three by bit pattern: -0.0 is not kept as 0.0
         rows_per_chunk(2, 2)
-        values = np.array([[0.0, 1.0], [0.5, 0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, -0.0]])
+        values = np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, -0.0]])
         self._write_values(tmp_path / "s.csv", values)
         o = CsvOracle(StreamParams(2, 5), str(tmp_path / "s.csv"))
-        assert len(o.table) == 4  # -0.0 has a code of its own
+        assert o.table is None and o.store.dtype == np.float64
         assert matrix(o).tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 9, 1000])
-    @pytest.mark.parametrize("distinct,planes", [(1, 1), (2, 1), (16, 4), (17, 5), (256, 8),
-                                                 (257, None)])
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 256, 257])
     def test_distinct_values_replay_bit_exactly(self, tmp_path, rows_per_chunk, rows,
-                                                distinct, planes):
-        # past 256 values the file is kept as float64, decoding what chunks
-        # before coded
+                                                distinct):
+        # past two values the file is kept as float64, decoding the bits of
+        # what chunks before read
         rows_per_chunk(rows, 3)
         rng = np.random.default_rng(distinct)
         pool = rng.random(distinct)
@@ -584,29 +590,52 @@ class TestCsvOracle:
         values.flat[rng.permutation(300)[:distinct]] = pool  # every value shows
         self._write_values(tmp_path / "s.csv", values)
         o = CsvOracle(StreamParams(3, 100), str(tmp_path / "s.csv"))
-        if planes is not None:  # 3 cells a row in one byte a plane
-            assert len(o.store) == planes and len(o.table) == distinct
-            assert all(p.dtype == np.uint8 and p.shape == (100, 1) for p in o.store)
-            assert sum(p.nbytes for p in o.store) == 100 * planes
-            assert not any(p.flags.writeable for p in o.store)
+        if distinct <= 2:  # 3 cells a row in one byte
+            assert len(o.table) == distinct and not o.table.flags.writeable
+            assert o.store.dtype == np.uint8 and o.store.shape == (100, 1)
         else:
             assert o.store.dtype == np.float64 and o.table is None
-            assert not o.store.flags.writeable
+            assert o.store.shape == (100, 3)
+        assert not o.store.flags.writeable
         assert matrix(o).tobytes() == values.tobytes()
         assert o.loss_block(40, 62, [3, 1]).tobytes() == values[39:62][:, [2, 0]].tobytes()
 
-    # a table grown across the plane counts 1 -> 2 (2 -> 3 values), 2 -> 3
-    # (4 -> 5), 7 -> 8 (128 -> 129) and into the float64 cells (256 -> 257)
+    @pytest.mark.parametrize("rows", [1, 3, 1000])
+    @pytest.mark.parametrize("late", [2, 3], ids=["second-value-late", "third-value-late"])
+    def test_value_first_shown_in_a_later_chunk_replays_bit_exactly(
+            self, tmp_path, rows_per_chunk, rows, late):
+        # 0.75 alone on days 1-1,100, 0.25 too from day 1,101 and -0.0 from
+        # day 2,201: a third value switches to float64 and decodes the bits
+        # read before
+        rows_per_chunk(rows, 3)
+        rng = np.random.default_rng(late)
+        values = np.full((2400, 3), 0.75)
+        values[1100:] = rng.choice([0.75, 0.25], (1300, 3))
+        values[1100, 0] = 0.25
+        if late == 3:
+            values[2200:] = rng.choice([0.75, 0.25, -0.0], (200, 3))
+            values[2200, 1] = -0.0
+        self._write_values(tmp_path / "s.csv", values)
+        o = CsvOracle(StreamParams(3, 2400), str(tmp_path / "s.csv"))
+        if late == 2:
+            assert o.store.dtype == np.uint8 and o.table.tolist() == [0.75, 0.25]
+        else:
+            assert o.store.dtype == np.float64 and o.table is None
+        assert matrix(o).tobytes() == values.tobytes()
+        assert o.loss_block(1090, 2210, [2, 3]).tobytes() == values[1089:2210, 1:].tobytes()
+
+    # a table grown from one value to two, and into the float64 cells from
+    # one or two values
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5).map(sorted),
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(sorted),
            seed=st.integers(0, 2**32 - 1))
     @example(sizes=[1], seed=0)
-    @example(sizes=[2, 3], seed=1)
-    @example(sizes=[4, 5], seed=2)
-    @example(sizes=[128, 129], seed=3)
-    @example(sizes=[256, 257], seed=4)
-    @example(sizes=[2, 3, 5, 129, 256, 257], seed=5)
+    @example(sizes=[1, 2], seed=1)
+    @example(sizes=[2, 3], seed=2)
+    @example(sizes=[1, 3], seed=3)
+    @example(sizes=[1, 2, 3, 5], seed=4)
+    @example(sizes=[2, 257], seed=5)
     def test_table_grown_in_later_chunks_replays_bit_exactly(self, tmp_path, rows_per_chunk,
                                                              sizes, seed):
         # the table holds pool[:size] once a stage of sizes is read; each stage
@@ -626,9 +655,8 @@ class TestCsvOracle:
         self._write_values(tmp_path / "s.csv", values)
         T = len(values)
         o = CsvOracle(StreamParams(n, T), str(tmp_path / "s.csv"))
-        if sizes[-1] <= 256:
-            assert len(o.table) == sizes[-1]
-            assert len(o.store) == max(1, (sizes[-1] - 1).bit_length())
+        if sizes[-1] <= 2:
+            assert len(o.table) == sizes[-1] and o.store.dtype == np.uint8
         else:
             assert o.table is None and o.store.dtype == np.float64
         assert matrix(o).tobytes() == values.tobytes()
