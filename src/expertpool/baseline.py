@@ -258,8 +258,9 @@ class Epoch:
 class BaselineLearner:
     """Sequential driver for the epoch learner.
 
-    ``next_block`` plays the rest of the open epoch (or a shorter block) and
-    is the one stepping API; ``next_block(oracle, 1)`` after
+    ``advance(oracle, t0, days)`` plays the rest of the open epoch (or a
+    shorter block) from day t0 and is the one stepping API; ``next_block`` is
+    ``advance`` from the next day, and ``next_block(oracle, 1)`` after
     ``commit_distribution`` faces an adaptive stream. ``on_epoch_close``, if
     given, is called with the learner after every epoch close.
     """
@@ -303,22 +304,22 @@ class BaselineLearner:
                                 full=self._epoch_len == p.B)
         return self._epoch.ids, self._epoch_len - self._epoch.rounds
 
-    def advance(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Play the next ``len(losses)`` days of the current epoch.
-
-        losses has one row per day and one column per member of the open
-        epoch, in the order of the ids ``epoch_rest`` returns. Returns the
-        realized per-day losses and the expert ids played.
+    def advance(self, oracle: LossOracle, t0: int, days: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Play the rest of the open epoch (opening one if none is), or at most
+        ``days`` days of it, on its members' losses from ``oracle`` at days t0
+        on. Returns the realized per-day losses and the expert ids played.
         """
+        ids, left = self.epoch_rest()
+        days = left if days is None else min(days, left)
+        losses = oracle.loss_block(t0, t0 + days - 1, ids)
         ep = self._epoch
-        days, m = losses.shape
-        if ep.rounds + days > self._epoch_len:
-            raise ValueError("block crosses an epoch boundary")
+        m = len(ids)
         picks = ep.mwu.run_block(losses, self.rng)
         flat = np.arange(0, days * m, m)  # each day's first cell
         flat += picks
         realized = losses.take(flat)
-        played = ep.ids.take(picks)
+        played = ids.take(picks)
         ep.add(np.add.reduce(losses, axis=0), days)
         self.day += days
         self.queries += days * m
@@ -336,15 +337,10 @@ class BaselineLearner:
 
     def next_block(self, oracle: LossOracle, days: int | None = None
                    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Play the rest of the open epoch, or at most ``days`` days of it.
-
-        Returns (first day, realized losses, played ids).
-        """
-        ids, left = self.epoch_rest()
+        """``advance`` from the next day. Returns (first day, realized losses,
+        played ids)."""
         t0 = self.day + 1
-        t1 = self.day + (left if days is None else min(days, left))
-        realized, played = self.advance(oracle.loss_block(t0, t1, ids))
-        return t0, realized, played
+        return (t0, *self.advance(oracle, t0, days))
 
     def commit_distribution(self) -> np.ndarray:
         """Exact current mixed strategy mapped onto [n] (zero off-pool mass)."""

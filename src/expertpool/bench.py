@@ -260,7 +260,7 @@ class TraceWriter:
         # the words and pool columns are read once per block, after it
         tail = np.frombuffer(f"{meter.current},{meter.peak},{pool_size}\r\n".encode(),
                              np.uint8)
-        # a slice at a time: a block can be the whole horizon (mwu-full-memory)
+        # a slice at a time: a block can be a whole baseline epoch, up to the horizon
         for s in range(0, len(alg), TRACE_ROWS):
             a, b = alg[s:s + TRACE_ROWS], best[s:s + TRACE_ROWS]
             rows = np.concatenate([_int_fields(range(t0 + s, t0 + s + len(a))).view(np.uint8),
@@ -404,7 +404,8 @@ class TrialResult:
 
 class _FullMemoryLearner:
     """Exponential weights over all n experts, stepped like the pool learners:
-    ``next_block`` plays the rest of the horizon, or at most ``days`` days."""
+    ``next_block`` plays at most one stream-pass window of days, or at most
+    ``days`` days, so no block it reads is more than a window in size."""
 
     def __init__(self, n: int, T: int, seed: int):
         self.state = MwuState(n, horizon=T)
@@ -419,7 +420,7 @@ class _FullMemoryLearner:
     def next_block(self, oracle: LossOracle, days: int | None = None
                    ) -> tuple[int, np.ndarray, np.ndarray]:
         t0 = self.day + 1
-        t1 = self.T if days is None else min(self.day + days, self.T)
+        t1 = min(self.day + (_window_days(len(self.ids)) if days is None else days), self.T)
         losses = oracle.loss_block(t0, t1, self.ids)
         picks = self.state.run_block(losses, self.rng)
         realized = losses[np.arange(len(losses)), picks]

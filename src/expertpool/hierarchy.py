@@ -130,7 +130,6 @@ class LevelState:
         self.merge_eta = math.sqrt(math.log(2.0) / lp.day_span)
         self.mwu_eta = math.sqrt(math.log(lp.pool_cap) / lp.B)
         self.pool = Pool(meter)
-        self.epoch_in_episode = 0
         self.epoch_count = 0
         self.day_in_dd = 0
         self.queries = 0
@@ -169,15 +168,15 @@ class LevelState:
         self._cum_descend = np.zeros(m)
         self._dd_sum_e = np.zeros(m)
 
-    def process_block(self, oracle: LossOracle, t0: int, L: int,
+    def process_block(self, oracle: LossOracle, t0: int,
                       base_realized: np.ndarray, base_played: np.ndarray,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Advance L days (never crossing a decision-round boundary).
-
-        base_realized / base_played are the lower level's per-day realized
-        losses and played expert ids over the same days.
+        """Advance the block of days from t0 (never crossing a decision-round
+        boundary) on which the lower level realized the per-day losses
+        base_realized and played the expert ids base_played.
         """
         lp = self.lp
+        L = len(base_realized)
         if self._epoch is None:
             self._begin_epoch(self.T - (t0 - 1), rng)
         if self.day_in_dd == 0:
@@ -224,12 +223,10 @@ class LevelState:
         self.meter.release("merge", self._merge_words)
         self._epoch = None
         self.epoch_count += 1
-        self.epoch_in_episode += 1
         if self.on_epoch_close is not None:
             self.on_epoch_close(self)
-        if self.epoch_in_episode == lp.epochs_per_episode:
+        if self.epoch_count % lp.epochs_per_episode == 0:
             self.pool.clear()
-            self.epoch_in_episode = 0
 
     def audit_words(self) -> int:
         words = 8 + self.pool.words
@@ -296,23 +293,19 @@ class HierarchyLearner:
         if isinstance(oracle, GameOracle):
             raise ValueError("the hierarchy reads a whole bottom epoch ahead; "
                              "oblivious streams only")
-        lvl1 = self._lvl1
-        if lvl1 is None or lvl1.day == lvl1.params.T:
-            # a level-1 episode starts once the previous one has played out
-            if lvl1 is not None:
-                lvl1.close()
-            lvl1 = self._lvl1 = BaselineLearner(self._level1_params(self.T - self.day),
-                                                meter=self.meter, rng=self.rng,
-                                                on_epoch_close=self.on_epoch_close)
-        # level 1 counts days within its own episode; the oracle is global
-        ids, L = lvl1.epoch_rest()
+        # a level-1 episode starts once the previous one has played out
+        if self.day % self.level_params[0].episode_days == 0:
+            if self._lvl1 is not None:
+                self._lvl1.close()
+            self._lvl1 = BaselineLearner(self._level1_params(self.T - self.day),
+                                         meter=self.meter, rng=self.rng,
+                                         on_epoch_close=self.on_epoch_close)
+        # level 1 counts days within its own episode; t0 is the global day
         t0 = self.day + 1
-        realized, played = lvl1.advance(oracle.loss_block(t0, t0 + L - 1, ids))
+        realized, played = self._lvl1.advance(oracle, t0)
         for lvl in self.levels:
-            realized, played = lvl.process_block(
-                oracle, t0, L, realized, played, self.rng
-            )
-        self.day += L
+            realized, played = lvl.process_block(oracle, t0, realized, played, self.rng)
+        self.day += len(realized)
         return t0, realized, played
 
     def audit_words(self) -> int:

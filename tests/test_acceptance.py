@@ -122,9 +122,12 @@ def test_criterion_05_baseline_regret_shape():
     n, T, eps = 64, 10**5, 0.1
     params = BaselineParams(n, T, eps=eps)
     B = params.B
-    bound = 5.0 * (eps * T
-                   + T * B**-0.5 * math.sqrt(math.log(n * T))
-                   + eps**2 * n * B * math.log(T))
+    shape = (eps * T
+             + T * B**-0.5 * math.sqrt(math.log(n * T))
+             + eps**2 * n * B * math.log(T))
+    # at constant 5 the bound exceeds T, so no regret can break it; at
+    # constant 1 it is below T and can fail
+    bound, tight = 5.0 * shape, shape
     start = time.monotonic()
     worst = -math.inf
     for stream in (
@@ -139,10 +142,12 @@ def test_criterion_05_baseline_regret_shape():
         for r in run_experiment(cfg):
             worst = max(worst, r.regret)
     elapsed = time.monotonic() - start
-    ok = worst <= bound and elapsed <= 120.0
+    ok = worst <= tight and elapsed <= 120.0
     report("criterion 5 (baseline regret shape)", ok,
-           f"worst={worst:.0f} bound={bound:.0f} elapsed={elapsed:.1f}s")
+           f"worst={worst:.0f} bound={bound:.0f} tight-bound={tight:.0f} "
+           f"elapsed={elapsed:.1f}s")
     assert worst <= bound
+    assert worst <= tight < T
     assert elapsed <= 120.0
 
 
@@ -170,8 +175,9 @@ def test_criterion_07_hierarchy_integrity(tmp_path):
                 for lvl in learner.levels:
                     # position in the open round and in the episode, in days
                     rounds = 0 if lvl._epoch is None else lvl._epoch.rounds
-                    in_episode = ((lvl.epoch_in_episode * lvl.lp.B + rounds)
-                                  * lvl.lp.day_span + lvl.day_in_dd)
+                    closed = lvl.epoch_count % lvl.lp.epochs_per_episode
+                    in_episode = ((closed * lvl.lp.B + rounds) * lvl.lp.day_span
+                                  + lvl.day_in_dd)
                     where = f"n={n} level {lvl.lp.k}"
                     if lvl.day_in_dd != day % lvl.lp.day_span:
                         problems.append(f"{where}: round misaligned at day {day}")

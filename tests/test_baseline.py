@@ -22,7 +22,7 @@ from expertpool.baseline import (
 )
 from expertpool.bench import check_pool
 from expertpool.meter import WordMeter
-from expertpool.streams import ConstantOracle, StreamParams, make_oracle
+from expertpool.streams import ConstantOracle, LossOracle, StreamParams, make_oracle
 
 
 def play(learner, oracle):
@@ -329,12 +329,29 @@ class TestPoolHistory:
 
 
 class TestLearner:
-    def test_advance_past_the_epoch_rejected(self):
+    def test_advance_reads_its_block_from_t0(self):
+        # advance reads its members on exactly the days it is told, whatever
+        # its own day count, and plays no further than the open epoch
+        matrix = np.random.default_rng(0).random((40, 4))
+        reads = []
+
+        class Recording(LossOracle):
+            def loss_block(self, t0, t1, ids):
+                reads.append((t0, t1, list(ids)))
+                return matrix[t0 - 1:t1][:, np.asarray(ids) - 1]
+
+        oracle = Recording(StreamParams(4, 40))
         learner = BaselineLearner(BaselineParams(4, 20, eps=0.5, B=5))
-        ids, left = learner.epoch_rest()
-        with pytest.raises(ValueError, match="block crosses an epoch boundary"):
-            learner.advance(np.zeros((left + 1, len(ids))))
-        assert learner.day == 0
+        realized, played = learner.advance(oracle, 17, 3)
+        ids = learner.epoch_rest()[0].tolist()
+        assert reads == [(17, 19, ids)]
+        assert np.array_equal(realized, matrix[np.arange(16, 19), played - 1])
+        assert learner.day == 3
+        realized, played = learner.advance(oracle, 31, 4)  # 2 days are left
+        assert reads[1:] == [(31, 32, ids)]
+        assert np.array_equal(realized, matrix[np.arange(30, 32), played - 1])
+        assert (learner.day, learner.epoch) == (5, 1)
+        assert learner.meter.by_category["epoch"] == 0  # the epoch closed
 
     def test_first_epoch_covers_all_when_n_small(self):
         params = BaselineParams(4, 16, eps=0.5, B=4, seed=0)

@@ -389,6 +389,40 @@ class TestHindsightPass:
         self._assert_reads_once(monkeypatch, learner,
                                 output and str(tmp_path / output))
 
+    @pytest.mark.parametrize("stream", ["epoch-spoiler", "uniform"])
+    def test_full_memory_blocks_are_one_window(self, tmp_path, monkeypatch, stream):
+        # mwu-full-memory asks the pass for a window at a time (four 512-day
+        # windows here), and its trace is that of the whole horizon in one block
+        n, T = 64, 2000
+        if stream == "uniform":
+            matrix = np.random.default_rng(5).random((T, n))
+            monkeypatch.setattr(bench, "make_oracle", lambda params, spec: MatrixOracle(matrix))
+        blocks = []
+        serve = bench.HindsightPass.loss_block
+
+        def spy(self, t0, t1, ids):
+            blocks.append(t1 - t0 + 1)
+            return serve(self, t0, t1, ids)
+
+        def run(out):
+            cfg = ExperimentConfig("mwu-full-memory", n, T, SPOILER, trials=[1],
+                                   output=str(out))
+            (r,) = run_experiment(cfg)
+            assert r.violations == []
+            return r, Path(r.trace_path).read_bytes()
+
+        monkeypatch.setattr(bench.HindsightPass, "loss_block", spy)
+        got, got_trace = run(tmp_path / "windows")
+        assert blocks == [512, 512, 512, 464]
+        blocks.clear()
+        _window(monkeypatch, T, n)  # one window holds the whole horizon
+        want, want_trace = run(tmp_path / "whole")
+        assert blocks == [T]
+        assert got_trace == want_trace and got_trace.count(b"\r\n") == T + 1
+        assert (got.best_total, got.peak_words) == (want.best_total, want.peak_words)
+        # the trial totals its loss block by block, so only the last digits move
+        assert got.cumulative_loss == pytest.approx(want.cumulative_loss, rel=1e-12)
+
     def test_hierarchy_blocks_across_windows_read_once(self, monkeypatch):
         # B-day blocks (6 at n=6, delta 1) against 5,461-day windows: a block
         # crossing a window boundary is served to every level from the last
@@ -688,10 +722,11 @@ class TestTraceWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["trace_seed0.csv"]
 
     def test_one_block_trial_is_written_a_slice_at_a_time(self, tmp_path, monkeypatch):
-        # mwu-full-memory plays the whole horizon as one block
+        # a baseline whose one epoch is the whole horizon plays it as one block
         peaks = []
         for output in (None, tmp_path / "new"):
-            cfg = ExperimentConfig("mwu-full-memory", 4, 50_000, self.STREAM,
+            cfg = ExperimentConfig("baseline", 4, 50_000, self.STREAM,
+                                   learner_params={"eps": 0.5, "B": 50_000},
                                    output=output and str(output))
             tracemalloc.start()
             try:
@@ -1055,11 +1090,11 @@ class TestRunExperiment:
         advance = BaselineLearner.advance
         calls = []
 
-        def broken(self, losses):
+        def broken(self, oracle, t0, days=None):
             calls.append(1)
             if len(calls) == 3:
                 raise KeyError(42)
-            return advance(self, losses)
+            return advance(self, oracle, t0, days)
 
         monkeypatch.setattr(BaselineLearner, "advance", broken)
         cfg = ExperimentConfig("baseline", 6, 200, self.STREAM, trials=[0, 1],

@@ -28,7 +28,8 @@ def _episode_position(lvl):
     """Days into the level's episode: its closed epochs, the open epoch's
     closed decision rounds and the open round's days."""
     rounds = 0 if lvl._epoch is None else lvl._epoch.rounds
-    return ((lvl.epoch_in_episode * lvl.lp.B + rounds) * lvl.lp.day_span
+    lp = lvl.lp
+    return (((lvl.epoch_count % lp.epochs_per_episode) * lp.B + rounds) * lp.day_span
             + lvl.day_in_dd)
 
 
@@ -158,6 +159,20 @@ class TestHierarchyRun:
         assert sizes[256] == sizes[512] == (0,)  # cleared at episode end
         assert lvl2.entries == []
 
+    def test_tail_episode_alignment(self):
+        # K=2 over 133 full 90-day level-1 episodes and a 30-day tail, which
+        # also ends level 2's eighth episode early
+        n, T = 6, 12000
+        h = HierarchyLearner(n, T, delta=1.0, seed=3)
+        assert (h.K, h.level_params[0].episode_days, T % 90) == (2, 90, 30)
+        oracle = make_oracle(StreamParams(n, T, seed=3),
+                             {"generator": "iid-bernoulli", "mean-range": [0.2, 0.8]})
+        log, _ = run_aligned(h, oracle)
+        assert (h._lvl1.params.T, h._lvl1.day) == (30, 30)
+        assert [day for day, _ in log if day > T - 30] == list(range(T - 24, T + 1, 6))
+        assert h.levels[0].epoch_count == T // (6 * 90)
+        assert h.audit_words() == h.meter.current
+
     def test_pool_cap_every_epoch(self, oracle):
         eps, _, _ = build_levels(4, 512, 1.0)
         cap = math.ceil(8.0 / eps * math.log(512))
@@ -256,9 +271,10 @@ def _reference_probability(block, base_realized, cum_own, cum_descend, eta):
     return 1.0 / (1.0 + np.exp(-eta * (descend_pre - own_pre)))
 
 
-def _reference_process_block(lvl, oracle, t0, L, base_realized, base_played, rng):
+def _reference_process_block(lvl, oracle, t0, base_realized, base_played, rng):
     """``LevelState.process_block`` on the reference merge race."""
     lp = lvl.lp
+    L = len(base_realized)
     if lvl._epoch is None:
         lvl._begin_epoch(lvl.T - (t0 - 1), rng)
     if lvl.day_in_dd == 0:
@@ -295,10 +311,10 @@ class TestLevelState:
         base_realized, base_played = data.random(T), data.integers(1, n + 1, size=T)
         lvl, rng = LevelState(lp, n, T, WordMeter()), np.random.default_rng(1)
         if first:
-            lvl.process_block(oracle, 1, first, base_realized[:first],
+            lvl.process_block(oracle, 1, base_realized[:first],
                               base_played[:first], rng)
         with pytest.raises(ValueError, match="block crosses a decision-round boundary"):
-            lvl.process_block(oracle, first + 1, L, base_realized[first:first + L],
+            lvl.process_block(oracle, first + 1, base_realized[first:first + L],
                               base_played[first:first + L], rng)
         assert lvl.day_in_dd == first
 
@@ -339,9 +355,9 @@ class TestMergeRaceDifferential:
         loss = ref_loss = 0.0  # the realized totals, summed block by block
         for t0 in range(1, T + 1, L):
             days = slice(t0 - 1, t0 - 1 + L)
-            got = lvl.process_block(oracle, t0, L, base_realized[days],
+            got = lvl.process_block(oracle, t0, base_realized[days],
                                     base_played[days], rng)
-            want = _reference_process_block(ref, oracle, t0, L, base_realized[days],
+            want = _reference_process_block(ref, oracle, t0, base_realized[days],
                                             base_played[days], ref_rng)
             assert np.array_equal(got[0], want[0]), t0
             assert np.array_equal(got[1], want[1]), t0
