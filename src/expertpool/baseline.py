@@ -23,7 +23,6 @@ __all__ = [
     "Pool",
     "Epoch",
     "BaselineLearner",
-    "best_of_sample",
     "evict_pass",
     "pool_potential",
     "default_epoch_length",
@@ -103,12 +102,6 @@ class PoolEntry:
         return self.cross[young.id] / young.count
 
 
-def best_of_sample(ids: list[int], avgs: list[float]) -> tuple[float, int]:
-    """The minimum (epoch-average loss, id) pair of a sample: ties go to the
-    lowest id; an empty sample raises ValueError."""
-    return min(zip(avgs, ids))
-
-
 def evict_pass(entries: list[PoolEntry], threshold: float) -> tuple[list[PoolEntry], list[PoolEntry]]:
     """One domination pass against the pre-pass snapshot.
 
@@ -147,10 +140,14 @@ def pool_potential(entries: list[PoolEntry]) -> list[float]:
 
 class Pool:
     """Persistent entries (oldest first) and their ``pool`` words: the one pool
-    procedure of the baseline and of every hierarchy level."""
+    procedure of the baseline and of every hierarchy level. ``evict`` and
+    ``threshold`` are the rule its epoch closes evict by (each module passes
+    its own ``evict_pass``, so its passes go through its own name)."""
 
-    def __init__(self, meter: WordMeter):
+    def __init__(self, meter: WordMeter, evict, threshold: float):
         self.meter = meter
+        self.evict = evict
+        self.threshold = threshold
         self.entries: list[PoolEntry] = []
 
     @property
@@ -171,41 +168,29 @@ class Pool:
                  if i + 1 not in in_pool]
         return pool_ids + r_ids, r_ids
 
-    def admit(self, avgs: list[float], r_ids: list[int], alpha: int) -> None:
-        """Add the best of the sample as the youngest entry. ``avgs`` are the
-        epoch's: the pool's entries in order, then ``r_ids``."""
-        s = len(self.entries)
-        avg, survivor = best_of_sample(r_ids, avgs[s:])
-        for older, older_avg in zip(self.entries, avgs):
-            older.cross[survivor] = older_avg
-        self.meter.charge("pool", 4 + 2 * s)
-        self.entries.append(PoolEntry(survivor, alpha, avg, 1))
-
-    def settle(self, evict, threshold: float) -> list[PoolEntry]:
-        """Run ``evict(entries, threshold)`` and release the words it frees.
-        Every cross table holds each younger entry (``admit`` adds them and
-        ``evict_pass`` prunes them), so s entries hold 4s + 2 * s(s-1)/2 words."""
-        s = len(self.entries)
-        self.entries, evicted = evict(self.entries, threshold)
-        if evicted:
-            k = len(self.entries)
-            self.meter.release("pool", s * (s + 3) - k * (k + 3))
-        return evicted
-
-    def close_epoch(self, avgs: list[float], r_ids: list[int], alpha: int,
-                    evict, threshold: float) -> None:
+    def close_epoch(self, avgs: list[float], r_ids: list[int], alpha: int) -> None:
         """Fold one full epoch's averages (the pool's entries in order, then
-        ``r_ids``), admit, then ``evict`` (the caller's ``evict_pass``, so
-        each module's passes go through its own name)."""
+        ``r_ids``) into every entry, admit the sample's best (ties go to the
+        lowest id) as the youngest entry, then evict. Every cross table holds
+        each younger entry, so s entries hold 4s + 2 * s(s-1)/2 words."""
         for entry, avg in zip(self.entries, avgs):
             entry.sum += avg
             entry.count += 1
             cross = entry.cross
             for young in cross:
                 cross[young] += avg
+        s = len(self.entries)
         if r_ids:
-            self.admit(avgs, r_ids, alpha)
-        self.settle(evict, threshold)
+            avg, survivor = min(zip(avgs[s:], r_ids))
+            for older, older_avg in zip(self.entries, avgs):
+                older.cross[survivor] = older_avg
+            self.meter.charge("pool", 4 + 2 * s)
+            self.entries.append(PoolEntry(survivor, alpha, avg, 1))
+            s += 1
+        self.entries, evicted = self.evict(self.entries, self.threshold)
+        if evicted:
+            k = len(self.entries)
+            self.meter.release("pool", s * (s + 3) - k * (k + 3))
 
     def clear(self) -> None:
         """Drop every entry at episode end."""
@@ -245,12 +230,12 @@ class Epoch:
         self.sums += sums
         self.rounds += rounds
 
-    def close(self, alpha: int, evict, threshold: float) -> None:
+    def close(self, alpha: int) -> None:
         """Fold a full epoch's average losses into the pool (a shorter tail
         epoch skips retention, eviction and bookkeeping), then release."""
         if self.full:
             avgs = [s / self.rounds for s in self.sums.tolist()]
-            self.pool.close_epoch(avgs, self.r_ids, alpha, evict, threshold)
+            self.pool.close_epoch(avgs, self.r_ids, alpha)
         self.pool.meter.release("mwu", self.mwu_words)
         self.pool.meter.release("epoch", self.epoch_words)
 
@@ -271,7 +256,7 @@ class BaselineLearner:
         self.rng = np.random.default_rng(params.seed) if rng is None else rng
         self.meter = WordMeter() if meter is None else meter
         self.meter.charge("overhead", 8)
-        self.pool = Pool(self.meter)
+        self.pool = Pool(self.meter, evict_pass, params.eps)
         self.day = 0  # days completed
         self.epoch = 0  # current epoch index once begun
         self.queries = 0
@@ -324,7 +309,7 @@ class BaselineLearner:
         self.day += days
         self.queries += days * m
         if ep.rounds == self._epoch_len:
-            ep.close(self.epoch, evict_pass, self.params.eps)
+            ep.close(self.epoch)
             self._epoch = None
             if self.on_epoch_close is not None:
                 self.on_epoch_close(self)

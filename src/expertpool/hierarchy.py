@@ -129,7 +129,7 @@ class LevelState:
         self.meter.charge("level", 8)
         self.merge_eta = math.sqrt(math.log(2.0) / lp.day_span)
         self.mwu_eta = math.sqrt(math.log(lp.pool_cap) / lp.B)
-        self.pool = Pool(meter)
+        self.pool = Pool(meter, evict_pass, lp.theta)
         self.epoch_count = 0
         self.day_in_dd = 0
         self.queries = 0
@@ -219,7 +219,7 @@ class LevelState:
 
     def _close_epoch(self) -> None:
         lp = self.lp
-        self._epoch.close(self.epoch_count + 1, evict_pass, lp.theta)
+        self._epoch.close(self.epoch_count + 1)
         self.meter.release("merge", self._merge_words)
         self._epoch = None
         self.epoch_count += 1

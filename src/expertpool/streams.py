@@ -542,11 +542,6 @@ class GameInstance:
         vals[support] += p[support]
         return vals
 
-    def worst_case_loss(self, p: np.ndarray) -> float:
-        """max_j p^T A e_j on the raw [0, 4] scale; acceptance criterion 8
-        reads it."""
-        return float(self.column_losses(p).max())
-
     def best_response(self, p: np.ndarray) -> tuple[int, float]:
         """Maximizing column and its value; ties break to the lowest index."""
         vals = self.column_losses(p)

@@ -216,8 +216,8 @@ def test_criterion_07_hierarchy_integrity(tmp_path):
 
 def test_criterion_08_game_equilibrium():
     exact = all(
-        GameInstance(64, 4, seed=seed).worst_case_loss(
-            GameInstance(64, 4, seed=seed).equilibrium()) == 0.25
+        GameInstance(64, 4, seed=seed).best_response(
+            GameInstance(64, 4, seed=seed).equilibrium())[1] == 0.25
         for seed in range(50)
     )
     demo = run_lowerbound_demo(64, 1 / 8, 100, {"kind": "equilibrium"}, [0, 1])

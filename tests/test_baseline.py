@@ -15,7 +15,6 @@ from expertpool.baseline import (
     BaselineParams,
     Pool,
     PoolEntry,
-    best_of_sample,
     default_epoch_length,
     evict_pass,
     pool_potential,
@@ -78,21 +77,6 @@ class TestParams:
             BaselineParams(n, T, eps=0.25, B=1)
 
 
-class TestBestOfSample:
-    def test_argmin(self):
-        assert best_of_sample([5, 7, 9], [0.3, 0.2, 0.9]) == (0.2, 7)
-
-    def test_tie_to_lowest_id(self):
-        assert best_of_sample([4, 2], [0.2, 0.2]) == (0.2, 2)
-
-    def test_singleton(self):
-        assert best_of_sample([3], [0.8]) == (0.8, 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_of_sample([], [])
-
-
 class TestEvictPass:
     def test_dominated_younger_evicted(self):
         # eps=0.1: own 0.50 >= cross 0.55 - 0.1 -> evicted
@@ -141,24 +125,48 @@ class TestEvictPass:
 
 
 class TestPool:
-    def test_meter_balance_through_admit_settle_clear(self):
+    def test_close_epoch_admits_the_sample_best(self):
+        pool = Pool(WordMeter(), evict_pass, 0.1)
+        pool.close_epoch([0.3, 0.2, 0.9], [5, 7, 9], 1)
+        assert [(e.id, e.alpha, e.average) for e in pool.entries] == [(7, 1, 0.2)]
+
+    def test_close_epoch_tie_to_lowest_id(self):
+        # 2 is drawn after 3, yet wins the tie
+        pool = Pool(WordMeter(), evict_pass, 0.1)
+        pool.close_epoch([0.2, 0.2], [3, 2], 1)
+        assert [e.id for e in pool.entries] == [2]
+
+    def test_close_epoch_one_id_sample(self):
+        pool = Pool(WordMeter(), evict_pass, 0.1)
+        pool.close_epoch([0.8], [3], 1)
+        assert [(e.id, e.average) for e in pool.entries] == [(3, 0.8)]
+
+    def test_close_epoch_empty_sample_only_folds(self):
+        # every sampled id was already pooled: nothing is admitted
         meter = WordMeter()
-        pool = Pool(meter)
+        pool = Pool(meter, evict_pass, 0.1)
+        pool.close_epoch([0.75], [3], 1)
+        pool.close_epoch([0.25], [], 2)
+        assert [(e.id, e.count, e.average) for e in pool.entries] == [(3, 2, 0.5)]
+        assert meter.by_category["pool"] == pool.words == 4
+
+    def test_meter_balance_through_close_epoch_and_clear(self):
+        meter = WordMeter()
+        pool = Pool(meter, evict_pass, 0.1)
 
         def balanced():
             return meter.by_category["pool"] == pool.words
 
-        pool.admit([0.9], [1], alpha=1)
-        assert balanced()
-        pool.admit([0.2, 0.3], [2], alpha=2)
-        assert balanced()
-        pool.admit([0.95, 0.95, 0.5], [3], alpha=3)
-        assert balanced() and pool.words == 18
-        # 2 is dominated by 1; 1's cross row for 2 is pruned with it
-        evicted = pool.settle(evict_pass, 0.1)
-        assert [e.id for e in evicted] == [2]
+        pool.close_epoch([0.9], [1], 1)
+        assert balanced() and pool.words == 4
+        pool.close_epoch([0.95, 0.5], [2], 2)
+        assert [e.id for e in pool.entries] == [1, 2]
+        assert balanced() and pool.words == 10
+        # 3 is admitted (18 words), then 2 is dominated by 1 over its two
+        # epochs (0.65 >= 0.725 - 0.1); 1's cross cell for 2 is pruned with it
+        pool.close_epoch([0.5, 0.8, 0.2], [3], 3)
         assert [e.id for e in pool.entries] == [1, 3]
-        assert set(pool.entries[0].cross) == {3}
+        assert pool.entries[0].cross == {3: 0.5}
         assert balanced() and pool.words == 10
         pool.clear()
         assert balanced()
@@ -166,18 +174,18 @@ class TestPool:
         assert meter.current == 0
 
     def test_close_epoch_folds_before_admitting(self):
-        pool = Pool(WordMeter())
-        pool.admit([0.4], [1], alpha=1)
-        pool.close_epoch([0.6, 0.3, 0.1], [2, 3], 2, evict_pass, 0.05)
+        pool = Pool(WordMeter(), evict_pass, 0.05)
+        pool.close_epoch([0.4], [1], 1)
+        pool.close_epoch([0.6, 0.3, 0.1], [2, 3], 2)
         old, young = pool.entries
         assert (old.count, old.average) == (2, pytest.approx(0.5))
         assert (young.id, young.count, young.average) == (3, 1, 0.1)
         assert old.cross == {3: 0.6} and old.average_over(young) == 0.6
 
     def test_draw_skips_pooled_ids(self):
-        pool = Pool(WordMeter())
-        pool.admit([0.1], [1], alpha=1)
-        pool.admit([0.9, 0.1], [3], alpha=2)
+        pool = Pool(WordMeter(), evict_pass, 0.1)
+        pool.close_epoch([0.1], [1], 1)
+        pool.close_epoch([0.9, 0.1], [3], 2)
         members, drawn = pool.draw(np.random.default_rng(0), 4, 4, full=True)
         assert sorted(drawn) == [2, 4]
         assert members == [1, 3] + drawn
@@ -292,7 +300,7 @@ class TestPoolHistory:
         # pooled ones); an entry's alpha is the epoch that admitted it. The
         # reference pool admits and evicts from the recorded averages alone.
         meter = WordMeter()
-        pool = Pool(meter)
+        pool = Pool(meter, evict_pass, threshold)
         avg = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
         played = {}  # id -> {epoch: its average that epoch}
         expected = []  # (id, alpha) of the reference pool, oldest first
@@ -308,7 +316,7 @@ class TestPoolHistory:
                                       max_size=len(pooled) + len(r_ids)))
             for i, a in zip(pooled + r_ids, avgs):
                 played.setdefault(i, {})[epoch] = a
-            pool.close_epoch(avgs, r_ids, epoch, evict_pass, threshold)
+            pool.close_epoch(avgs, r_ids, epoch)
 
             if r_ids:
                 expected.append((min(zip(avgs[len(pooled):], r_ids))[1], epoch))
@@ -359,6 +367,20 @@ class TestLearner:
         members, days = learner.epoch_rest()
         assert sorted(members) == [1, 2, 3, 4]
         assert days == 4
+
+    @pytest.mark.parametrize("eps,pooled", [(0.1, [1]), (0.05, [1, 2])])
+    def test_pool_evicts_by_the_learners_eps(self, eps, pooled):
+        # one-day epochs: 1 is admitted on day 1; on day 2, 2 is 0.08 better,
+        # within 0.1 of 1 (evicted) but not within 0.05 (kept)
+        matrix = np.array([[0.5, 0.9], [0.5, 0.42]])
+
+        class Matrix(LossOracle):
+            def loss_block(self, t0, t1, ids):
+                return matrix[t0 - 1:t1, self._checked(t0, t1, ids) - 1]
+
+        learner = BaselineLearner(BaselineParams(2, 2, eps=eps, B=1))
+        play(learner, Matrix(StreamParams(2, 2)))
+        assert [e.id for e in learner.entries] == pooled
 
     def test_negative_control_dominated_survivor_evicted(self):
         # expert 1 dominates; each later epoch's fresh survivor is evicted

@@ -766,18 +766,18 @@ class TestGameInstance:
     def test_worst_case_uniform_on_support(self):
         g = GameInstance(4, 2)
         g.S = frozenset({1, 2})
-        assert g.worst_case_loss(np.array([0.5, 0.5, 0.0, 0.0])) == 0.5
+        assert g.best_response(np.array([0.5, 0.5, 0.0, 0.0]))[1] == 0.5
 
     def test_worst_case_equilibrium_is_minmax(self):
         g = GameInstance(4, 2)
         g.S = frozenset({1, 2})
-        assert g.worst_case_loss(g.equilibrium()) == 0.5
+        assert g.best_response(g.equilibrium())[1] == 0.5
 
     def test_worst_case_off_support_mass(self):
         g = GameInstance(4, 2)
         g.S = frozenset({1, 3})
         # column 1: 0.5*1 (matched) + 0.5*4 (expert 2 off support)
-        assert g.worst_case_loss(np.array([0.5, 0.5, 0.0, 0.0])) == 2.5
+        assert g.best_response(np.array([0.5, 0.5, 0.0, 0.0]))[1] == 2.5
 
     def test_column_losses_match_direct_enumeration(self):
         rng = np.random.default_rng(0)
@@ -793,7 +793,7 @@ class TestGameInstance:
             g = GameInstance(8, 2, seed=seed)
             p = rng.dirichlet(np.ones(8))
             y, val = g.best_response(p)
-            assert val == g.worst_case_loss(p)
+            assert val == g.column_losses(p).max()
             assert np.all(g.column_losses(p) <= val + 1e-15)
 
     def test_best_response_tie_breaks_low(self):
@@ -805,14 +805,14 @@ class TestGameInstance:
     def test_rejects_non_distribution(self):
         g = GameInstance(4, 2)
         with pytest.raises(ValueError):
-            g.worst_case_loss(np.array([0.5, 0.5, 0.5, 0.0]))
+            g.best_response(np.array([0.5, 0.5, 0.5, 0.0]))
 
     @pytest.mark.parametrize("p", [[0.5, 0.5], [0.2] * 5, [[0.25] * 4]])
     def test_rejects_strategy_of_wrong_shape(self, p):
         shape = np.shape(p)
         with pytest.raises(ValueError, match=rf"strategy must have shape \(4,\), "
                                              rf"got {re.escape(str(shape))}"):
-            GameInstance(4, 2).worst_case_loss(np.array(p))
+            GameInstance(4, 2).best_response(np.array(p))
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_rejects_support_size_outside_the_experts(self, k):
