@@ -42,7 +42,7 @@ class BaselineParams:
     T: int
     eps: float
     B: int | None = None
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
         if self.n < 1:

@@ -79,7 +79,7 @@ class HindsightPass(LossOracle):
     levels each ask for their bottom block) are served from them as long as
     those days span at most two windows; a query for days before them goes
     straight to the oracle. Memory is O(n + T) beyond those two windows and
-    the largest answer. Every path refuses ids outside [1, n], as the oracle does.
+    the largest answer. Every query is checked by ``_checked``, as the oracles' are.
     """
 
     def __init__(self, oracle: LossOracle):
@@ -120,18 +120,11 @@ class HindsightPass(LossOracle):
         self._run[:] = ends
 
     def loss_block(self, t0, t1, ids):
-        cols = np.subtract(ids, 1)
-        # take reads a negative column from the end and names a column above
-        # n - 1, not its id; over a block's few ids, Python's min and max are
-        # cheaper than numpy's
-        listed = cols.tolist()
-        if listed and not (min(listed) >= 0 and max(listed) < self.n):
-            raise IndexError(f"ids {cols[(cols < 0) | (cols >= self.n)] + 1} "
-                             f"outside [1, {self.n}]")
+        cols = self._checked(t0, t1, ids) - 1
         w0, win = self._kept[-1]
         if w0 <= t0 <= t1 < w0 + len(win):
             return win[t0 - w0:t1 - w0 + 1].take(cols, axis=1)
-        if not self._kept[0][0] <= t0 <= t1 <= self.T:  # behind the pass, or out of range
+        if t0 < self._kept[0][0]:  # behind the kept windows
             return self.oracle.loss_block(t0, t1, ids)
         size = (t1 - t0 + 1) * len(cols)
         if len(self._answer) < size:
@@ -407,7 +400,7 @@ class _FullMemoryLearner:
     ``next_block`` plays at most one stream-pass window of days, or at most
     ``days`` days, so no block it reads is more than a window in size."""
 
-    def __init__(self, n: int, T: int, seed: int):
+    def __init__(self, n: int, T: int, seed: int | np.random.SeedSequence):
         self.state = MwuState(n, horizon=T)
         self.ids = np.arange(1, n + 1)
         self.meter = WordMeter()
@@ -438,8 +431,8 @@ class _FullMemoryLearner:
         return len(self.ids) + 4
 
 
-def _make_learner(kind: str, spec: dict, n: int, T: int, seed: int, on_epoch_close=None,
-                  game: GameOracle | None = None):
+def _make_learner(kind: str, spec: dict, n: int, T: int, seed: int | np.random.SeedSequence,
+                  on_epoch_close=None, game: GameOracle | None = None):
     """A ``kind`` learner over n experts and T days, reading only the ``spec``
     keys its ``LEARNERS`` entry names; every pool gets ``on_epoch_close``, and
     a fixed strategy of the demo plays against ``game``."""
@@ -614,7 +607,8 @@ def run_lowerbound_demo(n: int, epsilon_prime: float, rounds: int,
     out: list[DemoResult] = []
     for seed, params in zip(seeds, games):
         oracle = GameOracle(params, k=k)
-        learner = _make_learner(kind, learner_spec, n, rounds, seed, game=oracle)
+        coins = np.random.SeedSequence(seed).spawn(1)[0]  # apart from the game's draws
+        learner = _make_learner(kind, learner_spec, n, rounds, coins, game=oracle)
         total = 0.0
         for _ in range(rounds):
             p = learner.commit_distribution()

@@ -173,11 +173,13 @@ class LossOracle:
 
     def _checked(self, t0: int, t1: int, ids: Sequence[int]) -> np.ndarray:
         """``ids`` as int64, once days t0..t1 lie in [1, T] (t1 = t0 - 1 reads no
-        day) and ids in [1, n]: numpy would read id 0 as expert n. Else IndexError."""
+        day) and ids in [1, n]: numpy would read id 0 as expert n. Else IndexError.
+        Over a block's few ids, Python's min and max are cheaper than numpy's."""
         if not 1 <= t0 <= t1 + 1 <= self.T + 1:
             raise IndexError(f"days {t0}..{t1} outside [1, {self.T}]")
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and not (ids.min() >= 1 and ids.max() <= self.n):
+        listed = ids.tolist()
+        if listed and not (min(listed) >= 1 and max(listed) <= self.n):
             raise IndexError(f"ids {ids[(ids < 1) | (ids > self.n)]} outside [1, {self.n}]")
         return ids
 
@@ -226,6 +228,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
             raise ValueError(f"mean-range must be a list of two numbers, got {bounds!r}")
         for bound in bounds:
             check_number("mean-range", bound)
+        _check_unit(np.asarray(bounds, dtype=np.float64), "mean-range")
         lo, hi = bounds
         if lo > hi:
             raise ValueError(f"mean-range must be [low, high] with low <= high, got {bounds!r}")
@@ -256,8 +259,6 @@ class BernoulliOracle(LossOracle):
         self.means = np.asarray(means, dtype=np.float64)
         if self.means.shape != (params.n,):
             raise ValueError(f"need {params.n} means, got {self.means.shape}")
-        if np.isnan(self.means).any():
-            raise ValueError("Bernoulli means must not be NaN")
         _check_unit(self.means, "Bernoulli means")
         # u < mean with u = k / 2^53 and integer k is exactly k < ceil(mean * 2^53)
         self._cut = np.ceil(self.means * 2.0**53).astype(np.uint64)

@@ -162,8 +162,19 @@ class TestBernoulliOracle:
         with pytest.raises(ValueError):
             make_oracle(StreamParams(2, 5), {"generator": "iid-bernoulli"})
 
+    @pytest.mark.parametrize("bounds,overrides", [
+        ([math.nan, 0.5], {}), ([0, math.inf], {}), ([-math.inf, 0.5], {}),
+        ([0.2, math.nan], {}), ([-1e308, 1e308], {}), ([2, 3], {"1": 0.1, "2": 0.2})],
+        ids=["nan-low", "inf-high", "-inf-low", "nan-high", "huge", "all-overridden"])
+    def test_mean_range_outside_unit_interval_rejected(self, bounds, overrides):
+        # numpy's uniform raised OverflowError on the first five; [2, 3] was
+        # accepted while every expert's mean was overridden
+        with pytest.raises(ValueError, match=r"^mean-range must lie in \[0, 1\]$"):
+            make_oracle(StreamParams(2, 5), {"generator": "iid-bernoulli",
+                                             "mean-range": bounds, "overrides": overrides})
+
     def test_rejects_nan_mean(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match=r"Bernoulli means must lie in \[0, 1\]"):
             BernoulliOracle(StreamParams(2, 5), np.array([0.5, math.nan]))
 
     @pytest.mark.parametrize("means", [[1.5, -0.5], [0.5, 1.0 + 1e-12], [-0.0, -1e-300]])
