@@ -19,6 +19,7 @@ from .streams import LossOracle, check_number
 
 __all__ = [
     "BaselineParams",
+    "engine_words",
     "PoolEntry",
     "Pool",
     "Epoch",
@@ -72,9 +73,16 @@ class BaselineParams:
 
     @property
     def word_cap(self) -> int:
-        """Word budget 2*S^2 + 4*S + 4*m + 16 with S the during-epoch pool bound."""
-        s_hat = self.pool_cap + self.sample_size
-        return 2 * s_hat * s_hat + 4 * s_hat + 4 * self.sample_size + 16
+        """Word budget: 8 own words and the pool with its open epoch."""
+        return 8 + engine_words(self.pool_cap, self.sample_size)
+
+
+def engine_words(pool_cap: int, sample_size: int) -> int:
+    """Words a ``Pool`` of at most S = pool_cap + sample_size entries and its
+    open ``Epoch`` of at most S members hold: S(S + 3) in the pool (4 an entry,
+    2 a cross cell), S + 4 in the MWU, S + sample_size in sums and fresh ids."""
+    s_hat = pool_cap + sample_size
+    return s_hat * (s_hat + 3) + (s_hat + 4) + (s_hat + sample_size)
 
 
 @dataclass(slots=True)
@@ -203,7 +211,7 @@ class Epoch:
     ``ids`` (an int64 array of pool copies, then the fresh ``r_ids``),
     exponential weights over them, per-member loss sums and the round count.
     Its ``mwu`` and ``epoch`` words are charged on opening and released by
-    ``close``."""
+    ``close``; ``words`` recounts them from the live arrays."""
 
     def __init__(self, pool: Pool, rng: np.random.Generator, n: int,
                  sample_size: int, B: int, full: bool, eta: float | None = None):
@@ -223,7 +231,7 @@ class Epoch:
 
     @property
     def words(self) -> int:
-        return self.mwu_words + self.epoch_words
+        return len(self.mwu.cum) + 4 + len(self.sums) + len(self.r_ids)
 
     def add(self, sums: np.ndarray, rounds: int) -> None:
         """Count ``rounds`` more rounds whose per-member losses sum to ``sums``."""

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import BaselineLearner, BaselineParams, Epoch, Pool, PoolEntry, evict_pass
+from .baseline import (BaselineLearner, BaselineParams, Epoch, Pool, PoolEntry, engine_words,
+                       evict_pass)
 from .meter import WordMeter
 from .streams import GameOracle, LossOracle, check_number
 
@@ -62,13 +63,13 @@ def build_levels(n: int, T: int, delta: float) -> tuple[float, int, list[LevelPa
         raise ValueError(f"eps = n^(-delta/2) = {eps:.4g} exceeds 1/2; need n^delta >= 4")
     B = math.ceil(eps**-2)
     log_nt = math.log(n * T)
-    sample = min(math.ceil(eps**-2), n)
     cap = math.ceil(8.0 / eps * math.log(T))
 
     levels: list[LevelParams] = []
-    # level 1: plain epoch learner over raw day losses
+    # level 1: a baseline over one episode (or T, if shorter) on raw day losses
     e1 = math.ceil(eps * n * n)
-    levels.append(LevelParams(1, eps, B, 1, e1, eps, 1.0, sample, cap))
+    p1 = BaselineParams(n, min(e1 * B, T), eps, B=B)
+    levels.append(LevelParams(1, eps, B, 1, e1, eps, 1.0, p1.sample_size, p1.pool_cap))
     while True:
         k = len(levels) + 1
         span = levels[-1].episode_days
@@ -77,7 +78,7 @@ def build_levels(n: int, T: int, delta: float) -> tuple[float, int, list[LevelPa
             k, eps, B, span, ek,
             theta=eps**k * log_nt ** (2 * k - 1),
             width=eps ** (k - 1) * log_nt ** (2 * k - 1),
-            sample_size=sample,
+            sample_size=p1.sample_size,
             pool_cap=cap,
         )
         if lp.episode_days > T:
@@ -137,7 +138,8 @@ class LevelState:
         self.min_truncated = math.inf  # most negative truncated loss seen
         self.on_epoch_close = on_epoch_close
         self._epoch: Epoch | None = None  # its rounds' losses are truncated
-        # merge race of the open epoch and decision round
+        # merge race of the open epoch (its charged words) and decision round
+        self._merge_words = 0
         self._committed = -1
         self._cum_own: np.ndarray | None = None
         self._cum_descend: np.ndarray | None = None
@@ -149,16 +151,13 @@ class LevelState:
 
     # -- lifecycle ----------------------------------------------------------
 
-    @property
-    def _merge_words(self) -> int:
-        # id, own, descend and round sums per member, and the epoch's round count
-        return 4 * len(self._epoch.ids) + 1
-
     def _begin_epoch(self, remaining_days: int, rng: np.random.Generator) -> None:
         lp = self.lp
         self._epoch = Epoch(self.pool, rng, self.n, lp.sample_size, lp.B,
                             full=remaining_days >= lp.B * lp.day_span,
                             eta=self.mwu_eta)
+        # id, own, descend and round sums per member, and the epoch's round count
+        self._merge_words = 4 * len(self._epoch.ids) + 1
         self.meter.charge("merge", self._merge_words)
 
     def _start_decision_day(self, rng: np.random.Generator) -> None:
@@ -229,9 +228,11 @@ class LevelState:
             self.pool.clear()
 
     def audit_words(self) -> int:
+        """Recount the metered words from live state, the merge race's too."""
         words = 8 + self.pool.words
         if self._epoch is not None:
-            words += self._epoch.words + self._merge_words
+            race = (self._cum_own, self._cum_descend, self._dd_sum_e, self._epoch.ids)
+            words += self._epoch.words + sum([len(v) for v in race]) + 1
         return words
 
 
@@ -263,20 +264,13 @@ class HierarchyLearner:
 
     @property
     def word_cap(self) -> int:
-        """Word budget of the whole hierarchy, from its level parameters.
-
-        Level 1 gets the baseline's ``word_cap`` for one full level-1 episode.
-        Each level k >= 2 gets its 8 level words, a pool of at most
-        S = pool_cap + sample_size entries (S^2 + 3S words: 4 per entry and 2 per
-        cross cell) and, for at most S epoch members m, the words
-        ``LevelState.audit_words`` counts: mwu m + 4, epoch m + sample_size,
-        merge 4m + 1.
-        """
-        words = self._level1_params(self.T).word_cap
-        for lp in self.level_params[1:]:
-            s_hat = lp.pool_cap + lp.sample_size
-            words += 8 + s_hat * s_hat + 3 * s_hat
-            words += (s_hat + 4) + (s_hat + lp.sample_size) + 4 * s_hat + 1
+        """Word budget from the ladder: per level, 8 words and its pool and open
+        epoch (``engine_words``; level 1's learner's ``word_cap``), and 4S + 1
+        merge words at each level k >= 2, for S = pool_cap + sample_size."""
+        words = 0
+        for lp in self.level_params:
+            merge = 0 if lp.k == 1 else 4 * (lp.pool_cap + lp.sample_size) + 1
+            words += 8 + engine_words(lp.pool_cap, lp.sample_size) + merge
         return words
 
     @property

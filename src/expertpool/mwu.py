@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .streams import check_unit
+
 __all__ = ["MwuState"]
 
 
@@ -20,14 +22,6 @@ def _default_eta(m: int, horizon: int) -> float:
     """eta = sqrt(ln m / horizon); a singleton set has no meaningful rate, so
     it falls back to 1."""
     return 1.0 if m == 1 else float(np.sqrt(np.log(m) / horizon))
-
-
-def _check_losses(losses: np.ndarray) -> None:
-    """Reject losses outside [0, 1] (within 1e-12), NaN included: ``min`` and
-    ``max`` return NaN for an array holding one, and NaN fails both comparisons."""
-    if not (np.minimum.reduce(losses, axis=None) >= -1e-12
-            and np.maximum.reduce(losses, axis=None) <= 1.0 + 1e-12):
-        raise ValueError("loss outside range [0, 1]")
 
 
 class MwuState:
@@ -54,7 +48,7 @@ class MwuState:
         vec = np.asarray(losses, dtype=np.float64)
         if vec.shape != self.cum.shape:
             raise ValueError(f"expected {len(self.cum)} losses, got {vec.shape}")
-        _check_losses(vec)
+        check_unit(vec, "losses")
         self.cum += vec
         self.cum -= np.minimum.reduce(self.cum)
 
@@ -76,7 +70,7 @@ class MwuState:
             raise ValueError(f"expected shape (rounds, {m})")
         if rounds == 0:
             return np.empty(0, dtype=np.int64)
-        _check_losses(losses)
+        check_unit(losses, "losses")
         # rows 0..rounds-1: cum plus the losses of the earlier rounds; the last
         # row: the block's column sums
         pre = np.empty((rounds + 1, m))

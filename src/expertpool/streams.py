@@ -36,6 +36,7 @@ __all__ = [
     "make_oracle",
     "count_covered_sets",
     "check_number",
+    "check_unit",
     "check_int_list",
     "check_object",
     "check_path",
@@ -184,10 +185,11 @@ class LossOracle:
         return ids
 
 
-def _check_unit(values: np.ndarray, what: str) -> None:
-    """Reject values outside [0, 1], NaN included: ``min`` and ``max`` return
-    NaN for an array holding one, and NaN fails both comparisons."""
-    if not (values.min() >= 0.0 and values.max() <= 1.0):
+def check_unit(values: np.ndarray, what: str) -> None:
+    """The one [0, 1] check of losses and means, NaN included: ``min`` and
+    ``max`` return NaN for an array holding one, and NaN fails both."""
+    if not (np.minimum.reduce(values, axis=None) >= 0.0
+            and np.maximum.reduce(values, axis=None) <= 1.0):
         raise ValueError(f"{what} must lie in [0, 1]")
 
 
@@ -199,7 +201,7 @@ class ConstantOracle(LossOracle):
         means = np.asarray(means, dtype=np.float64)
         if means.shape != (params.n,):
             raise ValueError(f"need {params.n} means, got {means.shape}")
-        _check_unit(means, "constant losses")
+        check_unit(means, "constant losses")
         self.means = means
 
     def loss_block(self, t0, t1, ids):
@@ -228,7 +230,7 @@ def _resolve_means(params: StreamParams, spec: dict) -> np.ndarray:
             raise ValueError(f"mean-range must be a list of two numbers, got {bounds!r}")
         for bound in bounds:
             check_number("mean-range", bound)
-        _check_unit(np.asarray(bounds, dtype=np.float64), "mean-range")
+        check_unit(np.asarray(bounds, dtype=np.float64), "mean-range")
         lo, hi = bounds
         if lo > hi:
             raise ValueError(f"mean-range must be [low, high] with low <= high, got {bounds!r}")
@@ -259,7 +261,7 @@ class BernoulliOracle(LossOracle):
         self.means = np.asarray(means, dtype=np.float64)
         if self.means.shape != (params.n,):
             raise ValueError(f"need {params.n} means, got {self.means.shape}")
-        _check_unit(self.means, "Bernoulli means")
+        check_unit(self.means, "Bernoulli means")
         # u < mean with u = k / 2^53 and integer k is exactly k < ceil(mean * 2^53)
         self._cut = np.ceil(self.means * 2.0**53).astype(np.uint64)
 
@@ -433,7 +435,7 @@ def _read_losses(fh, path: str, params: StreamParams, size: int) -> _Losses:
     if late is not None:
         raise ValueError(late)
     table = None if keys is None else keys.view(np.float64)
-    _check_unit(store if table is None else table, f"losses in {path!r}")
+    check_unit(store if table is None else table, f"losses in {path!r}")
     for a in (store,) if table is None else (store, table):
         a.flags.writeable = False
     return store, table

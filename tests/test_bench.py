@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from expertpool import bench, cli
-from expertpool.baseline import BaselineLearner, BaselineParams, PoolEntry
+from expertpool.baseline import BaselineLearner, BaselineParams, Epoch, PoolEntry
 from expertpool.bench import (
     TRACE_COLUMNS,
     ExperimentConfig,
@@ -812,8 +812,9 @@ class TestHierarchyMemoryCap:
     STREAM = {"generator": "iid-bernoulli", "mean-range": [0.3, 0.7],
               "overrides": {"1": 0.2}}
 
-    # the caps these configs had when the harness computed them
-    @pytest.mark.parametrize("n,T,cap", [(4, 256, 11711), (16, 65536, 173855)],
+    # the caps of these configs: 8 words, the pool and its open epoch per
+    # level (``engine_words``), and 4S + 1 merge words per level k >= 2
+    @pytest.mark.parametrize("n,T,cap", [(4, 256, 10703), (16, 65536, 157801)],
                              ids=["4-256", "16-65536"])
     def test_criterion_7_configs_stay_under_cap(self, n, T, cap):
         cfg = ExperimentConfig("full-hierarchy", n, T, self.STREAM, trials=[5],
@@ -843,12 +844,12 @@ class TestHierarchyMemoryCap:
         assert one.K == 1 and two.K == 2
         lvl1 = BaselineParams(16, min(one.level_params[0].episode_days, 4096),
                               one.eps, B=one.B)
-        assert one.word_cap == lvl1.word_cap == 32846
+        assert one.word_cap == lvl1.word_cap == 16792
         lp = two.level_params[1]
         s_hat = lp.pool_cap + lp.sample_size
         lvl1 = BaselineParams(4, two.level_params[0].episode_days, two.eps, B=two.B)
         assert two.word_cap == (
-            lvl1.word_cap + s_hat * s_hat + 9 * s_hat + lp.sample_size + 13) == 13977
+            lvl1.word_cap + s_hat * s_hat + 9 * s_hat + lp.sample_size + 13) == 12969
 
 
 class TestMemoryAudit:
@@ -885,14 +886,37 @@ class TestMemoryAudit:
         assert f"peak of {clean.peak_words} words exceeds cap" in r.violations[0]
 
     def test_learner_caps(self):
-        # the caps these learners had when the harness computed them
+        # S = 80 + 8 for the baseline: 8 + S(S + 3) + (S + 4) + (S + 8)
         for learner, params, want in (
-            ("baseline", {"eps": 0.3}, 15888),
-            ("full-hierarchy", {"delta": 1.0}, 9568),
+            ("baseline", {"eps": 0.3}, 8204),
+            ("full-hierarchy", {"delta": 1.0}, 4984),
             ("mwu-full-memory", {}, 8 + 4),
         ):
             assert bench._make_learner(learner, params, 8, 400, 3).word_cap == want
-        assert BaselineLearner(BaselineParams(8, 400, 0.3)).word_cap == 15888
+        assert BaselineLearner(BaselineParams(8, 400, 0.3)).word_cap == 8204
+
+    @pytest.mark.parametrize("learner,checks,n,T", [
+        ("baseline", "paranoid", 8, 400), ("full-hierarchy", "epoch", 4, 512)])
+    def test_mis_metered_epoch_flagged(self, monkeypatch, learner, checks, n, T):
+        """An epoch that charges one ``mwu`` word more than it holds, and
+        releases it at close, is flagged: the audit recounts an open epoch from
+        its live arrays, not from the words it charged. Under ``epoch`` checks
+        a baseline epoch is never open at a block boundary, so only paranoid
+        runs and the levels k >= 2 of a hierarchy can see it."""
+        cfg = ExperimentConfig(learner, n, T, SPOILER, trials=[3], checks=checks,
+                               learner_params={"eps": 0.3} if learner == "baseline" else {})
+        assert run_experiment(cfg)[0].violations == []
+        init = Epoch.__init__
+
+        def charge_one_more(self, pool, *args, **kwargs):
+            init(self, pool, *args, **kwargs)
+            self.mwu_words += 1  # released by close with the rest
+            pool.meter.charge("mwu", 1)
+
+        monkeypatch.setattr(Epoch, "__init__", charge_one_more)
+        (r,) = run_experiment(cfg)
+        assert r.violations
+        assert all(v.startswith("meter ") for v in r.violations)
 
     @pytest.mark.parametrize("learner,checks,calls", [
         ("full-hierarchy", "epoch", 132), ("baseline", "epoch", 6),

@@ -74,6 +74,15 @@ class TestBuildLevels:
         assert levels[0].episode_days == 32
         assert levels[1].episode_days == 256
 
+    @pytest.mark.parametrize("delta,cap1,cap2", [(0.5, 50, 178), (1.0, 111, 355)])
+    def test_level1_records_its_learners_pool_cap(self, delta, cap1, cap2):
+        # level 1 is a baseline over one episode, ceil(4/eps ln episode_days);
+        # a level k >= 2 takes ceil(8/eps ln T)
+        h = HierarchyLearner(16, 65536, delta)
+        lvl1, lvl2 = h.level_params
+        assert lvl1.pool_cap == h._level1_params(h.T).pool_cap == cap1
+        assert lvl2.pool_cap == cap2
+
     def test_horizon_between_ladder_steps(self):
         # T=70000 sits between T_2=65536 and T_3; sized for T_2, run truncated
         eps, K, levels = build_levels(16, 70000, 1.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expertpool.mwu import MwuState
+from expertpool.streams import ConstantOracle, StreamParams
 
 
 class TestInit:
@@ -234,6 +235,16 @@ class TestRunBlock:
         s = MwuState(2, horizon=5)
         with pytest.raises(ValueError):
             s.run_block(np.array([[0.0, 2.0]]), np.random.default_rng(0))
+
+    def test_one_exact_range_rule(self):
+        # one ulp above 1 is refused by the learner and by a stream alike
+        over = 1.0 + 2.0**-52
+        with pytest.raises(ValueError, match=r"^losses must lie in \[0, 1\]$"):
+            MwuState(2, horizon=5).run_block(np.array([[0.0, over]]), np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^losses must lie in \[0, 1\]$"):
+            MwuState(2, horizon=5).update([over, 0.0])
+        with pytest.raises(ValueError, match=r"^constant losses must lie in \[0, 1\]$"):
+            ConstantOracle(StreamParams(2, 5), [0.5, over])
 
     def test_nan_cell_rejected(self):
         s = MwuState(2, horizon=5)
